@@ -12,14 +12,19 @@
 //	          [-addr :8063] [-interval 30s] [-timeout 10s] [-quorum 0]
 //	          [-attempts 3] [-backoff 200ms] [-retain 8] [-snapshot fleet.snap]
 //
-// Endpoints:
+// Endpoints (the read API dnsmonitord serves, over the merged view;
+// per-name answers also name the owning shard, and every answer carries
+// the view's stale-shard facts):
 //
 //	GET  /summary            headline statistics of the merged generation
 //	GET  /tcb?name=N         trusted computing base of a surveyed name
 //	GET  /bottleneck?name=N  §3.2 min-cut analysis of a name
+//	GET  /audit?name=N       §5 trust-audit findings for a name
 //	GET  /generations        retained merged generations (-retain bounds it)
 //	GET  /diff?from=&to=     typed trust delta between two retained
 //	                         merged generations
+//	GET  /watch?since=&grow=&limit=
+//	                         names whose TCB grew since generation `since`
 //	GET  /stats              fleet dimensions plus per-shard health
 //	POST /add                whitespace-separated names in the body are
 //	                         consistent-hashed to their owning shards,
@@ -37,21 +42,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"dnstrust/internal/daemon"
 	"dnstrust/internal/fleet"
+	"dnstrust/internal/view"
 )
 
 func main() {
@@ -97,6 +100,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("dnsfleetd: %v", err)
 	}
+	// Bind first: a busy port must fail the boot before the merge.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("dnsfleetd: %v", err)
+	}
 	srv := &server{c: c, ring: fleet.NewRing(c.ShardNames(), 0), urls: urls}
 
 	log.Printf("merging initial fleet state from %d shards...", len(shards))
@@ -107,231 +115,56 @@ func main() {
 	}
 	log.Printf("generation %d ready: %d names, %d nameservers across %d shards (%.1fs); serving on %s",
 		fv.Generation(), fv.NumNames(), fv.Survey().Graph.NumHosts(), len(shards),
-		time.Since(start).Seconds(), *addr)
+		time.Since(start).Seconds(), ln.Addr())
 	if fv.Stale() {
 		log.Printf("dnsfleetd: serving a partial view: stale shards %v", fv.StaleShards())
 	}
 
-	stop := make(chan struct{})
+	// The merge loop stops before the process exits, so no round is cut
+	// off mid-save: Serve's close function cancels it and waits.
+	ctx, stop := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
 	go func() {
+		defer close(stopped)
 		t := time.NewTicker(*interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			case <-t.C:
-				if _, err := c.Commit(context.Background()); err != nil {
+				if _, err := c.Commit(ctx); err != nil && ctx.Err() == nil {
 					log.Printf("dnsfleetd: merge round failed (previous generation still serving): %v", err)
 				}
 			}
 		}
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v: shutting down", sig)
-		close(stop)
-		os.Exit(0)
-	}()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /summary", srv.summary)
-	mux.HandleFunc("GET /tcb", srv.tcb)
-	mux.HandleFunc("GET /bottleneck", srv.bottleneck)
-	mux.HandleFunc("GET /generations", srv.generations)
-	mux.HandleFunc("GET /diff", srv.diff)
-	mux.HandleFunc("GET /stats", srv.stats)
-	mux.HandleFunc("POST /add", srv.add)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	os.Exit(daemon.Serve(ln, srv.mux(), func() error {
+		stop()
+		<-stopped
+		return nil
+	}))
 }
 
-// server exposes one shared Coordinator. Reads answer from the latest
-// merged FleetView (immutable, never blocking behind a merge round);
-// /add fans out to the owning shards and then re-merges.
+// server carries dnsfleetd's own endpoint: an /add that fans out to the
+// owning shards and then re-merges.
 type server struct {
 	c    *fleet.Coordinator
 	ring *fleet.Ring
 	urls map[string]string // shard name -> base URL, for /add fan-out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// view fetches the current merged view or fails the request (the
-// coordinator has one from boot; nil only happens before the initial
-// merge finishes).
-func (s *server) view(w http.ResponseWriter) (*fleet.FleetView, bool) {
-	v := s.c.Current()
-	if v == nil {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no merged generation yet"))
-		return nil, false
-	}
-	return v, true
-}
-
-func (s *server) summary(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	sum := v.Summary()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":         v.Generation(),
-		"names":              sum.Names,
-		"servers":            sum.Servers,
-		"vulnerable_servers": sum.VulnerableServers,
-		"affected_names":     sum.AffectedNames,
-		"tcb_mean":           sum.TCB.Mean(),
-		"tcb_median":         sum.TCB.Median(),
-		"tcb_max":            sum.TCB.Max(),
-		"direct_mean":        sum.DirectMean,
-		"owned_mean":         sum.OwnedMean,
-		"stale":              v.Stale(),
-		"stale_shards":       v.StaleShards(),
-	})
-}
-
-func (s *server) tcb(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	tcb, err := v.TCB(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.Generation(),
-		"name":       name,
-		"shard":      s.ring.Owner(name),
-		"tcb_size":   len(tcb),
-		"tcb":        tcb,
-	})
-}
-
-func (s *server) bottleneck(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	res, err := v.Bottleneck(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":  v.Generation(),
-		"name":        name,
-		"shard":       s.ring.Owner(name),
-		"cut":         res.Cut,
-		"cut_size":    res.Size,
-		"safe_in_cut": res.SafeInCut,
-		"vuln_in_cut": res.VulnInCut,
-	})
-}
-
-func (s *server) generations(w http.ResponseWriter, r *http.Request) {
-	tl := s.c.Timeline()
-	out := make([]map[string]any, 0, len(tl))
-	for _, v := range tl {
-		g := v.Survey().Graph
-		out = append(out, map[string]any{
-			"generation":   v.Generation(),
-			"names":        v.NumNames(),
-			"servers":      g.NumHosts(),
-			"zones":        g.NumZones(),
-			"chains":       g.NumChains(),
-			"changed":      len(v.Changed()),
-			"stale":        v.Stale(),
-			"stale_shards": v.StaleShards(),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"retained":    len(tl),
-		"generations": out,
-	})
-}
-
-// genParam parses an int64 query parameter, with a default when absent.
-func genParam(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q: %w", key, raw, err)
-	}
-	return v, nil
-}
-
-func (s *server) diff(w http.ResponseWriter, r *http.Request) {
-	tl := s.c.Timeline()
-	if len(tl) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no generations retained"))
-		return
-	}
-	from, err := genParam(r, "from", tl[0].Generation())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	to, err := genParam(r, "to", tl[len(tl)-1].Generation())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if from > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("from=%d exceeds to=%d", from, to))
-		return
-	}
-	d, err := s.c.Between(r.Context(), from, to)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
-}
-
-func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	g := v.Survey().Graph
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":   v.Generation(),
-		"names":        v.NumNames(),
-		"servers":      g.NumHosts(),
-		"zones":        g.NumZones(),
-		"chains":       g.NumChains(),
-		"stale":        v.Stale(),
-		"stale_shards": v.StaleShards(),
-		"shards":       s.c.Status(),
-	})
+// mux mounts the shared read API over the merged view — answers name
+// the owning shard, /stats adds every shard's health as of the last
+// merge round — and the fan-out /add beside it.
+func (s *server) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	(&daemon.API{Source: s.c, Shard: s.ring.Owner, Stats: func(_ *view.View, out map[string]any) {
+		out["shards"] = s.c.Status()
+	}}).Mount(mux)
+	mux.HandleFunc("POST /add", s.add)
+	return mux
 }
 
 // addResult is one shard's answer to a /add fan-out.
@@ -346,14 +179,8 @@ type addResult struct {
 // re-merges. Names keep flowing to the shard that owns them, so a
 // later fan-out of the same name is an incremental no-op on the shard.
 func (s *server) add(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	names := strings.Fields(string(body))
-	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("empty body: send whitespace-separated names"))
+	names, ok := daemon.ReadNames(w, r)
+	if !ok {
 		return
 	}
 	parts := s.ring.Assign(names)
@@ -383,7 +210,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 
 	fv, err := s.c.Commit(r.Context())
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("re-merge failed (previous generation still serving): %w", err))
+		daemon.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("re-merge failed (previous generation still serving): %w", err))
 		return
 	}
 	status := http.StatusOK
@@ -392,7 +219,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 		// shards absorbed; the caller can retry the rest.
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{
+	daemon.WriteJSON(w, status, map[string]any{
 		"generation":    fv.Generation(),
 		"added":         len(names),
 		"names_total":   fv.NumNames(),

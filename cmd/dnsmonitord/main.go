@@ -68,336 +68,112 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"dnstrust"
-	"dnstrust/internal/topology"
-	"dnstrust/internal/transport"
+	"dnstrust/internal/daemon"
 	"dnstrust/internal/verdict"
+	"dnstrust/internal/view"
 )
 
 func main() {
 	addr := flag.String("addr", ":8053", "HTTP listen address")
-	names := flag.Int("names", 20000, "initial survey corpus size (paper: 593160)")
-	seed := flag.Int64("seed", 1, "world generation seed")
-	workers := flag.Int("workers", 0, "crawl parallelism (0 = GOMAXPROCS)")
 	retain := flag.Int("retain", 8, "committed generations kept live for /generations, /diff, /watch")
-	memoFile := flag.String("memo-file", "", "persist the query memo here and resume from it")
-	snapshot := flag.String("snapshot", "", "persist the session snapshot here: restored at boot, saved after each crawl and on SIGTERM")
 	shardName := flag.String("shard-name", "", "label this monitor as one fleet shard: snapshots and GET /snapshot exports carry the name")
-	record := flag.String("record", "", "record every transport exchange into this query-log file (saved after each crawl)")
-	replay := flag.String("replay", "", "serve the session from this recorded query log (strict: unrecorded queries fail)")
-	live := flag.Bool("live", false, "boot the world's nameservers on loopback and crawl over real UDP/TCP sockets")
-	maxTCB := flag.Int("max-tcb", 100, "/verdict flags names whose trusted computing base exceeds this many servers (-1 disables)")
-	narrowCut := flag.Int("narrow-cut", 1, "/verdict flags names whose minimum delegation cut is at most this many servers (-1 disables)")
-	flagOnly := flag.Bool("flag-only", false, "/verdict downgrades refusals to flags")
-	verdictTTL := flag.Duration("verdict-ttl", time.Minute, "verdict cache TTL (generation commits invalidate changed names immediately)")
+	sess := daemon.BindSession(flag.CommandLine, true)
+	policy := daemon.BindPolicy(flag.CommandLine)
 	flag.Parse()
 
+	// Bind first: a busy port must fail the boot before the crawl, not
+	// after it.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("dnsmonitord: %v", err)
+	}
 	ctx := context.Background()
-	opts := dnstrust.Options{Seed: *seed, Names: *names, Workers: *workers, Retain: *retain,
-		MemoFile: *memoFile, SnapshotFile: *snapshot, ShardName: *shardName}
-	var recLog *dnstrust.QueryLog
-	if *record != "" {
-		recLog = transport.NewLog()
-		opts.RecordLog = recLog
-	}
-	if *replay != "" {
-		lg := transport.NewLog()
-		n, err := lg.LoadFile(*replay)
-		if err != nil {
-			log.Fatalf("dnsmonitord: %s: %v", *replay, err)
-		}
-		log.Printf("replaying %s: %d recorded questions", *replay, n)
-		opts.ReplayLog = lg
-	}
-
-	log.Printf("generating world (seed %d, %d names) and crawling initial corpus...", *seed, *names)
 	start := time.Now()
-	world, err := dnstrust.NewWorld(opts)
+	opts := sess.Options()
+	opts.Retain, opts.ShardName = *retain, *shardName
+	m, err := sess.Open(ctx, opts, log.Printf)
 	if err != nil {
 		log.Fatalf("dnsmonitord: %v", err)
 	}
-	switch {
-	case *live && *replay != "":
-		// Strict replay never queries a terminal source; don't boot a
-		// fleet destined only to be closed.
-		log.Printf("dnsmonitord: -live ignored: strict -replay serves everything from the recording")
-	case *live:
-		lv, err := topology.StartLive(ctx, world.Registry)
-		if err != nil {
-			log.Fatalf("dnsmonitord: starting live servers: %v", err)
-		}
-		log.Printf("booted %d real DNS servers on loopback", lv.NumServers())
-		opts.Source = transport.From(lv)
-	}
-	openStart := time.Now()
-	m, err := dnstrust.OpenWorld(ctx, world, opts)
-	if err != nil {
-		log.Fatalf("dnsmonitord: %v", err)
-	}
-	defer m.Close()
-	srv := &server{m: m, recLog: recLog, recPath: *record, snapPath: *snapshot}
+	srv := &server{m: m, sess: sess}
 	// The verdict cache is the same structure dnstrustd consults on its
 	// serving hot path; here it backs /verdict. Commits advance it in
 	// place (evicting only changed names), and /verdict on a never-seen
 	// name queues a background crawl whose commit is persisted exactly
 	// like a /add.
-	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{
-		Policy: verdict.Policy{MaxTCB: *maxTCB, NarrowCut: *narrowCut, FlagOnly: *flagOnly},
-		TTL:    *verdictTTL,
+	srv.cache, err = policy.Cache(m, verdict.Config{
 		Add: func(ctx context.Context, names ...string) error {
 			if _, err := m.Add(ctx, names...); err != nil {
 				return err
 			}
-			srv.saveRecording()
-			srv.saveSnapshot()
+			srv.persist()
 			return nil
 		},
 	})
 	if err != nil {
 		log.Fatalf("dnsmonitord: %v", err)
 	}
-	m.OnCommit(func(v *dnstrust.View) { cache.Advance(v.Survey()) })
-	srv.cache = cache
-	if v := m.At(); v.Generation() > 0 {
-		// The snapshot restored the last committed generation; the
-		// initial crawl is already paid for.
-		var size int64
-		if fi, err := os.Stat(*snapshot); err == nil {
-			size = fi.Size()
-		}
-		log.Printf("snapshot: restored generation %d from %s (%d bytes, %.2fs, 0 transport queries)",
-			v.Generation(), *snapshot, size, time.Since(openStart).Seconds())
-		log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
-			v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), *addr)
-	} else {
-		v, err := m.Add(ctx, m.World().Corpus...)
-		if err != nil {
-			m.Close()
-			// A partial recording survives an aborted initial crawl, like
-			// the query memo does.
-			srv.saveRecording()
-			log.Fatalf("dnsmonitord: initial crawl: %v", err)
-		}
-		log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
-			v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), *addr)
-		srv.saveRecording()
-		srv.saveSnapshot()
+	v, err := sess.Crawl(ctx, m, log.Printf)
+	if err != nil {
+		log.Fatalf("dnsmonitord: %v", err)
 	}
+	log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
+		v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), ln.Addr())
 
-	// SIGTERM/SIGINT: save the snapshot (Close does, when configured)
-	// and exit cleanly. The atomic save means a second signal mid-save
+	// The atomic save inside Monitor.Close means a kill mid-shutdown
 	// still leaves the previous snapshot loadable.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v: saving session state and shutting down", sig)
-		shutStart := time.Now()
-		cache.Close()
-		if err := m.Close(); err != nil {
-			log.Printf("dnsmonitord: shutdown: %v", err)
-			os.Exit(1)
-		}
-		if *snapshot != "" {
-			var size int64
-			if fi, err := os.Stat(*snapshot); err == nil {
-				size = fi.Size()
-			}
-			log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-				m.Generation(), *snapshot, size, time.Since(shutStart).Seconds())
-		}
-		os.Exit(0)
-	}()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /summary", srv.summary)
-	mux.HandleFunc("GET /tcb", srv.tcb)
-	mux.HandleFunc("GET /bottleneck", srv.bottleneck)
-	mux.HandleFunc("GET /audit", srv.audit)
-	mux.HandleFunc("GET /verdict", srv.verdict)
-	mux.HandleFunc("GET /stats", srv.stats)
-	mux.HandleFunc("GET /generations", srv.generations)
-	mux.HandleFunc("GET /diff", srv.diff)
-	mux.HandleFunc("GET /watch", srv.watch)
-	mux.HandleFunc("POST /add", srv.add)
-	mux.HandleFunc("POST /snapshot", srv.snapshot)
-	mux.HandleFunc("GET /snapshot", srv.snapshotGet)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	os.Exit(daemon.Serve(ln, srv.mux(), func() error {
+		srv.cache.Close()
+		return m.Close()
+	}))
 }
 
-// server exposes one shared Monitor. Handlers read from At()'s immutable
-// view; /add serializes through the Monitor itself.
+// server carries what dnsmonitord adds to the shared read API: the
+// verdict cache, /add, and the snapshot endpoints. /add serializes
+// through the Monitor itself.
 type server struct {
-	m *dnstrust.Monitor
+	m    *dnstrust.Monitor
+	sess *daemon.Session
 
 	// cache serves /verdict; Monitor.OnCommit keeps it advancing.
 	cache *verdict.Cache
 
-	// recLog/recPath persist the session's query recording; recMu
-	// serializes saves from concurrent /add handlers.
-	recLog  *dnstrust.QueryLog
-	recPath string
-	recMu   sync.Mutex
-
-	// snapPath persists the session snapshot ("" = off); snapMu
-	// serializes saves so concurrent /add and /snapshot handlers never
-	// race on the same temp file.
-	snapPath string
-	snapMu   sync.Mutex
+	// saveMu serializes saves so concurrent /add and /snapshot handlers
+	// never race on the same temp file.
+	saveMu sync.Mutex
 }
 
-// saveRecording writes the query log to disk, when recording.
-func (s *server) saveRecording() {
-	if s.recLog == nil {
-		return
-	}
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	//lint:allow locksafety recMu serializes concurrent saves of the same file; the query path never takes it
-	if n, err := s.recLog.SaveFile(s.recPath); err != nil {
-		log.Printf("dnsmonitord: recording not saved: %v", err)
-	} else {
-		log.Printf("recorded %d questions to %s", n, s.recPath)
-	}
+// mux mounts the shared read API over the monitor and the daemon's own
+// endpoints beside it.
+func (s *server) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	(&daemon.API{Source: s.m, Stats: s.stats}).Mount(mux)
+	mux.HandleFunc("GET /verdict", s.verdict)
+	mux.HandleFunc("POST /add", s.add)
+	mux.HandleFunc("POST /snapshot", s.snapshot)
+	mux.HandleFunc("GET /snapshot", s.snapshotGet)
+	return mux
 }
 
-// saveSnapshot persists the session snapshot after a committed crawl,
-// when configured, logging generation, size, and timing.
-func (s *server) saveSnapshot() {
-	if s.snapPath == "" {
-		return
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	start := time.Now()
-	//lint:allow locksafety snapMu exists solely to serialize snapshot writers to one file; no reader ever takes it
-	n, err := s.m.SaveSnapshot(s.snapPath)
-	if err != nil {
-		log.Printf("dnsmonitord: snapshot not saved: %v", err)
-		return
-	}
-	log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-		s.m.Generation(), s.snapPath, n, time.Since(start).Seconds())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// nameParam extracts ?name= or fails the request.
-func nameParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return "", false
-	}
-	return name, true
-}
-
-func (s *server) summary(w http.ResponseWriter, r *http.Request) {
-	v := s.m.At()
-	sum := v.Summary()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":         v.Generation(),
-		"names":              sum.Names,
-		"servers":            sum.Servers,
-		"vulnerable_servers": sum.VulnerableServers,
-		"affected_names":     sum.AffectedNames,
-		"tcb_mean":           sum.TCB.Mean(),
-		"tcb_median":         sum.TCB.Median(),
-		"tcb_max":            sum.TCB.Max(),
-		"direct_mean":        sum.DirectMean,
-		"owned_mean":         sum.OwnedMean,
-	})
-}
-
-func (s *server) tcb(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
-		return
-	}
-	v := s.m.At()
-	tcb, err := v.TCB(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.Generation(),
-		"name":       name,
-		"tcb_size":   len(tcb),
-		"tcb":        tcb,
-	})
-}
-
-func (s *server) bottleneck(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
-		return
-	}
-	v := s.m.At()
-	res, err := v.Bottleneck(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":  v.Generation(),
-		"name":        name,
-		"cut":         res.Cut,
-		"cut_size":    res.Size,
-		"safe_in_cut": res.SafeInCut,
-		"vuln_in_cut": res.VulnInCut,
-	})
-}
-
-func (s *server) audit(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
-		return
-	}
-	v := s.m.At()
-	findings, err := v.Audit(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	out := make([]map[string]string, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, map[string]string{
-			"severity": f.Severity.String(),
-			"kind":     f.Kind.String(),
-			"finding":  f.String(),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.Generation(),
-		"name":       name,
-		"findings":   out,
-	})
+// persist saves the query recording and the session snapshot,
+// whichever are configured, after a committed crawl.
+func (s *server) persist() {
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
+	//lint:allow locksafety saveMu exists solely to serialize writers to one file; no reader ever takes it
+	s.sess.Persist(s.m, log.Printf)
 }
 
 // verdict serves the per-name policy verdict from the shared cache. A
@@ -405,12 +181,13 @@ func (s *server) audit(w http.ResponseWriter, r *http.Request) {
 // (flagged) and queues a background crawl — poll again after it commits
 // for the real verdict.
 func (s *server) verdict(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
+	name := r.URL.Query().Get("name")
+	if name == "" {
+		daemon.WriteErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
 		return
 	}
 	v := s.cache.Lookup(name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":        v.Name,
 		"level":       v.Level.String(),
 		"reasons":     v.Reasons.Strings(),
@@ -422,27 +199,16 @@ func (s *server) verdict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	v := s.m.At()
+// stats adds the crawl-engine and verdict-cache counters to /stats.
+func (s *server) stats(v *view.View, out map[string]any) {
 	st := v.Survey().Stats
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":        v.Generation(),
-		"names":             v.NumNames(),
-		"servers":           v.Survey().Graph.NumHosts(),
-		"zones":             v.Survey().Graph.NumZones(),
-		"chains":            v.Survey().Graph.NumChains(),
-		"transport_queries": s.m.Queries(),
-		"memo_hits":         st.Walker.MemoHits,
-		"shared_walks":      st.Walker.SharedWalks,
-		"walk_seconds":      st.WalkTime.Seconds(),
-		"build_seconds":     st.BuildTime.Seconds(),
-		"verdict_cache":     verdictStats(s.cache.Stats()),
-	})
-}
-
-// verdictStats flattens cache counters for the /stats payload.
-func verdictStats(cs verdict.Stats) map[string]any {
-	return map[string]any{
+	cs := s.cache.Stats()
+	out["transport_queries"] = s.m.Queries()
+	out["memo_hits"] = st.Walker.MemoHits
+	out["shared_walks"] = st.Walker.SharedWalks
+	out["walk_seconds"] = st.WalkTime.Seconds()
+	out["build_seconds"] = st.BuildTime.Seconds()
+	out["verdict_cache"] = map[string]any{
 		"size":        cs.Size,
 		"generation":  cs.Generation,
 		"hits":        cs.Hits,
@@ -456,145 +222,9 @@ func verdictStats(cs verdict.Stats) map[string]any {
 	}
 }
 
-// genParam parses an int64 query parameter, with a default when absent.
-func genParam(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q: %w", key, raw, err)
-	}
-	return v, nil
-}
-
-func (s *server) generations(w http.ResponseWriter, r *http.Request) {
-	tl := s.m.Timeline()
-	out := make([]map[string]any, 0, len(tl))
-	for _, v := range tl {
-		g := v.Survey().Graph
-		out = append(out, map[string]any{
-			"generation": v.Generation(),
-			"names":      v.NumNames(),
-			"servers":    g.NumHosts(),
-			"zones":      g.NumZones(),
-			"chains":     g.NumChains(),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"retained":    len(tl),
-		"generations": out,
-	})
-}
-
-// timelineRange resolves ?from= and ?to= against the retained timeline
-// (defaults: oldest retained, latest committed).
-func (s *server) timelineRange(r *http.Request) (from, to int64, err error) {
-	tl := s.m.Timeline()
-	if len(tl) == 0 {
-		return 0, 0, errors.New("no generations retained")
-	}
-	from, err = genParam(r, "from", tl[0].Generation())
-	if err != nil {
-		return 0, 0, err
-	}
-	to, err = genParam(r, "to", tl[len(tl)-1].Generation())
-	return from, to, err
-}
-
-func (s *server) diff(w http.ResponseWriter, r *http.Request) {
-	from, to, err := s.timelineRange(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if from > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("from=%d exceeds to=%d", from, to))
-		return
-	}
-	d, err := s.m.BetweenContext(r.Context(), from, to)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
-}
-
-// watch flags drifting names: TCB grown by at least ?grow= hosts (default
-// 1) since generation ?since= (default the oldest retained), plus names
-// whose TCB crossed the absolute ?limit= threshold between the
-// generations.
-func (s *server) watch(w http.ResponseWriter, r *http.Request) {
-	tl := s.m.Timeline()
-	if len(tl) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no generations retained"))
-		return
-	}
-	to := tl[len(tl)-1].Generation()
-	since, err := genParam(r, "since", tl[0].Generation())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	grow, err := genParam(r, "grow", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	limit, err := genParam(r, "limit", 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if since > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("since=%d exceeds the latest generation %d", since, to))
-		return
-	}
-	d, err := s.m.BetweenContext(r.Context(), since, to)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	grew := make([]map[string]any, 0)
-	for _, c := range d.Grew(int(grow)) {
-		grew = append(grew, map[string]any{
-			"name": c.Name, "old_tcb": c.OldTCB, "new_tcb": c.NewTCB, "growth": c.Growth(),
-			"tcb_added": c.TCBAdded,
-		})
-	}
-	crossed := make([]map[string]any, 0)
-	if limit > 0 {
-		for _, c := range d.Changed {
-			if int64(c.OldTCB) <= limit && int64(c.NewTCB) > limit {
-				crossed = append(crossed, map[string]any{
-					"name": c.Name, "old_tcb": c.OldTCB, "new_tcb": c.NewTCB, "limit": limit,
-				})
-			}
-		}
-	}
-	// Zombie dependencies never arise within one monitored session (zone
-	// cuts are first-observation-wins immutable); they surface when
-	// diffing independent recordings — dnssurvey -diff / DiffLogs — so
-	// the watch response does not carry a perpetually empty field.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"since":         since,
-		"to":            to,
-		"min_growth":    grow,
-		"grew":          grew,
-		"crossed_limit": crossed,
-	})
-}
-
 func (s *server) add(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	names := strings.Fields(string(body))
-	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("empty body: send whitespace-separated names"))
+	names, ok := daemon.ReadNames(w, r)
+	if !ok {
 		return
 	}
 	prev := s.m.At()
@@ -602,11 +232,10 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	v, err := s.m.Add(r.Context(), names...)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("add failed (previous generation still serving): %w", err))
+		daemon.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("add failed (previous generation still serving): %w", err))
 		return
 	}
-	s.saveRecording()
-	s.saveSnapshot()
+	s.persist()
 	perName := make(map[string]any, len(names))
 	for _, n := range names {
 		if sz := v.Survey().Graph.TCBSize(n); sz >= 0 {
@@ -615,7 +244,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 			perName[n] = "failed: " + ferr.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"generation":        v.Generation(),
 		"added":             len(names),
 		"names_total":       v.NumNames(),
@@ -666,26 +295,24 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // snapshot saves the session snapshot on demand (POST /snapshot).
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapPath == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("daemon started without -snapshot"))
+	if s.sess.Snapshot == "" {
+		daemon.WriteErr(w, http.StatusBadRequest, errors.New("daemon started without -snapshot"))
 		return
 	}
-	s.snapMu.Lock()
+	s.saveMu.Lock()
 	start := time.Now()
-	//lint:allow locksafety snapMu exists solely to serialize snapshot writers to one file; no reader ever takes it
-	n, err := s.m.SaveSnapshot(s.snapPath)
+	//lint:allow locksafety saveMu exists solely to serialize writers to one file; no reader ever takes it
+	n, err := daemon.SaveSnapshot(s.m, s.sess.Snapshot, log.Printf)
 	elapsed := time.Since(start)
-	s.snapMu.Unlock()
+	s.saveMu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		daemon.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-		s.m.Generation(), s.snapPath, n, elapsed.Seconds())
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"generation": s.m.Generation(),
 		"bytes":      n,
 		"seconds":    elapsed.Seconds(),
-		"path":       s.snapPath,
+		"path":       s.sess.Snapshot,
 	})
 }

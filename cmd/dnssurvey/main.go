@@ -52,21 +52,15 @@ import (
 	"time"
 
 	"dnstrust"
+	"dnstrust/internal/daemon"
 	"dnstrust/internal/report"
-	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
 )
 
 func main() {
-	names := flag.Int("names", 20000, "survey corpus size (paper: 593160)")
-	seed := flag.Int64("seed", 1, "world generation seed")
-	workers := flag.Int("workers", 0, "crawl parallelism (0 = GOMAXPROCS)")
+	sess := daemon.BindSession(flag.CommandLine, false)
 	markdown := flag.Bool("markdown", false, "emit the comparison table as Markdown (for EXPERIMENTS.md)")
-	memoFile := flag.String("memo-file", "", "persist the query memo here and resume from it on the next run")
 	snapshotOut := flag.String("snapshot-out", "", "save the surveyed epoch store as a binary snapshot here after a successful crawl (a dnsmonitord -snapshot boot restores it in load time)")
-	record := flag.String("record", "", "record every transport exchange into this query-log file")
-	replay := flag.String("replay", "", "serve the crawl from this recorded query log (strict: unrecorded queries fail)")
-	live := flag.Bool("live", false, "boot the world's nameservers on loopback and crawl over real UDP/TCP sockets")
 	only := flag.String("only", "", "run a single experiment by ID (e.g. \"Figure 7\")")
 	follow := flag.Bool("follow", false, "keep the session open: read name batches from stdin, add them incrementally, print deltas")
 	diff := flag.Bool("diff", false, "diff two recorded query logs (two positional args) instead of crawling")
@@ -75,7 +69,13 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	opts := dnstrust.Options{Seed: *seed, Names: *names, Workers: *workers, MemoFile: *memoFile}
+	opts := sess.Options()
+	// logf is the progress channel -quiet silences.
+	logf := func(format string, args ...any) {
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {
@@ -84,58 +84,26 @@ func main() {
 		}
 		os.Exit(runDiff(ctx, flag.Arg(0), flag.Arg(1), opts, *quiet, os.Stdout, os.Stderr))
 	}
+	// save persists the query log and -snapshot-out. A closed session can
+	// still be snapshotted: Close only ends the write side.
+	save := func(m *dnstrust.Monitor, snapshotPath string) {
+		if err := sess.SaveRecording(logf); err != nil {
+			fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
+		}
+		if _, err := daemon.SaveSnapshot(m, snapshotPath, logf); err != nil {
+			fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
+		}
+	}
 	if !*quiet {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rcrawled %d/%d names", done, total)
 		}
 	}
 
-	var recLog *dnstrust.QueryLog
-	if *record != "" {
-		recLog = transport.NewLog()
-		opts.RecordLog = recLog
-	}
-	if *replay != "" {
-		lg := transport.NewLog()
-		n, err := lg.LoadFile(*replay)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "replaying %s: %d recorded questions\n", *replay, n)
-		}
-		opts.ReplayLog = lg
-	}
-
 	start := time.Now()
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "generating world (seed %d, %d names) and crawling...\n", *seed, *names)
-	}
-	world, err := dnstrust.NewWorld(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
-		os.Exit(1)
-	}
-	switch {
-	case *live && *replay != "":
-		// Strict replay never queries a terminal source; booting the
-		// fleet would only create sockets destined to be closed.
-		fmt.Fprintln(os.Stderr, "dnssurvey: -live ignored: strict -replay serves everything from the recording")
-	case *live:
-		lv, err := topology.StartLive(ctx, world.Registry)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dnssurvey: starting live servers: %v\n", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "booted %d real DNS servers on loopback\n", lv.NumServers())
-		}
-		// The session owns the source chain: closing the monitor closes
-		// the live listeners.
-		opts.Source = transport.From(lv)
-	}
-	m, err := dnstrust.OpenWorld(ctx, world, opts)
+	// The session owns the source chain: closing the monitor closes any
+	// live listeners.
+	m, err := sess.Open(ctx, opts, logf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
 		os.Exit(1)
@@ -145,7 +113,7 @@ func main() {
 		m.Close()
 		// Like the query memo, a partial recording survives an aborted
 		// crawl: everything answered so far is worth keeping.
-		saveRecording(recLog, *record, *quiet)
+		save(m, "")
 		fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
 		os.Exit(1)
 	}
@@ -163,8 +131,7 @@ func main() {
 		if err := m.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "dnssurvey: warning: session teardown: %v\n", err)
 		}
-		saveRecording(recLog, *record, *quiet)
-		saveSnapshot(m, *snapshotOut, *quiet)
+		save(m, *snapshotOut)
 		return
 	}
 
@@ -173,8 +140,7 @@ func main() {
 	if err := m.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "dnssurvey: warning: session teardown: %v\n", err)
 	}
-	saveRecording(recLog, *record, *quiet)
-	saveSnapshot(m, *snapshotOut, *quiet)
+	save(m, *snapshotOut)
 
 	var rows []dnstrust.Comparison
 	if *only != "" {
@@ -379,40 +345,6 @@ func preview(names []string) string {
 		return fmt.Sprintf("%v", names)
 	}
 	return fmt.Sprintf("%v...", names[:show])
-}
-
-// saveSnapshot persists the surveyed epoch store as a binary snapshot
-// (-snapshot-out). A closed session can still be snapshotted: Close only
-// ends the write side.
-func saveSnapshot(m *dnstrust.Monitor, path string, quiet bool) {
-	if path == "" {
-		return
-	}
-	start := time.Now()
-	n, err := m.SaveSnapshot(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnssurvey: snapshot not saved: %v\n", err)
-		return
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "snapshot: generation %d, %d bytes to %s (%.2fs)\n",
-			m.Generation(), n, path, time.Since(start).Seconds())
-	}
-}
-
-// saveRecording persists the session's query log, when one was kept.
-func saveRecording(lg *dnstrust.QueryLog, path string, quiet bool) {
-	if lg == nil {
-		return
-	}
-	n, err := lg.SaveFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnssurvey: recording not saved: %v\n", err)
-		return
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "recorded %d questions to %s\n", n, path)
-	}
 }
 
 func printStats(sv *dnstrust.Survey) {

@@ -42,94 +42,28 @@ import (
 	"syscall"
 	"time"
 
-	"dnstrust"
+	"dnstrust/internal/daemon"
 	"dnstrust/internal/dnsserver"
 	"dnstrust/internal/proxy"
 	"dnstrust/internal/resolver"
-	"dnstrust/internal/topology"
-	"dnstrust/internal/transport"
 	"dnstrust/internal/verdict"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:5353", "DNS listen address (UDP and TCP)")
-	names := flag.Int("names", 20000, "initial survey corpus size")
-	seed := flag.Int64("seed", 1, "world generation seed")
-	workers := flag.Int("workers", 0, "crawl parallelism (0 = GOMAXPROCS)")
-	memoFile := flag.String("memo-file", "", "persist the query memo here and resume from it")
-	snapshot := flag.String("snapshot", "", "persist the session snapshot here: restored at boot, saved on SIGTERM")
-	record := flag.String("record", "", "record every monitor transport exchange into this query-log file")
-	replay := flag.String("replay", "", "serve the session from this recorded query log (strict: unrecorded queries fail)")
-	live := flag.Bool("live", false, "boot the world's nameservers on loopback and resolve over real UDP/TCP sockets")
-	maxTCB := flag.Int("max-tcb", 100, "flag names whose trusted computing base exceeds this many servers (-1 disables)")
-	narrowCut := flag.Int("narrow-cut", 1, "flag names whose minimum delegation cut is at most this many servers (-1 disables)")
-	flagOnly := flag.Bool("flag-only", false, "monitor mode: downgrade refusals to flagged answers")
-	verdictTTL := flag.Duration("verdict-ttl", time.Minute, "verdict cache TTL (generation commits invalidate changed names immediately)")
 	queueSize := flag.Int("queue", 1024, "background crawl queue bound for never-seen names")
 	statsEvery := flag.Duration("stats-every", time.Minute, "periodic stats log interval (0 disables)")
+	sess := daemon.BindSession(flag.CommandLine, true)
+	policy := daemon.BindPolicy(flag.CommandLine)
 	flag.Parse()
 
 	ctx := context.Background()
-	opts := dnstrust.Options{Seed: *seed, Names: *names, Workers: *workers,
-		MemoFile: *memoFile, SnapshotFile: *snapshot}
-	var recLog *dnstrust.QueryLog
-	if *record != "" {
-		recLog = transport.NewLog()
-		opts.RecordLog = recLog
-	}
-	var replayLog *dnstrust.QueryLog
-	if *replay != "" {
-		lg := transport.NewLog()
-		n, err := lg.LoadFile(*replay)
-		if err != nil {
-			log.Fatalf("dnstrustd: %s: %v", *replay, err)
-		}
-		log.Printf("replaying %s: %d recorded questions", *replay, n)
-		opts.ReplayLog = lg
-		replayLog = lg
-	}
-
-	log.Printf("generating world (seed %d, %d names)...", *seed, *names)
 	start := time.Now()
-	world, err := dnstrust.NewWorld(opts)
+	m, err := sess.Open(ctx, sess.Options(), log.Printf)
 	if err != nil {
 		log.Fatalf("dnstrustd: %v", err)
 	}
-
-	// The upstream terminal is shared between the monitor's crawls and
-	// the proxy's resolutions, so both see the same Internet. The
-	// monitor owns it (OpenWorld composes and closes the chain); the
-	// proxy's resolver queries the terminal directly and is shut down
-	// first. Under strict replay the recorded log is the only Internet
-	// for both.
-	var upstream transport.Source
-	switch {
-	case *replay != "":
-		if *live {
-			log.Printf("dnstrustd: -live ignored: strict -replay serves everything from the recording")
-		}
-		upstream = transport.Replay(replayLog)
-	case *live:
-		lv, err := topology.StartLive(ctx, world.Registry)
-		if err != nil {
-			log.Fatalf("dnstrustd: starting live servers: %v", err)
-		}
-		log.Printf("booted %d real DNS servers on loopback", lv.NumServers())
-		opts.Source = transport.From(lv)
-		upstream = opts.Source
-	default:
-		opts.Source = world.Registry.Source()
-		upstream = opts.Source
-	}
-
-	m, err := dnstrust.OpenWorld(ctx, world, opts)
-	if err != nil {
-		log.Fatalf("dnstrustd: %v", err)
-	}
-
-	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{
-		Policy:   verdict.Policy{MaxTCB: *maxTCB, NarrowCut: *narrowCut, FlagOnly: *flagOnly},
-		TTL:      *verdictTTL,
+	cache, err := policy.Cache(m, verdict.Config{
 		MaxQueue: *queueSize,
 		Add: func(ctx context.Context, names ...string) error {
 			_, err := m.Add(ctx, names...)
@@ -139,29 +73,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("dnstrustd: %v", err)
 	}
-	m.OnCommit(func(v *dnstrust.View) { cache.Advance(v.Survey()) })
 
-	if v := m.At(); v.Generation() > 0 {
-		log.Printf("snapshot: restored generation %d from %s", v.Generation(), *snapshot)
-		cache.Advance(v.Survey())
-	} else {
-		log.Printf("crawling initial corpus...")
-		v, err := m.Add(ctx, m.World().Corpus...)
-		if err != nil {
-			m.Close()
-			log.Fatalf("dnstrustd: initial crawl: %v", err)
-		}
-		log.Printf("generation %d ready: %d names, %d nameservers (%.1fs)",
-			v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds())
-		saveRecording(recLog, *record)
-		if *snapshot != "" {
-			if _, err := m.Snapshot(); err != nil {
-				log.Printf("dnstrustd: snapshot: %v", err)
-			}
-		}
+	v, err := sess.Crawl(ctx, m, log.Printf)
+	if err != nil {
+		log.Fatalf("dnstrustd: %v", err)
 	}
+	log.Printf("generation %d ready: %d names, %d nameservers (%.1fs)",
+		v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds())
 
-	r, err := resolver.New(upstream, resolver.Config{Roots: world.Registry.RootServers()})
+	// The proxy resolves through the terminal the monitor crawls, so
+	// both see the same Internet; the monitor owns it, and the proxy is
+	// shut down first.
+	r, err := resolver.New(sess.Upstream, resolver.Config{Roots: m.World().Registry.RootServers()})
 	if err != nil {
 		log.Fatalf("dnstrustd: %v", err)
 	}
@@ -177,8 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("dnstrustd: %v", err)
 	}
-	log.Printf("serving DNS on %s (udp+tcp); policy: max-tcb=%d narrow-cut=%d flag-only=%v",
-		srv.Addr(), *maxTCB, *narrowCut, *flagOnly)
+	log.Printf("serving DNS on %s (udp+tcp); policy: %+v, verdict TTL %v", srv.Addr(), policy.Policy, policy.TTL)
 
 	// The stats reporter gets an explicit stop edge (a time.Tick range
 	// never terminates and would outlive the drain below, racing the
@@ -209,7 +131,7 @@ func main() {
 	sig := <-sigc
 	log.Printf("%v: draining and shutting down", sig)
 	close(statsStop)
-	sdCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	sdCtx, cancel := context.WithTimeout(ctx, daemon.DrainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(sdCtx); err != nil {
 		log.Printf("dnstrustd: drain: %v", err)
@@ -219,18 +141,9 @@ func main() {
 		log.Printf("dnstrustd: shutdown: %v", err)
 		os.Exit(1)
 	}
-	saveRecording(recLog, *record)
+	if err := sess.SaveRecording(log.Printf); err != nil {
+		log.Printf("dnstrustd: %v", err)
+	}
 	ps := p.Stats()
 	log.Printf("served=%d refused=%d flagged=%d failed=%d", ps.Served, ps.Refused, ps.Flagged, ps.Failed)
-}
-
-func saveRecording(lg *dnstrust.QueryLog, path string) {
-	if lg == nil || path == "" {
-		return
-	}
-	if n, err := lg.SaveFile(path); err != nil {
-		log.Printf("dnstrustd: saving recording: %v", err)
-	} else {
-		log.Printf("recorded %d questions into %s", n, path)
-	}
 }

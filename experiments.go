@@ -142,8 +142,8 @@ func surveyFromWalk(w *resolver.Walker, name string, chain []string) *crawler.Su
 }
 
 func runFigure2(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	all := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.survey.Names))
-	pop := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.world.Popular))
+	all := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.Survey().Names))
+	pop := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.Popular()))
 
 	tb := report.NewTable("Figure 2: CDF of TCB size", "size", "all names %", "top 500 %")
 	for _, x := range []int{10, 20, 26, 46, 69, 100, 150, 200, 300, 400, 500} {
@@ -174,7 +174,7 @@ func runFigure2(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure3(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	avgs := analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.survey.Names), dnsname.KindGeneric)
+	avgs := analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.Survey().Names), dnsname.KindGeneric)
 	tb := report.NewTable("Figure 3: average TCB size per gTLD (descending)", "tld", "names", "mean TCB")
 	rank := map[string]int{}
 	for i, a := range avgs {
@@ -203,7 +203,7 @@ func runFigure3(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure4(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	ccAvgs := analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.survey.Names), dnsname.KindCountry)
+	ccAvgs := analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.Survey().Names), dnsname.KindCountry)
 	show := ccAvgs
 	if len(show) > 15 {
 		show = show[:15]
@@ -216,7 +216,7 @@ func runFigure4(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 		return nil, err
 	}
 	ccMacro := analysis.MacroAverage(ccAvgs)
-	gMacro := analysis.MacroAverage(analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.survey.Names), dnsname.KindGeneric))
+	gMacro := analysis.MacroAverage(analysis.FilterKind(analysis.TLDAverages(v.Survey(), v.Survey().Names), dnsname.KindGeneric))
 	fmt.Fprintf(w, "ccTLD macro average: %.1f (gTLD: %.1f)\n", ccMacro, gMacro)
 
 	rank := map[string]int{}
@@ -243,8 +243,8 @@ func runFigure4(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure5(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	all := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.survey.Names, v.memo))
-	pop := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.world.Popular, v.memo))
+	all := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.Survey().Names, v.Memo()))
+	pop := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.Popular(), v.Memo()))
 
 	tb := report.NewTable("Figure 5: CDF of vulnerable nameservers in TCB", "count", "all names %", "top 500 %")
 	for _, x := range []int{0, 1, 2, 4, 8, 16, 32, 64, 100} {
@@ -270,7 +270,7 @@ func runFigure5(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure6(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	safety := analysis.TCBSafetyMemo(v.Survey(), v.survey.Names, v.memo)
+	safety := analysis.TCBSafetyMemo(v.Survey(), v.Survey().Names, v.Memo())
 	pts := analysis.SafetyDistribution(safety, 12)
 	tb := report.NewTable("Figure 6: % non-vulnerable nodes in TCB (names sorted ascending)", "name rank %", "safety %")
 	for _, p := range pts {
@@ -328,7 +328,7 @@ func runFigure7(ctx context.Context, v *View, w io.Writer) ([]Comparison, error)
 }
 
 func runFigure8(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	ctrl := analysis.Control(v.Survey(), v.survey.Names)
+	ctrl := analysis.Control(v.Survey(), v.Survey().Names)
 	tb := report.NewTable("Figure 8: names controlled by nameservers (rank, log-spaced)", "rank", "names (all)", "vulnerable?")
 	for _, p := range analysis.RankCurve(ctrl.Ranked, 16) {
 		tb.AddRow(p.Rank, p.Names, ctrl.Ranked[p.Rank-1].Vulnerable)
@@ -364,7 +364,7 @@ func runFigure8(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure9(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	ctrl := analysis.Control(v.Survey(), v.survey.Names)
+	ctrl := analysis.Control(v.Survey(), v.Survey().Names)
 	edu := ctrl.FilterHostTLD("edu")
 	org := ctrl.FilterHostTLD("org")
 	tb := report.NewTable("Figure 9: names controlled by .edu and .org nameservers (rank)", "rank", "edu names", "org names")

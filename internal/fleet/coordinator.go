@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dnstrust/internal/analysis"
@@ -17,8 +17,12 @@ import (
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/delta"
 	"dnstrust/internal/snapshot"
+	"dnstrust/internal/view"
 	"dnstrust/internal/vulndb"
 )
+
+// ShardStatus is one shard's health as observed at a commit.
+type ShardStatus = view.ShardStatus
 
 // Shard names one member of the fleet and the source its epochs are
 // fetched from.
@@ -143,10 +147,9 @@ type Coordinator struct {
 	memo   *analysis.ChainMemo
 	gen    int64
 
-	view atomic.Pointer[FleetView]
-
-	tlMu     sync.Mutex
-	timeline []*FleetView
+	// tl publishes the committed views (lock-free current pointer plus
+	// the retained ring), exactly as a single Monitor's does.
+	tl *view.Timeline
 
 	stMu   sync.Mutex
 	status []ShardStatus
@@ -168,6 +171,7 @@ func New(shards []Shard, cfg Config) (*Coordinator, error) {
 		vulns:     make(map[string][]vulndb.Vuln),
 		db:        vulndb.Default(),
 		memo:      analysis.NewChainMemo(),
+		tl:        view.NewTimeline(cfg.retain()),
 	}
 	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
@@ -197,14 +201,14 @@ func (c *Coordinator) ShardNames() []string {
 	return out
 }
 
-// Current returns the latest committed FleetView, or nil before the
-// first successful Commit. It never blocks behind an in-flight commit.
-func (c *Coordinator) Current() *FleetView { return c.view.Load() }
+// Current returns the latest committed view, or nil before the first
+// successful Commit. It never blocks behind an in-flight commit.
+func (c *Coordinator) Current() *view.View { return c.tl.Current() }
 
 // Generation reports the latest committed fleet generation (0 before
 // the first Commit).
 func (c *Coordinator) Generation() int64 {
-	if v := c.view.Load(); v != nil {
+	if v := c.tl.Current(); v != nil {
 		return v.Generation()
 	}
 	return 0
@@ -212,39 +216,12 @@ func (c *Coordinator) Generation() int64 {
 
 // Timeline returns the retained committed generations, oldest to
 // newest. Retained views share the union store copy-on-write.
-func (c *Coordinator) Timeline() []*FleetView {
-	c.tlMu.Lock()
-	defer c.tlMu.Unlock()
-	return append([]*FleetView(nil), c.timeline...)
-}
+func (c *Coordinator) Timeline() []*view.View { return c.tl.Views() }
 
 // Between computes the typed trust delta from fleet generation from to
 // generation to; both must still be retained.
 func (c *Coordinator) Between(ctx context.Context, from, to int64) (*delta.Delta, error) {
-	if from > to {
-		return nil, fmt.Errorf("fleet: Between(%d, %d): from exceeds to", from, to)
-	}
-	var vf, vt *FleetView
-	c.tlMu.Lock()
-	lo, hi := int64(-1), int64(-1)
-	for _, v := range c.timeline {
-		g := v.Generation()
-		if lo < 0 {
-			lo = g
-		}
-		hi = g
-		if g == from {
-			vf = v
-		}
-		if g == to {
-			vt = v
-		}
-	}
-	c.tlMu.Unlock()
-	if vf == nil || vt == nil {
-		return nil, fmt.Errorf("fleet: generations %d..%d not retained (timeline holds %d..%d; raise Config.Retain)", from, to, lo, hi)
-	}
-	return vt.Diff(ctx, vf)
+	return c.tl.Between(ctx, from, to)
 }
 
 // Status returns every shard's health as of the last commit round.
@@ -290,7 +267,7 @@ type fetchResult struct {
 // changed (and the stale set did not move) returns the current view
 // without minting a generation. Rounds are serialized; concurrent
 // Commits queue.
-func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
+func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 	select {
 	case c.commitSem <- struct{}{}:
 	case <-ctx.Done():
@@ -358,7 +335,7 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 		}
 	}
 	if changedShards == 0 {
-		if prev := c.view.Load(); prev != nil && stringSlicesEqual(prev.stale, staleNames) {
+		if prev := c.tl.Current(); prev != nil && slices.Equal(prev.StaleShards(), staleNames) {
 			c.publishStatus()
 			return prev, nil
 		}
@@ -373,10 +350,9 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 		c.applyEpochLocked(st, eps[i])
 		st.gen = eps[i].Generation
 	}
-	prev := c.view.Load()
 	var prevSurvey *crawler.Survey
-	if prev != nil {
-		prevSurvey = prev.survey
+	if prev := c.tl.Current(); prev != nil {
+		prevSurvey = prev.Survey()
 	}
 	g := c.b.FinishEpoch()
 	late := c.b.TakeLateAttached()
@@ -404,27 +380,13 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 			changed = g.NamesTouchedSince(pg.Epoch())
 		}
 	}
-	fv := &FleetView{
-		survey:  sv,
-		memo:    c.memo,
-		stale:   staleNames,
-		shards:  c.statusSnapshot(),
-		changed: changed,
-	}
-	// View pointer and timeline commit inside one critical section, as
-	// in the single-monitor path: a reader who saw the new generation
-	// via Current() finds it in the timeline.
-	c.tlMu.Lock()
-	c.view.Store(fv)
-	c.timeline = append(c.timeline, fv)
-	evicted := len(c.timeline) > c.cfg.retain()
-	if evicted {
-		c.timeline = append([]*FleetView(nil), c.timeline[len(c.timeline)-c.cfg.retain():]...)
-	}
-	oldest := c.timeline[0]
-	c.tlMu.Unlock()
-	if evicted {
-		c.b.PruneJournal(oldest.survey.Graph.Epoch())
+	fv := view.New(sv, c.memo, nil, view.Merge{
+		Stale:   staleNames,
+		Shards:  c.statusSnapshot(),
+		Changed: changed,
+	})
+	if oldest := c.tl.Commit(fv); oldest != nil {
+		c.b.PruneJournal(oldest.Survey().Graph.Epoch())
 	}
 	c.mu.Unlock()
 
@@ -568,16 +530,4 @@ func (c *Coordinator) writeSnapshotQuiesced(w io.Writer) error {
 	}
 
 	return sw.Finish()
-}
-
-func stringSlicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

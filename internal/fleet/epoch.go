@@ -2,9 +2,10 @@
 // Coordinator ingests per-shard engine snapshots (Engine.WriteSnapshot
 // exports, fetched over HTTP from dnsmonitord or handed in directly),
 // remaps each shard's interned zone/host/chain ids into a unioned
-// intern space, and commits the merged result as a generation-stamped
-// FleetView exposing the single-monitor read API — Summary, TCB,
-// bottlenecks, change journal, diffs. cmd/dnsfleetd wraps it in a thin
+// intern space, and commits the merged result as the same
+// generation-stamped view.View a single monitor commits — Summary, TCB,
+// bottlenecks, diffs — plus the merge's own facts (shard status, stale
+// set, change journal). cmd/dnsfleetd wraps it in a thin
 // router that consistent-hashes names to shards for /add fan-out and
 // serves the merged view.
 package fleet

@@ -510,6 +510,31 @@ func TestHTTPSourceConditional(t *testing.T) {
 	}
 }
 
+// TestFleetViewDiffNil: a merged view is the shared view type, so a nil
+// older view is refused with the single-monitor error instead of
+// dereferenced.
+func TestFleetViewDiffNil(t *testing.T) {
+	world := genWorld(t, 40, 100)
+	e, _ := newShardEngine(t, world, "s0")
+	if _, err := e.Add(context.Background(), world.Corpus[:40]...); err != nil {
+		t.Fatal(err)
+	}
+	c, err := fleet.New([]fleet.Shard{{Name: "s0", Source: &fleet.FixedSource{Epoch: epochOf(t, e)}}}, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := c.Commit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fv.Diff(nil); err == nil || err.Error() != "dnstrust: Diff of a nil view" {
+		t.Fatalf("Diff(nil) on a merged view = %v, want the nil-view error", err)
+	}
+	if d, err := fv.Diff(fv); err != nil || !d.Empty() {
+		t.Fatalf("merged view diffed against itself: %v, %+v", err, d)
+	}
+}
+
 // TestFleetShardMismatch: a source answering with another shard's
 // label is treated as a fetch failure, not silently merged.
 func TestFleetShardMismatch(t *testing.T) {

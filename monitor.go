@@ -3,22 +3,17 @@ package dnstrust
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"dnstrust/internal/analysis"
 	"dnstrust/internal/atomicio"
-	"dnstrust/internal/audit"
 	"dnstrust/internal/crawler"
-	"dnstrust/internal/delta"
-	"dnstrust/internal/hijack"
-	"dnstrust/internal/mincut"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
+	"dnstrust/internal/view"
 )
 
 // Survey re-exports the crawl dataset type (graph, banners,
@@ -58,19 +53,15 @@ type Monitor struct {
 	// Snapshot() and the save-on-Close path ("" = snapshots off).
 	snapshotFile string
 
-	mu   sync.Mutex // serializes Add (and its view commit) and Close
-	view atomic.Pointer[View]
+	mu sync.Mutex // serializes Add (and its view commit) and Close
+	// tl publishes the committed views; its own lock (not mu) guards the
+	// retained ring, so Timeline/Between never block behind a crawl.
+	tl *view.Timeline
 
 	// hookMu guards hooks; OnCommit may be called while an Add is in
 	// flight without deadlocking against it.
 	hookMu sync.Mutex
 	hooks  []func(*View)
-
-	// tlMu guards the retained timeline. It is separate from mu so
-	// Timeline/Between never block behind an in-flight crawl.
-	tlMu     sync.Mutex
-	retain   int
-	timeline []*View
 }
 
 // Open generates a world from opts (Seed, Names sizing the corpus, as in
@@ -171,10 +162,8 @@ func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor
 		}
 	}
 	m := &Monitor{world: world, eng: eng, memo: analysis.NewChainMemo(),
-		snapshotFile: opts.SnapshotFile, retain: max(opts.Retain, 1)}
-	v := m.newView(eng.View())
-	m.view.Store(v)
-	m.timeline = []*View{v}
+		snapshotFile: opts.SnapshotFile, tl: view.NewTimeline(opts.Retain)}
+	m.tl.Commit(m.newView(eng.View()))
 	return m, nil
 }
 
@@ -188,36 +177,20 @@ func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor
 func (m *Monitor) Add(ctx context.Context, names ...string) (*View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := m.view.Load()
-	//lint:allow locksafety m.mu exists to serialize Add/Close; holding it across the crawl is the point (reads go through m.view, never m.mu)
+	prev := m.tl.Current()
+	//lint:allow locksafety m.mu exists to serialize Add/Close; holding it across the crawl is the point (reads go through m.tl, never m.mu)
 	s, err := m.eng.Add(ctx, names...)
 	if err != nil {
 		return nil, err
 	}
-	if s == prev.survey {
+	if s == prev.Survey() {
 		return prev, nil // empty Add: no new generation
 	}
-	m.memo.Advance(prev.survey, s)
+	m.memo.Advance(prev.Survey(), s)
 	v := m.newView(s)
-	// The view pointer and the timeline commit inside one critical
-	// section: anyone who observed the new generation via At() and then
-	// asks the timeline is guaranteed to find it there (Timeline/Between
-	// block on tlMu until both updates are visible).
-	m.tlMu.Lock()
-	m.view.Store(v)
-	m.timeline = append(m.timeline, v)
-	evicted := len(m.timeline) > m.retain
-	if evicted {
-		m.timeline = append([]*View(nil), m.timeline[len(m.timeline)-m.retain:]...)
-	}
-	oldest := m.timeline[0]
-	m.tlMu.Unlock()
-	if evicted {
-		// Keep the store's history bounded by the retention window: no
-		// retained view diffs from below the oldest one, so older change
-		// journals can go. A caller still holding an evicted view gets
-		// the by-name diff path — correct, just not the shortcut.
-		m.eng.PruneJournal(oldest.survey.Graph.Epoch())
+	if oldest := m.tl.Commit(v); oldest != nil {
+		// Keep the store's history bounded by the retention window.
+		m.eng.PruneJournal(oldest.Survey().Graph.Epoch())
 	}
 	m.hookMu.Lock()
 	hooks := m.hooks
@@ -247,11 +220,7 @@ func (m *Monitor) OnCommit(fn func(*View)) {
 // retained Views share the survey's storage copy-on-write, so a long
 // timeline costs little beyond its per-generation analysis results.
 // Timeline never blocks behind an in-flight Add.
-func (m *Monitor) Timeline() []*View {
-	m.tlMu.Lock()
-	defer m.tlMu.Unlock()
-	return append([]*View(nil), m.timeline...)
-}
+func (m *Monitor) Timeline() []*View { return m.tl.Views() }
 
 // Between computes the typed trust delta from generation from to
 // generation to. Both must still be retained (Options.Retain bounds the
@@ -264,36 +233,13 @@ func (m *Monitor) Between(from, to int64) (*Delta, error) {
 // BetweenContext is Between honoring ctx: cancellation is checked
 // between the per-chain min-cut computations of a large delta.
 func (m *Monitor) BetweenContext(ctx context.Context, from, to int64) (*Delta, error) {
-	if from > to {
-		return nil, fmt.Errorf("dnstrust: Between(%d, %d): from exceeds to", from, to)
-	}
-	var vf, vt *View
-	m.tlMu.Lock()
-	lo, hi := int64(-1), int64(-1)
-	for _, v := range m.timeline {
-		g := v.Generation()
-		if lo < 0 {
-			lo = g
-		}
-		hi = g
-		if g == from {
-			vf = v
-		}
-		if g == to {
-			vt = v
-		}
-	}
-	m.tlMu.Unlock()
-	if vf == nil || vt == nil {
-		return nil, fmt.Errorf("dnstrust: generations %d..%d not retained (timeline holds %d..%d; raise Options.Retain)", from, to, lo, hi)
-	}
-	return vt.DiffContext(ctx, vf)
+	return m.tl.Between(ctx, from, to)
 }
 
 // At returns the latest committed View. It never blocks: during an
 // in-flight Add it returns the previous generation. The returned View is
 // immutable and safe to query from any goroutine indefinitely.
-func (m *Monitor) At() *View { return m.view.Load() }
+func (m *Monitor) At() *View { return m.tl.Current() }
 
 // World returns the monitored world (registry and corpus).
 func (m *Monitor) World() *topology.World { return m.world }
@@ -302,7 +248,7 @@ func (m *Monitor) World() *topology.World { return m.world }
 // first successful Add). It reads the committed view — never the
 // engine's internal counter, which during an in-flight Add can already
 // name a generation that At() does not serve yet.
-func (m *Monitor) Generation() int64 { return m.view.Load().Generation() }
+func (m *Monitor) Generation() int64 { return m.tl.Current().Generation() }
 
 // Queries reports the cumulative transport queries issued across all
 // Adds — the counter behind the memoization guarantee.
@@ -355,7 +301,7 @@ func (m *Monitor) Close() error {
 }
 
 func (m *Monitor) newView(s *crawler.Survey) *View {
-	return &View{world: m.world, survey: s, memo: m.memo}
+	return view.New(s, m.memo, m.world.Popular, view.Merge{})
 }
 
 // ownedReplay is a strict replay source that also owns the terminal it
@@ -369,130 +315,7 @@ func (o ownedReplay) Close() error {
 	return errors.Join(o.Source.Close(), o.displaced.Close())
 }
 
-// View is one committed generation of a monitored survey: an immutable
-// dependency graph plus the full read API of the paper's analyses. All
-// methods are safe for concurrent use, and everything a View returns
-// stays valid forever — later Adds commit new Views instead of mutating
-// old ones (snapshot isolation).
-//
-// Whole-survey analyses (Summary, Bottlenecks) are computed once per
-// View and cached; per-chain work inside them is additionally served
-// from the Monitor's chain memo, which persists across generations, so
-// on a View taken after a small Add both are near-free.
-//
-//lint:immutable
-type View struct {
-	world  *topology.World
-	survey *crawler.Survey
-	memo   *analysis.ChainMemo
-
-	summaryOnce sync.Once
-	summary     *analysis.Summary
-
-	botMu    sync.Mutex
-	botStats *analysis.BottleneckStats
-}
-
-// Generation reports which Add committed this view (0 = the empty
-// pre-crawl view).
-func (v *View) Generation() int64 { return v.survey.Stats.Generation }
-
-// Survey exposes the underlying crawl dataset (graph, banners,
-// vulnerabilities, engine stats). It is immutable.
-func (v *View) Survey() *crawler.Survey { return v.survey }
-
-// Names lists the successfully surveyed names, sorted. The slice is a
-// defensive copy: callers may keep or modify it freely. Use NumNames
-// when only the count is needed.
-func (v *View) Names() []string { return append([]string(nil), v.survey.Names...) }
-
-// NumNames reports the number of successfully surveyed names without
-// copying the name list.
-func (v *View) NumNames() int { return v.survey.Graph.NumNames() }
-
-// Popular is the world's redundancy-seeking "popular site" subset (the
-// paper's Alexa top 500), independent of what has been surveyed so far.
-// The slice is a defensive copy.
-func (v *View) Popular() []string { return append([]string(nil), v.world.Popular...) }
-
-// Diff computes the typed trust delta from an older view to this one:
-// what drifted — TCB members gained and lost per name, bottleneck
-// min-cuts reshaped, zones and chains appearing or vanishing, zombie
-// dependencies left behind. Views committed by the same Monitor diff
-// incrementally off the shared store's interned ids and epoch stamps
-// (identical chains cost nothing); views from unrelated sessions — two
-// replayed recordings, say — are compared by name, which is also where
-// zombies can surface.
-func (v *View) Diff(older *View) (*Delta, error) {
-	return v.DiffContext(context.Background(), older)
-}
-
-// DiffContext is Diff honoring ctx: cancellation is checked between the
-// per-chain min-cut computations of a large delta, so an abandoned
-// request stops burning CPU.
-func (v *View) DiffContext(ctx context.Context, older *View) (*Delta, error) {
-	if older == nil {
-		return nil, errors.New("dnstrust: Diff of a nil view")
-	}
-	return delta.Compute(ctx, older.survey, v.survey,
-		delta.Options{OldMemo: older.memo, NewMemo: v.memo})
-}
-
-// TCB returns the trusted computing base of a surveyed name.
-func (v *View) TCB(name string) ([]string, error) {
-	return v.survey.Graph.TCB(name)
-}
-
-// DOT renders a surveyed name's delegation graph in Graphviz format.
-func (v *View) DOT(name string) (string, error) {
-	return v.survey.Graph.DOT(name)
-}
-
-// Summary computes the headline statistics over this view's whole
-// corpus. The result is computed once per View (per-chain scans served
-// from the cross-generation memo) and shared — treat it as read-only.
-func (v *View) Summary() *analysis.Summary {
-	v.summaryOnce.Do(func() {
-		v.summary = analysis.SummarizeMemo(v.survey, v.survey.Names, v.memo)
-	})
-	return v.summary
-}
-
-// Bottleneck runs the §3.2 min-cut analysis for one name, served from
-// the chain memo when any name sharing the delegation chain was already
-// analyzed in this or an untouched earlier generation.
-func (v *View) Bottleneck(name string) (*mincut.Result, error) {
-	return analysis.BottleneckOfMemo(v.survey, name, v.memo)
-}
-
-// Bottlenecks runs the Figure 7 min-cut analysis over the whole corpus.
-// A successful result is computed once per View and shared (treat it as
-// read-only); per-chain cuts additionally persist in the memo across
-// generations. Errors — a cancelled ctx, typically — are never cached:
-// a later call with a live context recomputes, resuming from whatever
-// per-chain results the aborted pass already stored.
-func (v *View) Bottlenecks(ctx context.Context) (*analysis.BottleneckStats, error) {
-	v.botMu.Lock()
-	defer v.botMu.Unlock()
-	if v.botStats != nil {
-		return v.botStats, nil
-	}
-	stats, err := analysis.BottlenecksMemo(ctx, v.survey, v.survey.Names, 0, v.memo)
-	if err != nil {
-		return nil, err
-	}
-	v.botStats = stats
-	return stats, nil
-}
-
-// Attack builds a hijack scenario with the given compromised and downed
-// servers against this view's dependency graph.
-func (v *View) Attack(compromised, downed []string) (*hijack.Attack, error) {
-	return hijack.New(v.survey.Graph, compromised, downed)
-}
-
-// Audit runs the §5 diligence check on a surveyed name: where its trust
-// goes and which dependencies are dangerous.
-func (v *View) Audit(name string) ([]audit.Finding, error) {
-	return audit.Name(v.survey, name, audit.Policy{})
-}
+// View re-exports the generation view: one committed, immutable
+// generation of a survey plus the full read API of the paper's analyses
+// (see internal/view). The fleet Coordinator commits the same type.
+type View = view.View

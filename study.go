@@ -159,7 +159,7 @@ func studyFromMonitor(ctx context.Context, m *Monitor) (*Study, error) {
 	if addErr != nil {
 		return nil, errors.Join(addErr, memoErr)
 	}
-	v.survey.Stats.MemoSaveErr = memoErr
+	v.Survey().Stats.MemoSaveErr = memoErr
 	return &Study{World: m.World(), Survey: v.Survey(), view: v}, nil
 }
 
