@@ -358,10 +358,11 @@ func BenchmarkMillionNameBuild(b *testing.B) {
 // BenchmarkMonitorIncrementalAdd compares delivering a million-name
 // corpus in ten incremental epochs (the Monitor's Add path: feed a
 // batch, finalize an epoch snapshot, repeat) against one batch build
-// with a single terminal Finish. The incremental path pays ten closure
-// passes plus the per-epoch snapshot clones — the price of having a
-// queryable, immutable view after every batch instead of only at the
-// end.
+// with a single terminal Finish. Each epoch's closure pass covers only
+// the zones and chains its batch added, so the incremental path pays
+// ten rounds of per-epoch slice headers over the batch build — the
+// price of having a queryable, immutable view after every batch instead
+// of only at the end.
 func BenchmarkMonitorIncrementalAdd(b *testing.B) {
 	const total = 1_000_000
 	const batches = 10
@@ -390,6 +391,30 @@ func BenchmarkMonitorIncrementalAdd(b *testing.B) {
 		}
 		b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "names/s")
 	})
+}
+
+// BenchmarkFinishEpochSmallBatch measures what a commit costs when
+// little changed: after one 100k-name epoch, each op feeds 50 new names
+// (one new zone, two hosts, one chain) and finalizes an epoch. The cost
+// must be that of the batch plus O(zones+chains) slice headers — not a
+// closure pass over the 100k names already there. cmd/benchdiff gates
+// the dnsbench copy on ns/op per name already in the survey.
+func BenchmarkFinishEpochSmallBatch(b *testing.B) {
+	const base, batch = 100_000, 50
+	total := base + batch*b.N
+	bu := core.NewBuilder(total)
+	core.FeedSyntheticRange(bu, 0, base, total)
+	g := bu.FinishEpoch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for lo := base; lo < total; lo += batch {
+		core.FeedSyntheticRange(bu, lo, lo+batch, total)
+		g = bu.FinishEpoch()
+	}
+	b.StopTimer()
+	if g.NumNames() != total {
+		b.Fatalf("built %d of %d names", g.NumNames(), total)
+	}
 }
 
 // BenchmarkViewQueryThroughput measures the Monitor's read side:

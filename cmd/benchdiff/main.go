@@ -2,7 +2,9 @@
 // output) and fails loudly when a gated hot path regressed. Gated
 // benchmarks are the CPU-bound, per-name-scaled ones: IncrementalBuild
 // (graph-build ns/name), ReplayCrawl (ns/name served from a recorded
-// query log), TimelineDiff (ns/name to diff two generations after a
+// query log), FinishEpochSmallBatch (ns per name already in the survey
+// to commit a 50-name epoch — a regression here means a commit started
+// re-deriving closures for the whole corpus), TimelineDiff (ns/name to diff two generations after a
 // small Add — the chain-id shortcut must keep this near-constant, so a
 // regression here means the diff started scanning the corpus), and
 // SnapshotColdStart (ns/name to restore a monitor from a binary
@@ -80,6 +82,7 @@ func load(path string) (map[string]Result, error) {
 func gated(name string) bool {
 	return strings.HasPrefix(name, "IncrementalBuild/") ||
 		strings.HasPrefix(name, "ReplayCrawl/") ||
+		strings.HasPrefix(name, "FinishEpochSmallBatch/") ||
 		strings.HasPrefix(name, "TimelineDiff/") ||
 		strings.HasPrefix(name, "SnapshotColdStart/") ||
 		strings.HasPrefix(name, "VerdictLookup/") ||

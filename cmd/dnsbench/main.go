@@ -13,7 +13,8 @@
 // streamed through core.Builder, reporting build time and per-name
 // memory so the flat-memory claim is tracked from PR to PR), the
 // Monitor-era benchmarks (incremental epoch adds vs one batch build,
-// view read throughput during a crawl, the chain-memo cold/warm
+// the cost of a 50-name commit on a 100k-name survey (gated), view read
+// throughput during a crawl, the chain-memo cold/warm
 // second-pass ratio on a real survey via -memo-names), the timeline
 // benchmarks: the warm generation diff after a small Add on a 100k-name
 // survey (gated) and the retained-generation memory comparison —
@@ -318,6 +319,27 @@ func main() {
 			}
 		}
 		b.ReportMetric(1_000_000*float64(b.N)/b.Elapsed().Seconds(), "names/s")
+	})
+
+	// Commit cost when little changed: 50-name epochs on top of a
+	// 100k-name one. Gated by cmd/benchdiff per name already surveyed —
+	// a regression means a commit started scanning the corpus again.
+	run("FinishEpochSmallBatch/names=100000", func(b *testing.B) {
+		const base, batch = 100_000, 50
+		total := base + batch*b.N
+		bu := core.NewBuilder(total)
+		core.FeedSyntheticRange(bu, 0, base, total)
+		g := bu.FinishEpoch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for lo := base; lo < total; lo += batch {
+			core.FeedSyntheticRange(bu, lo, lo+batch, total)
+			g = bu.FinishEpoch()
+		}
+		b.StopTimer()
+		if g.NumNames() != total {
+			b.Fatalf("built %d of %d names", g.NumNames(), total)
+		}
 	})
 
 	run("ViewQueryThroughput", func(b *testing.B) {

@@ -53,6 +53,10 @@ func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary 
 		rd  string
 	}
 	ownedByChainRD := map[ownKey]int{}
+	// Each TCB member's registered domain is resolved once per pass, not
+	// once per (chain, registered-domain) pair it is compared under.
+	const unasked, none = "", "."
+	hostRD := make([]string, g.NumHosts())
 
 	var ownedSum, directSum float64
 	counted := 0
@@ -76,7 +80,13 @@ func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary 
 			owned, ok = ownedByChainRD[key]
 			if !ok {
 				for _, id := range g.ChainTCBIDs(cid) {
-					if hrd, err2 := dnsname.RegisteredDomain(g.Host(id)); err2 == nil && hrd == rd {
+					if hostRD[id] == unasked {
+						hostRD[id] = none
+						if hrd, err2 := dnsname.RegisteredDomain(g.Host(id)); err2 == nil {
+							hostRD[id] = hrd
+						}
+					}
+					if hostRD[id] == rd {
 						owned++
 					}
 				}

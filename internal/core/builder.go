@@ -437,10 +437,25 @@ func (b *Builder) Finish() *Graph {
 //   - the intern maps are shared under the store's read-write lock
 //     instead of being cloned per epoch.
 //
-// The per-epoch cost is therefore the closure pass plus O(zones+chains)
-// slice headers, with inner closure/TCB slices aliased to the previous
-// epoch whenever unchanged — N retained generations of a large survey
-// share one copy of almost everything.
+// An epoch costs what it changed, not what exists. The store's
+// invariants pin what can change: zoneNS is first-observation-wins, a
+// host's chain is attached at most once, and an interned chain is
+// immutable and references only zones interned before it — so a
+// published zone's adjacency changes only when one of its NS hosts is in
+// lateAttached, and nothing published reaches a new zone except through
+// such a zone. Hence dirty zones = new zones ∪ every published zone that
+// reaches a zone with a late-attached NS host, and dirty chains = new
+// chains ∪ published chains traversing a dirty published zone. Only
+// those go through the closure pass and the TCB union; every other entry,
+// and every recomputed one that comes out equal, aliases the previous
+// epoch's slice, so N retained generations of a large survey share one
+// copy of almost everything. A zone with a late-attached NS host is dirty
+// even when the attach adds no edge: chainStamp must still advance for
+// every chain whose TCB holds that host, because the attach reshapes the
+// chain's min-cut digraph. Beyond the dirty set an epoch clears O(zones)
+// of scratch (a bitmap and the Tarjan state); the four tables grow in
+// place, and only an epoch with a late attach copies their O(zones+chains)
+// slice headers. The first epoch is the same pass with everything new.
 func (b *Builder) FinishEpoch() *Graph {
 	st := b.st
 	b.epoch++
@@ -450,10 +465,7 @@ func (b *Builder) FinishEpoch() *Graph {
 	// then has no readers yet, and the whole first batch — usually the
 	// big one — streams in without any locking.
 	if !b.shared && len(st.zones) == 0 && len(st.hosts) == 0 && len(st.base) == 0 && len(st.names) == 0 {
-		eg := &Graph{st: newStore(0), epoch: b.epoch}
-		eg.computeClosures(nil, nil)
-		eg.computeChainTCBs(nil, nil)
-		return eg
+		return emptyGraph(b.epoch)
 	}
 
 	g := &Graph{
@@ -465,8 +477,7 @@ func (b *Builder) FinishEpoch() *Graph {
 		zoneNS:   st.zoneNS[:len(st.zoneNS):len(st.zoneNS)],
 		numNames: b.numNames(),
 	}
-	g.computeClosures(b.prev, st.hostChain)
-	g.computeChainTCBs(b.prev, b.lateAttached)
+	g.computeTables(b.prev, st.hostChain, b.lateAttached)
 	if len(b.touched) > 0 {
 		b.lock()
 		st.touched[b.epoch] = b.touched

@@ -235,10 +235,29 @@ func (g *Graph) HostChainZones(host string) []string {
 
 // Names returns the surveyed names in sorted order. The slice is
 // computed once per graph and shared; do not modify.
-func (g *Graph) Names() []string {
+func (g *Graph) Names() []string { return g.NamesFrom(nil) }
+
+// NamesFrom is Names given an older epoch of the same store whose name
+// list is already known: instead of collecting and sorting the whole name
+// table it merges older's list with the change journal between the two
+// epochs — O(names) header copies plus the batch's touched names, and
+// older's own slice when nothing was touched. Without a usable older
+// epoch (nil, foreign store, pruned journal) it is exactly Names.
+func (g *Graph) NamesFrom(older *Graph) []string {
 	g.namesOnce.Do(func() {
-		out := make([]string, 0, g.numNames)
+		var base []string
+		if g.SharesStore(older) && older.epoch <= g.epoch {
+			base = older.Names()
+		} else {
+			older = nil
+		}
 		g.st.mu.RLock()
+		defer g.st.mu.RUnlock()
+		if older != nil && older.epoch >= g.st.journalFloor {
+			g.names = g.mergeNamesLocked(base, older.epoch)
+			return
+		}
+		out := make([]string, 0, g.numNames)
 		for name := range g.st.base {
 			out = append(out, name)
 		}
@@ -247,11 +266,42 @@ func (g *Graph) Names() []string {
 				out = append(out, name)
 			}
 		}
-		g.st.mu.RUnlock()
 		sort.Strings(out)
 		g.names = out
 	})
 	return g.names
+}
+
+// mergeNamesLocked applies the journal of the epochs after since to
+// base, the sorted name list at since: a touched name is in the result
+// exactly when it is present at g's epoch. Callers hold st.mu.
+func (g *Graph) mergeNamesLocked(base []string, since int64) []string {
+	var touched []string
+	for e := since + 1; e <= g.epoch; e++ {
+		touched = append(touched, g.st.touched[e]...)
+	}
+	if len(touched) == 0 {
+		return base
+	}
+	sort.Strings(touched)
+	out := make([]string, 0, g.numNames)
+	i := 0
+	for j, n := range touched {
+		if j > 0 && n == touched[j-1] {
+			continue
+		}
+		for i < len(base) && base[i] < n {
+			out = append(out, base[i])
+			i++
+		}
+		if i < len(base) && base[i] == n {
+			i++
+		}
+		if _, ok := g.nameAtLocked(n); ok {
+			out = append(out, n)
+		}
+	}
+	return append(out, base[i:]...)
 }
 
 // NameChainID returns the interned chain id of a surveyed name and
@@ -325,20 +375,6 @@ func (g *Graph) JournalComplete(since int64) bool {
 	g.st.mu.RLock()
 	defer g.st.mu.RUnlock()
 	return since >= g.st.journalFloor
-}
-
-// TouchedSince reports whether any name's chain mapping changed after
-// the given epoch — the O(#epochs) fast path behind "this batch changed
-// nothing", without materializing the journal.
-func (g *Graph) TouchedSince(epoch int64) bool {
-	g.st.mu.RLock()
-	defer g.st.mu.RUnlock()
-	for e := epoch + 1; e <= g.epoch; e++ {
-		if len(g.st.touched[e]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ChainLive reports whether at least one surveyed name maps to the
@@ -463,79 +499,104 @@ func (g *Graph) Detach() *Graph {
 	}
 }
 
-// computeClosures condenses the zone dependency digraph with Tarjan's
-// algorithm and unions server sets bottom-up over the condensation DAG.
-// hostChain is the builder's current chain table (every attach is
-// visible to the epoch being finalized). When prev is the previous
-// epoch's graph, closure and adjacency slices equal to the previous
-// epoch's alias them, so retained generations share storage.
-func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
-	n := len(g.zones)
-	g.closure = make([][]int32, n)
-	if n == 0 {
-		g.zoneAdj = make([][]int32, 0)
-		return
-	}
+// emptyGraph is the graph of an epoch finalized before the live store
+// has any content, backed by its own empty store.
+func emptyGraph(epoch int64) *Graph {
+	g := &Graph{st: newStore(0), epoch: epoch}
+	g.computeTables(nil, nil, nil)
+	return g
+}
 
-	zoneDeps := func(z int32) []int32 {
+// computeTables fills the epoch's derived tables — closure, zoneAdj,
+// chainTCB, chainStamp — from prev, the previous epoch of the same store
+// (nil: everything is new). hostChain is the builder's current chain
+// table (every attach is visible to the epoch being finalized) and
+// lateAttached its undrained late set.
+func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map[int32]struct{}) {
+	if prev == nil {
+		prev = &Graph{}
+	}
+	var late []bool
+	if len(lateAttached) > 0 {
+		late = make([]bool, len(prev.hosts))
+		for h := range lateAttached {
+			late[h] = true
+		}
+	}
+	g.computeChainTCBs(prev, late, g.computeClosures(prev, hostChain, late))
+}
+
+// computeClosures condenses the dirty part of the zone dependency digraph
+// with Tarjan's algorithm and unions server sets bottom-up over its
+// condensation DAG (FinishEpoch argues why only the dirty zones can
+// change). Edges leaving the dirty set are terminals whose closure is
+// already final, and no SCC straddles the boundary: a clean zone on a
+// cycle through a dirty one would reach what it reaches. It returns the
+// dirty bitmap when any zone of prev is dirty — chains of prev may then
+// need re-unioning — else nil.
+func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) []bool {
+	n, pz := len(g.zones), len(prev.zones)
+	dirty := make([]bool, n)
+	var work []int32
+	if late != nil {
+		work = prev.zonesReachingLate(late, dirty)
+	}
+	prevDirty := len(work) > 0
+	g.closure = extend(prev.closure, n, prevDirty)
+	g.zoneAdj = extend(prev.zoneAdj, n, prevDirty)
+	for z := pz; z < n; z++ {
+		dirty[z] = true
+		work = append(work, int32(z))
+	}
+	adj := g.zoneAdj
+	for _, z := range work {
 		var deps []int32
 		for _, h := range g.zoneNS[z] {
 			deps = append(deps, hostChain[h]...)
 		}
 		sortUnique(&deps)
-		return deps
-	}
-
-	// Iterative Tarjan SCC.
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	comp := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	adj := make([][]int32, n)
-	for z := 0; z < n; z++ {
-		adj[z] = zoneDeps(int32(z))
-		if prev != nil && z < len(prev.zoneAdj) && int32sEqual(prev.zoneAdj[z], adj[z]) {
-			adj[z] = prev.zoneAdj[z]
+		if int(z) < pz && int32sEqual(prev.zoneAdj[z], deps) {
+			deps = prev.zoneAdj[z]
 		}
+		adj[z] = deps
 	}
-	g.zoneAdj = adj
 
-	var stack []int32
-	var sccCount int32
-	var sccMembers [][]int32
-
+	// Iterative Tarjan SCC over the dirty zones. State is dense over all
+	// zones (zero means unvisited / still open), so the everything-is-new
+	// first epoch pays no map overhead.
+	index := make([]int32, n) // 1-based discovery order
+	low := make([]int32, n)
+	comp := make([]int32, n) // root zone id + 1 of the zone's finished SCC
+	mark := make([]int32, n) // mark[k] == v+1: k's closure is already in SCC v's set
 	type frame struct {
 		v    int32
 		edge int
 	}
-	var next int32
+	var stack []int32
 	var callStack []frame
-	for start := int32(0); start < int32(n); start++ {
-		if index[start] != unvisited {
+	var next int32
+	for _, start := range work {
+		if index[start] != 0 {
 			continue
 		}
-		callStack = append(callStack[:0], frame{v: start})
-		index[start], low[start] = next, next
 		next++
+		index[start], low[start] = next, next
 		stack = append(stack, start)
-		onStack[start] = true
+		callStack = append(callStack[:0], frame{v: start})
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
 			if f.edge < len(adj[f.v]) {
 				w := adj[f.v][f.edge]
 				f.edge++
-				if index[w] == unvisited {
-					index[w], low[w] = next, next
+				if !dirty[w] {
+					continue
+				}
+				if index[w] == 0 {
 					next++
+					index[w], low[w] = next, next
 					stack = append(stack, w)
-					onStack[w] = true
 					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] && low[f.v] > index[w] {
+				} else if comp[w] == 0 && low[f.v] > index[w] {
 					low[f.v] = index[w]
 				}
 				continue
@@ -544,99 +605,157 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
 			v := f.v
 			callStack = callStack[:len(callStack)-1]
 			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[p.v] > low[v] {
-					low[p.v] = low[v]
+				if p := callStack[len(callStack)-1].v; low[p] > low[v] {
+					low[p] = low[v]
 				}
 			}
-			if low[v] == index[v] {
-				var members []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = sccCount
-					members = append(members, w)
-					if w == v {
-						break
+			if low[v] != index[v] {
+				continue
+			}
+			// v roots an SCC: its members are the stack above v. Tarjan
+			// finishes SCCs in reverse topological order, so every edge
+			// leaving the SCC ends at a closure that is already final.
+			top := len(stack) - 1
+			for ; stack[top] != v; top-- {
+				comp[stack[top]] = v + 1
+			}
+			comp[v] = v + 1
+			members := stack[top:]
+			var set []int32
+			for _, z := range members {
+				set = append(set, g.zoneNS[z]...)
+				for _, w := range adj[z] {
+					key := w
+					if dirty[w] {
+						if comp[w] == v+1 {
+							continue
+						}
+						key = comp[w] - 1
+					}
+					if mark[key] != v+1 {
+						mark[key] = v + 1
+						set = append(set, g.closure[w]...)
 					}
 				}
-				sccMembers = append(sccMembers, members)
-				sccCount++
 			}
+			sortUnique(&set)
+			if int(v) < pz && int32sEqual(prev.closure[v], set) {
+				set = prev.closure[v]
+			}
+			for _, z := range members {
+				g.closure[z] = set
+			}
+			stack = stack[:top]
 		}
 	}
+	if !prevDirty {
+		return nil
+	}
+	return dirty
+}
 
-	// Tarjan emits SCCs in reverse topological order: successors of an
-	// SCC always have smaller component ids, so one forward pass suffices.
-	sccClosure := make([][]int32, sccCount)
-	for c := int32(0); c < sccCount; c++ {
-		var set []int32
-		for _, z := range sccMembers[c] {
-			set = append(set, g.zoneNS[z]...)
+// zonesReachingLate marks in dirty, and returns, every zone of g that is
+// or reaches a zone with an NS host in late. The reverse adjacency it
+// walks is derived here on demand, so only epochs with a late attach pay
+// for it and nothing extra is kept (or snapshotted) between epochs.
+func (g *Graph) zonesReachingLate(late []bool, dirty []bool) []int32 {
+	var work []int32
+	for z, ns := range g.zoneNS {
+		if anyMarked(ns, late) {
+			dirty[z] = true
+			work = append(work, int32(z))
 		}
-		// Successor SCCs.
-		succ := map[int32]bool{}
-		for _, z := range sccMembers[c] {
-			for _, w := range adj[z] {
-				if comp[w] != c {
-					succ[comp[w]] = true
-				}
+	}
+	if len(work) == 0 {
+		return nil
+	}
+	n := len(g.zones)
+	off := make([]int32, n+1) // rev[off[w]:off[w+1]] lists the zones depending on w
+	for _, deps := range g.zoneAdj {
+		for _, w := range deps {
+			off[w+1]++
+		}
+	}
+	for w := 0; w < n; w++ {
+		off[w+1] += off[w]
+	}
+	rev := make([]int32, off[n])
+	fill := append([]int32(nil), off[:n]...)
+	for z, deps := range g.zoneAdj {
+		for _, w := range deps {
+			rev[fill[w]] = int32(z)
+			fill[w]++
+		}
+	}
+	for i := 0; i < len(work); i++ {
+		w := work[i]
+		for _, z := range rev[off[w]:off[w+1]] {
+			if !dirty[z] {
+				dirty[z] = true
+				work = append(work, z)
 			}
 		}
-		for sc := range succ {
-			set = append(set, sccClosure[sc]...)
-		}
-		sortUnique(&set)
-		// Copy-on-write: when the set is unchanged from the previous
-		// epoch, every member zone aliases the previous slice.
-		if z0 := sccMembers[c][0]; prev != nil && int(z0) < len(prev.closure) && int32sEqual(prev.closure[z0], set) {
-			set = prev.closure[z0]
-		}
-		sccClosure[c] = set
 	}
-	for z := 0; z < n; z++ {
-		g.closure[z] = sccClosure[comp[int32(z)]]
-	}
+	return work
 }
 
 // computeChainTCBs unions zone closures into one TCB per interned chain.
 // Every name on the chain shares the resulting slice, so the per-name
-// Figure 2/5/6 passes become O(1) lookups. TCBs equal to the previous
-// epoch's alias its slices, and each chain's stamp records the epoch it
-// last changed — unchanged meaning both an identical TCB set and no TCB
-// member whose address chain attached late this epoch (a late attach
-// reshapes the min-cut digraph even when the TCB set is stable).
-func (g *Graph) computeChainTCBs(prev *Graph, late map[int32]struct{}) {
-	g.chainTCB = make([][]int32, len(g.chains))
-	g.chainStamp = make([]int64, len(g.chains))
-	for ci, chain := range g.chains {
+// Figure 2/5/6 passes become O(1) lookups. Only new chains, and chains of
+// prev traversing a dirty zone, are unioned; the rest alias prev's TCB and
+// keep its stamp. A re-unioned TCB equal to prev's aliases it too, and
+// each chain's stamp records the epoch it last changed — unchanged
+// meaning both an identical TCB set and no TCB member whose address chain
+// attached late this epoch (a late attach reshapes the min-cut digraph
+// even when the TCB set is stable).
+func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool) {
+	nc, pc := len(g.chains), len(prev.chains)
+	g.chainTCB = extend(prev.chainTCB, nc, dirty != nil)
+	g.chainStamp = extend(prev.chainStamp, nc, dirty != nil)
+	first := pc
+	if dirty != nil {
+		first = 0
+	}
+	for ci := first; ci < nc; ci++ {
+		chain := g.chains[ci]
+		if ci < pc && !anyMarked(chain, dirty) {
+			continue
+		}
 		var tcb []int32
 		for _, z := range chain {
 			tcb = append(tcb, g.closure[z]...)
 		}
 		sortUnique(&tcb)
-		if prev != nil && ci < len(prev.chainTCB) && int32sEqual(prev.chainTCB[ci], tcb) {
-			g.chainTCB[ci] = prev.chainTCB[ci]
-			if tcbIntersects(prev.chainTCB[ci], late) {
+		if ci < pc && int32sEqual(prev.chainTCB[ci], tcb) {
+			if anyMarked(tcb, late) {
 				g.chainStamp[ci] = g.epoch
-			} else {
-				g.chainStamp[ci] = prev.chainStamp[ci]
 			}
-		} else {
-			g.chainTCB[ci] = tcb
-			g.chainStamp[ci] = g.epoch
+			continue
 		}
+		g.chainTCB[ci] = tcb
+		g.chainStamp[ci] = g.epoch
 	}
 }
 
-// tcbIntersects reports whether any TCB member is in the late set.
-func tcbIntersects(tcb []int32, late map[int32]struct{}) bool {
-	if len(late) == 0 {
+// extend returns prev's table grown to n entries, the new ones zero. An
+// epoch that rewrites entries of prev gets its own copy. One that only
+// adds appends into prev's spare capacity instead, exactly as the store's
+// intern arrays grow: prev's readers never look past its pinned length,
+// so the epoch costs O(added) amortized rather than O(n).
+func extend[T any](prev []T, n int, rewrites bool) []T {
+	if rewrites {
+		return append(make([]T, 0, n), prev...)[:n]
+	}
+	return append(prev, make([]T, n-len(prev))...)
+}
+
+// anyMarked reports whether any id is set in the bitmap (nil: none are).
+func anyMarked(ids []int32, set []bool) bool {
+	if set == nil {
 		return false
 	}
-	for _, h := range tcb {
-		if _, ok := late[h]; ok {
+	for _, id := range ids {
+		if set[id] {
 			return true
 		}
 	}

@@ -588,6 +588,9 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		pi += cnt
 	}
 	for _, hid := range lateIDs {
+		if hid < 0 || int(hid) >= nH {
+			return nil, corruptf("core/late", "host %d is not below the pinned %d", hid, nH)
+		}
 		b.lateAttached[hid] = struct{}{}
 	}
 
@@ -604,15 +607,12 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 				closure:    closure,
 				zoneAdj:    zoneAdj,
 				chainTCB:   chainTCB,
-				chainStamp: chainStamp,
+				chainStamp: chainStamp[:nC:nC], // a view of the file: never appended to in place
 			}
 		} else {
 			// The last committed epoch predates any live-store content:
 			// reconstruct the builder's empty-store graph.
-			eg := &Graph{st: newStore(0), epoch: epoch}
-			eg.computeClosures(nil, nil)
-			eg.computeChainTCBs(nil, nil)
-			b.prev = eg
+			b.prev = emptyGraph(epoch)
 		}
 	}
 	return b, nil

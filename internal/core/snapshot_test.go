@@ -202,11 +202,23 @@ func TestSnapshotOpenMmap(t *testing.T) {
 
 // TestSnapshotContinueBuilding is the property that makes restarts real:
 // a restored builder absorbing the same events as the original produces
-// an equivalent next epoch — including journal diffs and copy-on-write
-// chain stamps spanning the restart boundary.
+// equivalent next epochs — including journal diffs and copy-on-write
+// chain stamps spanning the restart boundary. The restored builder's
+// epochs run the incremental closure pass off tables read from the file,
+// with nothing rebuilt at open, and must match the whole-graph pass
+// across a late attach whose zone was published before the snapshot.
 func TestSnapshotContinueBuilding(t *testing.T) {
 	const total = 600
 	orig := buildEpochs(total, 3)
+	// A zone published with an NS host whose address chain is still
+	// unknown, and a second zone depending on the first.
+	orig.ObserveZone("lag.tld0", []string{"ns.lag.tld0", "ns1.dom0.tld0"})
+	orig.ObserveChain("ns.up.tld1", []string{"tld0", "lag.tld0"})
+	orig.ObserveZone("up.tld1", []string{"ns.up.tld1"})
+	orig.Complete("www.lag.tld0", []string{"tld0", "lag.tld0"})
+	orig.Complete("www.up.tld1", []string{"tld1", "up.tld1"})
+	finishChecked(t, orig)
+
 	var buf bytes.Buffer
 	if err := orig.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -216,18 +228,34 @@ func TestSnapshotContinueBuilding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := restored.LastGraph().Epoch()
+	saved := restored.LastGraph()
+	before := saved.Epoch()
 	for _, b := range []*Builder{orig, restored} {
-		FeedSyntheticRange(b, total, total+100, total+100)
+		// First epoch after the restart: the late attach, new names, churn.
+		b.ObserveChain("ns.lag.tld0", []string{"tld2", "dom2.tld2"})
+		FeedSyntheticRange(b, total, total+100, total+200)
 		b.Fail("www5.dom0.tld0", errors.New("late failure"))
 		b.ObserveZone("dom0.tld0", []string{"late.example"}) // dup zone: ignored
-		b.FinishEpoch()
+		g := finishChecked(t, b)
+		for _, apex := range []string{"lag.tld0", "up.tld1"} {
+			z, _ := g.zoneIDOf(apex)
+			if int32sEqual(g.closure[z], saved.closure[z]) {
+				t.Fatalf("closure of %s did not grow with the late attach", apex)
+			}
+		}
+		b.TakeLateAttached()
+		// Then small epochs with nothing late.
+		FeedSyntheticRange(b, total+100, total+150, total+200)
+		finishChecked(t, b)
+		b.Fail("www.up.tld1", errors.New("later failure"))
+		FeedSyntheticRange(b, total+150, total+200, total+200)
+		finishChecked(t, b)
 	}
 	g1, g2 := orig.LastGraph(), restored.LastGraph()
 	compareGraphs(t, g1, g2)
 	compareBuilders(t, orig, restored)
 
-	// The post-restart epoch diffs incrementally against the restored one.
+	// The post-restart epochs diff incrementally against the restored one.
 	if !g2.JournalComplete(before) {
 		t.Fatal("journal broken across the restart boundary")
 	}

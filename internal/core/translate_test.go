@@ -57,21 +57,10 @@ func replayByID(dst *Builder, src *Builder, g *Graph) {
 	}
 }
 
-// TestTranslateEquivalence proves the id-path hooks assemble the same
-// graph as the string event path: a synthetic corpus built via
-// ObserveZone/ObserveChain/Complete, replayed id-by-id into a second
-// builder, yields identical intern tables and identical per-name TCBs.
-func TestTranslateEquivalence(t *testing.T) {
-	const names = 500
-	src := NewBuilder(names)
-	FeedSynthetic(src, names)
-	src.Fail("broken.example", errors.New("walk failed"))
-	g := src.FinishEpoch()
-
-	dst := NewBuilder(0)
-	replayByID(dst, src, g)
-	g2 := dst.FinishEpoch()
-
+// sameTables asserts two graphs built in the same id order have
+// identical intern tables.
+func sameTables(t *testing.T, g, g2 *Graph) {
+	t.Helper()
 	// Replay preserves id order, so the tables must match exactly.
 	if !reflect.DeepEqual(g.Hosts(), g2.Hosts()) {
 		t.Fatalf("host tables differ: %d vs %d entries", g.NumHosts(), g2.NumHosts())
@@ -91,21 +80,85 @@ func TestTranslateEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(g.Names(), g2.Names()) {
 		t.Fatalf("name sets differ: %d vs %d names", g.NumNames(), g2.NumNames())
 	}
-	for _, name := range g.Names() {
-		want, err := g.TCB(name)
+}
+
+// sameTCBs asserts every name of want has the same TCB, as host names,
+// in got — the comparison that survives differing intern ids.
+func sameTCBs(t *testing.T, want, got *Graph) {
+	t.Helper()
+	for _, name := range want.Names() {
+		w, err := want.TCB(name)
 		if err != nil {
 			t.Fatalf("TCB(%q): %v", name, err)
 		}
-		got, err := g2.TCB(name)
+		g, err := got.TCB(name)
 		if err != nil {
 			t.Fatalf("replayed TCB(%q): %v", name, err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("TCB(%q) differs:\n want %v\n  got %v", name, want, got)
+		if !reflect.DeepEqual(w, g) {
+			t.Fatalf("TCB(%q) differs:\n want %v\n  got %v", name, w, g)
 		}
 	}
+}
+
+// TestTranslateEquivalence proves the id-path hooks assemble the same
+// graph as the string event path: a synthetic corpus built via
+// ObserveZone/ObserveChain/Complete, replayed id-by-id into a second
+// builder, yields identical intern tables and identical per-name TCBs —
+// epoch after epoch, through a late attach, and when the shard restarts
+// with fresh ids and is re-translated into the same union builder. Every
+// epoch on either path is checked against the whole-graph closure pass.
+func TestTranslateEquivalence(t *testing.T) {
+	const names = 500
+	src := NewBuilder(names)
+	FeedSyntheticRange(src, 0, 300, names)
+	src.Fail("broken.example", errors.New("walk failed"))
+	// A zone published before its nameserver's address chain is known.
+	src.ObserveZone("lag.tld0", []string{"ns.lag.tld0", "ns1.dom0.tld0"})
+	src.Complete("www.lag.tld0", []string{"tld0", "lag.tld0"})
+	g := finishChecked(t, src)
+
+	dst := NewBuilder(0)
+	replayByID(dst, src, g)
+	g2 := finishChecked(t, dst)
+	sameTables(t, g, g2)
+	sameTCBs(t, g, g2)
 	if len(dst.Failed()) != len(src.Failed()) {
 		t.Fatalf("failed sets differ: %d vs %d", len(src.Failed()), len(dst.Failed()))
+	}
+
+	// The shard's next epoch — the late attach and more names — replayed
+	// over the already translated prefix.
+	lagTCB := g2.TCBSize("www.lag.tld0")
+	src.ObserveChain("ns.lag.tld0", []string{"tld1", "dom1.tld1"})
+	FeedSyntheticRange(src, 300, 400, names)
+	g = finishChecked(t, src)
+	replayByID(dst, src, g)
+	g2 = finishChecked(t, dst)
+	sameTables(t, g, g2)
+	sameTCBs(t, g, g2)
+	if got := g2.TCBSize("www.lag.tld0"); got <= lagTCB {
+		t.Fatalf("TCB of www.lag.tld0 stayed at %d servers across the late attach", got)
+	}
+	if late := dst.TakeLateAttached(); len(late) != 1 {
+		t.Fatalf("union builder saw late attaches %v, want exactly ns.lag.tld0", late)
+	}
+
+	// The shard restarts from scratch: it re-crawls in another order, so
+	// its ids no longer extend the translated ones, and goes further. The
+	// coordinator drops its remap and re-translates everything.
+	re := NewBuilder(names)
+	FeedSyntheticRange(re, 200, 500, names)
+	FeedSyntheticRange(re, 0, 200, names)
+	re.ObserveZone("lag.tld0", []string{"ns.lag.tld0", "ns1.dom0.tld0"})
+	re.ObserveChain("ns.lag.tld0", []string{"tld1", "dom1.tld1"})
+	re.Complete("www.lag.tld0", []string{"tld0", "lag.tld0"})
+	gr := finishChecked(t, re)
+	replayByID(dst, re, gr)
+	g2 = finishChecked(t, dst)
+	sameTCBs(t, gr, g2)
+	if g2.NumNames() != gr.NumNames() {
+		t.Fatalf("union has %d names after the restart, the shard %d", g2.NumNames(), gr.NumNames())
 	}
 }
 

@@ -252,21 +252,13 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	late := e.pendingLate
 	e.pendingLate = nil
 
-	// A batch that touched no name mappings (pure re-adds) shares the
-	// previous generation's sorted name list instead of materializing a
-	// fresh one — with Monitor retention, unchanged generations cost
-	// array headers, not O(corpus) copies.
-	var surveyNames []string
-	if prev := e.view.Load(); prev != nil && g.SharesStore(prev.Graph) &&
-		!g.TouchedSince(prev.Graph.Epoch()) {
-		surveyNames = prev.Names
-	} else {
-		surveyNames = g.Names()
-	}
-
+	// The sorted name list is the previous generation's merged with this
+	// batch's journal, never a re-sort of the corpus; a batch that touched
+	// no name mappings (pure re-adds) shares the previous slice outright —
+	// with Monitor retention, unchanged generations cost array headers.
 	s := &Survey{
 		Graph:  g,
-		Names:  surveyNames,
+		Names:  g.NamesFrom(e.view.Load().Graph),
 		Failed: maps.Clone(e.b.Failed()),
 		Banner: maps.Clone(e.banner),
 		Vulns:  maps.Clone(e.vulns),

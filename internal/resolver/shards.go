@@ -75,4 +75,7 @@ type queryEntry struct {
 type queryShard struct {
 	mu sync.Mutex
 	m  map[queryKey]*queryEntry
+	// errored lists the keys whose entry completed with a memoized error
+	// since the last ForgetFailures, so evicting them does not scan m.
+	errored []queryKey
 }

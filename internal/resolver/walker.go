@@ -192,7 +192,12 @@ func (w *Walker) ForgetFailures() int {
 	for i := range w.qmemo {
 		qs := &w.qmemo[i]
 		qs.mu.Lock()
-		for key, e := range qs.m {
+		kept := qs.errored[:0]
+		for _, key := range qs.errored {
+			e, ok := qs.m[key]
+			if !ok {
+				continue
+			}
 			select {
 			case <-e.done:
 				if e.err != nil {
@@ -200,8 +205,11 @@ func (w *Walker) ForgetFailures() int {
 					n++
 				}
 			default:
+				// Listed but not yet published: still its walk's entry.
+				kept = append(kept, key)
 			}
 		}
+		qs.errored = kept
 		qs.mu.Unlock()
 	}
 	for i := range w.shards {
@@ -224,6 +232,7 @@ func (w *Walker) ReleaseQueryMemo() {
 		qs := &w.qmemo[i]
 		qs.mu.Lock()
 		qs.m = make(map[queryKey]*queryEntry)
+		qs.errored = nil
 		qs.mu.Unlock()
 	}
 }
@@ -789,11 +798,15 @@ func (w *Walker) queryAny(ctx context.Context, zone string, servers []ServerAddr
 	qs.mu.Unlock()
 
 	e.resp, e.err = w.dispatch(ctx, zone, servers, name, qtype)
-	if e.err != nil && isCtxErr(e.err) {
-		// Never memoize cancellation: a later walk with a live context
-		// must be able to retry.
+	if e.err != nil {
 		qs.mu.Lock()
-		delete(qs.m, key)
+		if isCtxErr(e.err) {
+			// Never memoize cancellation: a later walk with a live context
+			// must be able to retry.
+			delete(qs.m, key)
+		} else {
+			qs.errored = append(qs.errored, key)
+		}
 		qs.mu.Unlock()
 	}
 	close(e.done)

@@ -336,3 +336,50 @@ func TestSnapshotHostsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestForgetFailuresReasksOnlyFailures: a memoized failure is served from
+// memory within a generation, evicted at the boundary, and re-asked after
+// it — while every successful discovery stays memoized.
+func TestForgetFailuresReasksOnlyFailures(t *testing.T) {
+	reg := topology.FBIWorld()
+	ctx := context.Background()
+	for _, h := range []string{"dns.sprintip.com", "dns2.sprintip.com"} {
+		if err := reg.SetLame(h, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := newWalker(t, reg)
+	if _, err := w.WalkName(ctx, "www.fbi.gov"); err == nil {
+		t.Fatal("walk succeeded with every fbi.gov server lame")
+	}
+	asked := w.Queries()
+	if _, err := w.WalkName(ctx, "www.fbi.gov"); err == nil || w.Queries() != asked {
+		t.Fatalf("second walk: err %v, %d new queries; want the memoized failure", err, w.Queries()-asked)
+	}
+
+	if n := w.ForgetFailures(); n == 0 {
+		t.Fatal("ForgetFailures evicted nothing after a failed walk")
+	}
+	if n := w.ForgetFailures(); n != 0 {
+		t.Fatalf("second ForgetFailures evicted %d, want 0", n)
+	}
+	for _, h := range []string{"dns.sprintip.com", "dns2.sprintip.com"} {
+		if err := reg.SetLame(h, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.WalkName(ctx, "www.fbi.gov"); err != nil {
+		t.Fatalf("walk after the servers healed: %v", err)
+	}
+	healed := w.Queries()
+	if healed == asked {
+		t.Fatal("healed walk asked nothing: the failure was still memoized")
+	}
+	// Nothing successful was evicted: a re-walk is transport-free.
+	if n := w.ForgetFailures(); n != 0 {
+		t.Fatalf("ForgetFailures after a clean walk evicted %d, want 0", n)
+	}
+	if _, err := w.WalkName(ctx, "www.fbi.gov"); err != nil || w.Queries() != healed {
+		t.Fatalf("re-walk: err %v, %d new queries; want 0", err, w.Queries()-healed)
+	}
+}

@@ -188,15 +188,19 @@ func (m *Monitor) Add(ctx context.Context, names ...string) (*View, error) {
 	}
 	m.memo.Advance(prev.Survey(), s)
 	v := m.newView(s)
-	if oldest := m.tl.Commit(v); oldest != nil {
-		// Keep the store's history bounded by the retention window.
-		m.eng.PruneJournal(oldest.Survey().Graph.Epoch())
-	}
+	oldest := m.tl.Commit(v)
 	m.hookMu.Lock()
 	hooks := m.hooks
 	m.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn(v)
+	}
+	// Keep the store's history bounded by the retention window — but only
+	// after the hooks: they diff the generation they last saw against v
+	// through the journal of the epoch just committed, which an unretained
+	// timeline (oldest == v) gives up right here.
+	if oldest != nil {
+		m.eng.PruneJournal(oldest.Survey().Graph.Epoch())
 	}
 	return v, nil
 }

@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"dnstrust/internal/verdict"
 )
 
 func openTestMonitor(t *testing.T, opts Options) *Monitor {
@@ -328,5 +331,71 @@ func TestMonitorOnCommit(t *testing.T) {
 	mu.Unlock()
 	if n != 2 {
 		t.Errorf("empty Add fired a hook (%d commits recorded)", n)
+	}
+}
+
+// TestMonitorHooksRunBeforePrune pins the commit order hooks depend on:
+// with nothing retained (Retain unset, how dnstrustd runs) the journal of
+// the epoch just committed is pruned as part of the commit, and a verdict
+// cache wired to OnCommit must read it first — otherwise every commit
+// flushes the whole cache instead of evicting the names it changed.
+func TestMonitorHooksRunBeforePrune(t *testing.T) {
+	m := openTestMonitor(t, Options{Seed: 11, Names: 120, Workers: 4})
+	ctx := context.Background()
+	corpus := m.World().Corpus
+	half := len(corpus) / 2
+	v1, err := m.Add(ctx, corpus[:half]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := verdict.NewCache(v1.Survey(), verdict.Config{TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	m.OnCommit(func(v *View) { cache.Advance(v.Survey()) })
+	// A second hook records what the commit's journal says changed, while
+	// the journal is still there to be read.
+	changed := map[string]bool{}
+	m.OnCommit(func(v *View) {
+		g, since := v.Survey().Graph, v1.Survey().Graph.Epoch()
+		if !g.JournalComplete(since) {
+			t.Errorf("journal of generation %d already pruned when its hooks ran", v.Generation())
+		}
+		for _, n := range g.NamesTouchedSince(since) {
+			changed[n] = true
+		}
+		for _, cid := range g.ChainsChangedSince(since) {
+			for _, n := range g.NamesOnChain(cid) {
+				changed[n] = true
+			}
+		}
+	})
+	cached := v1.Names()
+	for _, n := range cached {
+		cache.Lookup(n)
+	}
+
+	if _, err := m.Add(ctx, corpus[half:]...); err != nil {
+		t.Fatal(err)
+	}
+	if f := cache.Stats().Flushes; f != 0 {
+		t.Fatalf("commit of new names flushed the verdict cache %d times, want 0", f)
+	}
+	kept := 0
+	for _, n := range cached {
+		before := cache.Stats().Hits
+		cache.Lookup(n)
+		hit := cache.Stats().Hits > before
+		if hit == changed[n] {
+			t.Errorf("%s: still cached = %v, journalled as changed = %v", n, hit, changed[n])
+		}
+		if hit {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no verdict survived the commit: eviction was not precise")
 	}
 }
