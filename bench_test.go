@@ -39,19 +39,19 @@ const benchScale = 6000
 
 var (
 	benchOnce  sync.Once
-	benchStudy *Study
+	benchStudy *Monitor
 	benchErr   error
 )
 
-func sharedBenchStudy(b *testing.B) *Study {
+func sharedBenchStudy(b *testing.B) *View {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchStudy, benchErr = NewStudy(context.Background(), Options{Seed: 1, Names: benchScale})
+		benchStudy, benchErr = surveyCorpus(Options{Seed: 1, Names: benchScale})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchStudy
+	return benchStudy.At()
 }
 
 func benchExperiment(b *testing.B, id string) {
@@ -67,7 +67,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Run(context.Background(), s.View(), io.Discard)
+		rows, err := exp.Run(context.Background(), s, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,77 +258,6 @@ func benchTransport(b *testing.B, wire bool) {
 	}
 }
 
-// BenchmarkAblationClosureSCC measures the shared-closure computation
-// (SCC condensation; one pass prices every zone) against the naive
-// per-name alternative measured by BenchmarkAblationClosureNaive.
-func BenchmarkAblationClosureSCC(b *testing.B) {
-	s := sharedBenchStudy(b)
-	snap := s.Survey.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := rebuildGraph(snap)
-		// Touch every name's TCB so lazy costs are comparable.
-		var total int
-		for _, n := range s.Survey.Names {
-			total += g.TCBSize(n)
-		}
-		if total == 0 {
-			b.Fatal("empty TCBs")
-		}
-	}
-}
-
-// BenchmarkAblationClosureNaive walks each name's dependencies from
-// scratch (per-name BFS over zones) instead of sharing zone closures.
-func BenchmarkAblationClosureNaive(b *testing.B) {
-	s := sharedBenchStudy(b)
-	snap := s.Survey.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total int
-		for _, n := range s.Survey.Names {
-			total += naiveTCBSize(snap, n)
-		}
-		if total == 0 {
-			b.Fatal("empty TCBs")
-		}
-	}
-}
-
-// naiveTCBSize recomputes one name's TCB by BFS over the snapshot,
-// without any cross-name sharing — the ablation baseline.
-func naiveTCBSize(snap *resolver.Snapshot, name string) int {
-	servers := map[string]bool{}
-	seenZone := map[string]bool{}
-	var stack []string
-	stack = append(stack, snap.NameChain[name]...)
-	for len(stack) > 0 {
-		apex := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seenZone[apex] {
-			continue
-		}
-		seenZone[apex] = true
-		zi := snap.Zones[apex]
-		if zi == nil {
-			continue
-		}
-		for _, h := range zi.NSHosts {
-			servers[h] = true
-			stack = append(stack, snap.HostChain[h]...)
-		}
-	}
-	return len(servers)
-}
-
-func rebuildGraph(snap *resolver.Snapshot) graphLike {
-	return crawler.FromSnapshot(snap).Graph
-}
-
-type graphLike interface {
-	TCBSize(name string) int
-}
-
 // BenchmarkMillionNameBuild measures incremental graph construction at
 // survey scale: a synthetic corpus streams through the core.Builder
 // event API (zones, chains, completions in causal order) and Finish runs
@@ -477,20 +406,20 @@ func BenchmarkViewQueryThroughput(b *testing.B) {
 // stated at 100k names), built once per test binary.
 var (
 	memoBenchOnce  sync.Once
-	memoBenchS     *Study
+	memoBenchS     *Monitor
 	memoBenchErr   error
 	memoBenchScale = 100_000
 )
 
-func sharedMemoBenchStudy(b *testing.B) *Study {
+func sharedMemoBenchStudy(b *testing.B) *View {
 	b.Helper()
 	memoBenchOnce.Do(func() {
-		memoBenchS, memoBenchErr = NewStudy(context.Background(), Options{Seed: 3, Names: memoBenchScale})
+		memoBenchS, memoBenchErr = surveyCorpus(Options{Seed: 3, Names: memoBenchScale})
 	})
 	if memoBenchErr != nil {
 		b.Fatal(memoBenchErr)
 	}
-	return memoBenchS
+	return memoBenchS.At()
 }
 
 // BenchmarkChainMemoSecondPass backs the memoization claim: on a real
@@ -500,8 +429,7 @@ func sharedMemoBenchStudy(b *testing.B) *Study {
 // every max-flow and per-chain TCB scan, leaving only the per-name
 // aggregation. Compare the first/second sub-benchmark ns/op.
 func BenchmarkChainMemoSecondPass(b *testing.B) {
-	s := sharedMemoBenchStudy(b)
-	sv := s.Survey
+	sv := sharedMemoBenchStudy(b).Survey()
 	ctx := context.Background()
 	pass := func(b *testing.B, memo *analysis.ChainMemo) {
 		if _, err := analysis.BottlenecksMemo(ctx, sv, sv.Names, 0, memo); err != nil {
@@ -619,13 +547,13 @@ func BenchmarkSnapshotColdStart(b *testing.B) {
 // (an upper bound on the true minimum hijack, exact on trees).
 func BenchmarkAblationMinCutDinic(b *testing.B) {
 	s := sharedBenchStudy(b)
-	names := s.Survey.Names
+	names := s.Survey().Names
 	if len(names) > 500 {
 		names = names[:500]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := analysis.Bottlenecks(context.Background(), s.Survey, names, 0)
+		stats, err := analysis.Bottlenecks(context.Background(), s.Survey(), names, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -637,13 +565,13 @@ func BenchmarkAblationMinCutDinic(b *testing.B) {
 
 func BenchmarkAblationMinCutANDORBound(b *testing.B) {
 	s := sharedBenchStudy(b)
-	names := s.Survey.Names
+	names := s.Survey().Names
 	if len(names) > 500 {
 		names = names[:500]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := analysis.ANDORHijackBound(s.Survey, names)
+		out := analysis.ANDORHijackBound(s.Survey(), names)
 		if len(out) != len(names) {
 			b.Fatal("missing results")
 		}
@@ -653,11 +581,11 @@ func BenchmarkAblationMinCutANDORBound(b *testing.B) {
 // BenchmarkMinCutSingle measures one per-name min-cut end to end.
 func BenchmarkMinCutSingle(b *testing.B) {
 	s := sharedBenchStudy(b)
-	name := s.Survey.Names[0]
-	vuln := func(h string) bool { return s.Survey.Vulnerable(h) }
+	name := s.Survey().Names[0]
+	vuln := func(h string) bool { return s.Survey().Vulnerable(h) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := s.Survey.Graph.Digraph(name)
+		d, err := s.Survey().Graph.Digraph(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -896,7 +824,7 @@ func BenchmarkProxyUDP(b *testing.B) {
 // BenchmarkHijackMonteCarlo measures attack-simulation trials.
 func BenchmarkHijackMonteCarlo(b *testing.B) {
 	s := sharedBenchStudy(b)
-	name := s.Survey.Names[0]
+	name := s.Survey().Names[0]
 	res, err := s.Bottleneck(name)
 	if err != nil {
 		b.Fatal(err)

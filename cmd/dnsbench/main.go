@@ -385,13 +385,19 @@ func main() {
 	})
 
 	if *memoNames > 0 {
-		memoStudy, err := dnstrust.NewStudy(context.Background(), dnstrust.Options{Seed: 3, Names: *memoNames})
+		memoMon, err := dnstrust.Open(context.Background(), dnstrust.Options{Seed: 3, Names: *memoNames})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
 			os.Exit(1)
 		}
+		memoView, err := memoMon.Add(context.Background(), memoMon.World().Corpus...)
+		memoMon.Close() // nothing to save: no memo or snapshot file
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
+			os.Exit(1)
+		}
+		sv := memoView.Survey()
 		memoPass := func(b *testing.B, memo *analysis.ChainMemo) {
-			sv := memoStudy.Survey
 			if _, err := analysis.BottlenecksMemo(context.Background(), sv, sv.Names, 0, memo); err != nil {
 				b.Fatal(err)
 			}
@@ -405,11 +411,11 @@ func main() {
 			}
 		})
 		warmMemo := analysis.NewChainMemo()
-		if _, err := analysis.BottlenecksMemo(context.Background(), memoStudy.Survey, memoStudy.Survey.Names, 0, warmMemo); err != nil {
+		if _, err := analysis.BottlenecksMemo(context.Background(), sv, sv.Names, 0, warmMemo); err != nil {
 			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
 			os.Exit(1)
 		}
-		analysis.SummarizeMemo(memoStudy.Survey, memoStudy.Survey.Names, warmMemo)
+		analysis.SummarizeMemo(sv, sv.Names, warmMemo)
 		run("ChainMemoSecondPass/second", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				memoPass(b, warmMemo)

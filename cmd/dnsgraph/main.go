@@ -16,7 +16,6 @@ import (
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -42,13 +41,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dnsgraph: %v\n", err)
 		os.Exit(1)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(context.Background(), *name)
+	survey, err := crawler.Run(context.Background(), r, []string{*name}, nil, crawler.Config{})
+	if err == nil {
+		err = survey.Failed[*name]
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnsgraph: walking %s: %v\n", *name, err)
 		os.Exit(1)
 	}
-	g := crawler.FromSnapshot(w.Snapshot(map[string][]string{*name: chain}, nil)).Graph
+	g := survey.Graph
 
 	switch *format {
 	case "dot":

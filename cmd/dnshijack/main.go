@@ -22,7 +22,6 @@ import (
 	"dnstrust/internal/analysis"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/hijack"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -57,20 +56,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(ctx, *target)
+	survey, err := crawler.Run(ctx, r, []string{*target}, reg.ProbeFunc(nil), crawler.Config{})
+	if err == nil {
+		err = survey.Failed[*target]
+	}
 	if err != nil {
 		fatal(fmt.Errorf("walking %s: %w", *target, err))
-	}
-	survey := crawler.FromSnapshot(w.Snapshot(map[string][]string{*target: chain}, nil))
-	probe := reg.ProbeFunc(nil)
-	for _, h := range survey.Graph.Hosts() {
-		if banner, err := probe(ctx, h); err == nil {
-			survey.Banner[h] = banner
-			if vulns := survey.DB.VulnsForBanner(banner); len(vulns) > 0 {
-				survey.Vulns[h] = vulns
-			}
-		}
 	}
 
 	if *plan {

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"dnstrust/internal/crawler"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -26,13 +25,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := resolver.NewWalker(r)
 	const name = "www.cs.cornell.edu"
-	chain, err := w.WalkName(ctx, name)
+	survey, err := crawler.Run(ctx, r, []string{name}, nil, crawler.Config{})
+	if err == nil {
+		err = survey.Failed[name]
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := crawler.FromSnapshot(w.Snapshot(map[string][]string{name: chain}, nil)).Graph
+	g := survey.Graph
 
 	tcb, err := g.TCB(name)
 	if err != nil {

@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"sort"
 
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnswire"
 	"dnstrust/internal/hijack"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -33,26 +33,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(ctx, target)
+	survey, err := crawler.Run(ctx, r, []string{target}, reg.ProbeFunc(nil), crawler.Config{})
+	if err == nil {
+		err = survey.Failed[target]
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	survey := crawler.FromSnapshot(w.Snapshot(map[string][]string{target: chain}, nil))
 
 	fmt.Printf("dependency chain of %s:\n", target)
-	probe := reg.ProbeFunc(nil)
-	for _, h := range survey.Graph.Hosts() {
-		banner, err := probe(ctx, h)
-		if err != nil {
-			continue
-		}
-		shown := banner
+	hosts := append([]string(nil), survey.Graph.Hosts()...)
+	sort.Strings(hosts)
+	for _, h := range hosts {
+		shown := survey.Banner[h]
 		if shown == "" {
 			shown = "(hidden)"
 		}
-		vulns := survey.DB.VulnsForBanner(banner)
-		if len(vulns) > 0 {
+		if vulns := survey.Vulns[h]; len(vulns) > 0 {
 			var names []string
 			for _, v := range vulns {
 				names = append(names, v.Name)

@@ -11,9 +11,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"dnstrust/internal/crawler"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -37,27 +37,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(ctx, target)
+	survey, err := crawler.Run(ctx, r, []string{target}, live.VersionBind, crawler.Config{})
+	if err == nil {
+		err = survey.Failed[target]
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	survey := crawler.FromSnapshot(w.Snapshot(map[string][]string{target: chain}, nil))
 	fmt.Printf("\ncrawled %s over UDP/TCP: %d queries, %d zones, %d nameservers\n",
-		target, w.Queries(), survey.Graph.NumZones(), survey.Graph.NumHosts())
+		target, survey.Stats.Walker.Queries, survey.Graph.NumZones(), survey.Graph.NumHosts())
 
-	// Fingerprint over the wire, too.
-	vulnerable := 0
-	for _, h := range survey.Graph.Hosts() {
-		banner, err := live.VersionBind(ctx, h)
-		if err != nil {
-			continue
-		}
-		survey.Banner[h] = banner
-		if vulns := survey.DB.VulnsForBanner(banner); len(vulns) > 0 {
-			survey.Vulns[h] = vulns
-			vulnerable++
-			fmt.Printf("  %-24s %-14s %d known exploits\n", h, banner, len(vulns))
+	// The crawl fingerprinted every server over the wire, too.
+	vulnerable := survey.VulnerableHosts()
+	hosts := append([]string(nil), survey.Graph.Hosts()...)
+	sort.Strings(hosts)
+	for _, h := range hosts {
+		if vulns := survey.Vulns[h]; len(vulns) > 0 {
+			fmt.Printf("  %-24s %-14s %d known exploits\n", h, survey.Banner[h], len(vulns))
 		}
 	}
 
@@ -79,11 +75,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dw := resolver.NewWalker(dr)
-	if _, err := dw.WalkName(ctx, target); err != nil {
+	direct, err := crawler.Run(ctx, dr, []string{target}, nil, crawler.Config{})
+	if err == nil {
+		err = direct.Failed[target]
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
-	directHosts := dw.Snapshot(nil, nil).Hosts()
+	directHosts := direct.Graph.Hosts()
 	wireHosts := survey.Graph.Hosts()
 	if len(directHosts) == len(wireHosts) {
 		fmt.Printf("\nwire crawl matches in-memory crawl: %d nameservers discovered by both\n", len(wireHosts))

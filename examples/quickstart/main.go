@@ -17,12 +17,17 @@ func main() {
 
 	// A small world: 3000 web names over a few thousand zones. The
 	// paper's scale is Names: 593160.
-	study, err := dnstrust.NewStudy(ctx, dnstrust.Options{Seed: 1, Names: 3000})
+	m, err := dnstrust.Open(ctx, dnstrust.Options{Seed: 1, Names: 3000})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer m.Close()
+	v, err := m.Add(ctx, m.World().Corpus...)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sum := study.Summary()
+	sum := v.Summary()
 	fmt.Printf("surveyed %d names across %d nameservers\n", sum.Names, sum.Servers)
 	fmt.Printf("TCB size: median %d, mean %.1f, max %d\n",
 		sum.TCB.Median(), sum.TCB.Mean(), sum.TCB.Max())
@@ -35,8 +40,8 @@ func main() {
 		100*float64(sum.AffectedNames)/float64(sum.Names))
 
 	// Inspect one name's dependency set.
-	name := study.Survey.Names[0]
-	tcb, err := study.TCB(name)
+	name := v.Survey().Names[0]
+	tcb, err := v.TCB(name)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func main() {
 	}
 
 	// How hard is a complete hijack of that name?
-	res, err := study.Bottleneck(name)
+	res, err := v.Bottleneck(name)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +63,7 @@ func main() {
 		name, res.Size, res.VulnInCut, res.SafeInCut)
 
 	// The paper's §5 stopgap: audit where the trust actually goes.
-	findings, err := study.Audit(name)
+	findings, err := v.Audit(name)
 	if err != nil {
 		log.Fatal(err)
 	}

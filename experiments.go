@@ -11,7 +11,6 @@ import (
 	"dnstrust/internal/dnsname"
 	"dnstrust/internal/hijack"
 	"dnstrust/internal/report"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -82,17 +81,10 @@ func within(x, lo, hi float64) bool { return x >= lo && x <= hi }
 // runFigure1 reproduces the qualitative delegation graph of Figure 1 on
 // the hand-built Cornell world (independent of the surveyed corpus).
 func runFigure1(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) {
-	reg := topology.Figure1World()
-	r, err := reg.Resolver(nil)
+	survey, err := surveyScenario(ctx, topology.Figure1World(), "www.cs.cornell.edu")
 	if err != nil {
 		return nil, err
 	}
-	walker := resolver.NewWalker(r)
-	chain, err := walker.WalkName(ctx, "www.cs.cornell.edu")
-	if err != nil {
-		return nil, err
-	}
-	survey := surveyFromWalk(walker, "www.cs.cornell.edu", chain)
 	g := survey.Graph
 
 	tcb, err := g.TCB("www.cs.cornell.edu")
@@ -134,11 +126,19 @@ func runFigure1(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error)
 	}, nil
 }
 
-// surveyFromWalk packages a single hand-built walk as a Survey (no
-// version probing: scenario worlds carry their banners separately).
-func surveyFromWalk(w *resolver.Walker, name string, chain []string) *crawler.Survey {
-	snap := w.Snapshot(map[string][]string{name: chain}, nil)
-	return crawler.FromSnapshot(snap)
+// surveyScenario crawls the one name a hand-built scenario world is about
+// through the same engine that surveys a corpus, fingerprinting against
+// the registry's banners.
+func surveyScenario(ctx context.Context, reg *topology.Registry, name string) (*crawler.Survey, error) {
+	r, err := reg.Resolver(nil)
+	if err != nil {
+		return nil, err
+	}
+	survey, err := crawler.Run(ctx, r, []string{name}, reg.ProbeFunc(nil), crawler.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return survey, survey.Failed[name]
 }
 
 func runFigure2(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
@@ -476,36 +476,37 @@ func runTableB(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runTableC(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) {
-	reg := topology.FBIWorld()
-	r, err := reg.Resolver(nil)
+	survey, err := surveyScenario(ctx, topology.FBIWorld(), "www.fbi.gov")
 	if err != nil {
 		return nil, err
 	}
-	walker := resolver.NewWalker(r)
-	chain, err := walker.WalkName(ctx, "www.fbi.gov")
-	if err != nil {
-		return nil, err
-	}
-	survey := surveyFromWalk(walker, "www.fbi.gov", chain)
-	// Fingerprint against the registry banners.
-	probe := reg.ProbeFunc(nil)
+	g := survey.Graph
 	vulnNames := map[string][]string{}
-	for _, h := range survey.Graph.Hosts() {
-		banner, err := probe(ctx, h)
-		if err != nil {
-			continue
-		}
-		survey.Banner[h] = banner
-		if vulns := survey.DB.VulnsForBanner(banner); len(vulns) > 0 {
-			survey.Vulns[h] = vulns
-			for _, v := range vulns {
-				vulnNames[h] = append(vulnNames[h], v.Name)
-			}
+	for h, vulns := range survey.Vulns {
+		for _, v := range vulns {
+			vulnNames[h] = append(vulnNames[h], v.Name)
 		}
 	}
 
+	// Servers are listed by the first zone (in apex order) they serve,
+	// then by name — not in the order the crawl happened to meet them.
+	firstZone := map[string]string{}
+	for _, apex := range g.Zones() {
+		for _, id := range g.ZoneNS(apex) {
+			if h := g.Host(id); firstZone[h] == "" || apex < firstZone[h] {
+				firstZone[h] = apex
+			}
+		}
+	}
+	hosts := append([]string(nil), g.Hosts()...)
+	sort.Slice(hosts, func(i, j int) bool {
+		if zi, zj := firstZone[hosts[i]], firstZone[hosts[j]]; zi != zj {
+			return zi < zj
+		}
+		return hosts[i] < hosts[j]
+	})
 	tb := report.NewTable("T-C: the fbi.gov dependency chain", "server", "version.bind", "known exploits")
-	for _, h := range survey.Graph.Hosts() {
+	for _, h := range hosts {
 		tb.AddRow(h, orHidden(survey.Banner[h]), fmt.Sprintf("%v", vulnNames[h]))
 	}
 	if err := tb.Write(w); err != nil {
@@ -546,17 +547,10 @@ func orHidden(banner string) string {
 }
 
 func runTableD(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) {
-	reg := topology.UkraineWorld()
-	r, err := reg.Resolver(nil)
+	survey, err := surveyScenario(ctx, topology.UkraineWorld(), "www.rkc.lviv.ua")
 	if err != nil {
 		return nil, err
 	}
-	walker := resolver.NewWalker(r)
-	chain, err := walker.WalkName(ctx, "www.rkc.lviv.ua")
-	if err != nil {
-		return nil, err
-	}
-	survey := surveyFromWalk(walker, "www.rkc.lviv.ua", chain)
 	tcb, err := survey.Graph.TCB("www.rkc.lviv.ua")
 	if err != nil {
 		return nil, err

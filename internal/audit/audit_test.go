@@ -7,36 +7,29 @@ import (
 
 	"dnstrust/internal/audit"
 	"dnstrust/internal/crawler"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
-// fbiSurvey builds a fingerprinted survey of the FBI world.
-func fbiSurvey(t *testing.T) *crawler.Survey {
+// scenarioSurvey crawls and fingerprints one name of a hand-built world.
+func scenarioSurvey(t *testing.T, reg *topology.Registry, name string) *crawler.Survey {
 	t.Helper()
-	reg := topology.FBIWorld()
 	r, err := reg.Resolver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(context.Background(), "www.fbi.gov")
+	s, err := crawler.Run(context.Background(), r, []string{name}, reg.ProbeFunc(nil), crawler.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := crawler.FromSnapshot(w.Snapshot(map[string][]string{"www.fbi.gov": chain}, nil))
-	probe := reg.ProbeFunc(nil)
-	for _, h := range s.Graph.Hosts() {
-		banner, err := probe(context.Background(), h)
-		if err != nil {
-			continue
-		}
-		s.Banner[h] = banner
-		if v := s.DB.VulnsForBanner(banner); len(v) > 0 {
-			s.Vulns[h] = v
-		}
+	if err := s.Failed[name]; err != nil {
+		t.Fatal(err)
 	}
 	return s
+}
+
+// fbiSurvey builds a fingerprinted survey of the FBI world.
+func fbiSurvey(t *testing.T) *crawler.Survey {
+	return scenarioSurvey(t, topology.FBIWorld(), "www.fbi.gov")
 }
 
 func TestAuditFBIFindsVulnerableDependency(t *testing.T) {
@@ -84,17 +77,7 @@ func TestAuditExternalTrust(t *testing.T) {
 }
 
 func TestAuditUkraineWorstCase(t *testing.T) {
-	reg := topology.UkraineWorld()
-	r, err := reg.Resolver(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(context.Background(), "www.rkc.lviv.ua")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := crawler.FromSnapshot(w.Snapshot(map[string][]string{"www.rkc.lviv.ua": chain}, nil))
+	s := scenarioSurvey(t, topology.UkraineWorld(), "www.rkc.lviv.ua")
 
 	// Low threshold so the Ukraine TCB trips the policy.
 	findings, err := audit.Name(s, "www.rkc.lviv.ua", audit.Policy{MaxTCB: 10})

@@ -66,7 +66,7 @@ type Builder struct {
 	// published (the first non-empty FinishEpoch): from then on readers
 	// can exist and every mutation takes the store lock. Until then the
 	// builder writes lock-free — the whole first batch, and any one-shot
-	// Build/Finish, never pays for synchronization nobody needs.
+	// Finish, never pays for synchronization nobody needs.
 	shared bool
 
 	// epochHosts is the host-table length at the last FinishEpoch: hosts
@@ -408,7 +408,7 @@ func (b *Builder) chainSliceLocked(cid int32) []int32 {
 
 // Finish runs the closure pass (Tarjan condensation + bottom-up server
 // unions + per-chain TCB unions) over the accumulated compact arrays and
-// returns the finished Graph. No snapshot re-walk happens here: all
+// returns the finished Graph. Nothing is re-walked here: all
 // interning was done as events streamed in. Finish is terminal: the
 // builder's intern state is released and no further events may be fed.
 // Long-lived consumers that keep absorbing events between reads use

@@ -1,15 +1,11 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"reflect"
-	"sort"
 	"testing"
 
 	"dnstrust/internal/core"
-	"dnstrust/internal/resolver"
-	"dnstrust/internal/topology"
 )
 
 // TestBuilderDoneExclusive is the regression test for the old
@@ -178,65 +174,6 @@ func TestBuilderNameAlsoNSHost(t *testing.T) {
 	}
 }
 
-// TestBuilderStreamingMatchesBatch drives a real walker with a
-// synchronous observer feeding a Builder — the exact event order a crawl
-// produces — and checks the streamed graph equals the batch Build of the
-// same walker's snapshot.
-func TestBuilderStreamingMatchesBatch(t *testing.T) {
-	reg := topology.Figure1World()
-	r, err := reg.Resolver(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := resolver.NewWalker(r)
-	b := core.NewBuilder(1)
-	w.SetObserver(builderObserver{b})
-
-	const name = "www.cs.cornell.edu"
-	chain, err := w.WalkName(context.Background(), name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Complete(name, chain)
-	streamed := b.Finish()
-	batch := core.Build(w.Snapshot(map[string][]string{name: chain}, nil))
-
-	if streamed.NumZones() != batch.NumZones() || streamed.NumHosts() != batch.NumHosts() {
-		t.Fatalf("shape differs: %d/%d zones, %d/%d hosts",
-			streamed.NumZones(), batch.NumZones(), streamed.NumHosts(), batch.NumHosts())
-	}
-	st, err := streamed.TCB(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := batch.TCB(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, bt) {
-		t.Errorf("TCBs differ:\nstreamed %v\nbatch    %v", st, bt)
-	}
-	for _, apex := range batch.Zones() {
-		sc := closureHosts(streamed, apex)
-		bc := closureHosts(batch, apex)
-		if !reflect.DeepEqual(sc, bc) {
-			t.Errorf("closure(%s) differs:\nstreamed %v\nbatch    %v", apex, sc, bc)
-		}
-	}
-}
-
-// builderObserver feeds walker events straight into a Builder. The test
-// walk is single-goroutine, so no channel hand-off is needed.
-type builderObserver struct{ b *core.Builder }
-
-func (o builderObserver) ZoneDiscovered(apex, _ string, nsHosts []string) {
-	o.b.ObserveZone(apex, nsHosts)
-}
-
-func (o builderObserver) ChainResolved(key string, chain []string) {
-	o.b.ObserveChain(key, chain)
-}
-
 // TestFinishEpochSnapshotIsolation is the contract the Monitor's View
 // rests on: a Graph returned by FinishEpoch must be immutable — later
 // events absorbed by the same builder, and later epochs, must not change
@@ -321,15 +258,4 @@ func TestTakeLateAttached(t *testing.T) {
 	if b.TakeLateAttached() != nil {
 		t.Error("TakeLateAttached must clear the set")
 	}
-}
-
-// closureHosts returns a zone's closure as sorted host names.
-func closureHosts(g *core.Graph, apex string) []string {
-	ids := g.ZoneClosure(apex)
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.Host(id))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -50,7 +50,8 @@ func (d *Digraph) HostNode(host string) int {
 }
 
 // ReachableZoneIDs returns every zone id reachable from name's delegation
-// chain over the zone dependency graph (the zones of Figure 1's boxes).
+// chain over the zone dependency graph (the zones of Figure 1's boxes),
+// ordered by apex: ids follow the crawl's schedule, listings must not.
 func (g *Graph) ReachableZoneIDs(name string) ([]int32, error) {
 	cid, ok := g.NameChainID(name)
 	if !ok {
@@ -73,7 +74,7 @@ func (g *Graph) ReachableZoneIDs(name string) ([]int32, error) {
 			}
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+	sort.Slice(queue, func(i, j int) bool { return g.zones[queue[i]] < g.zones[queue[j]] })
 	return queue, nil
 }
 
@@ -190,11 +191,21 @@ func (g *Graph) Digraph(name string) (*Digraph, error) {
 // level, mirroring Figure 1 of the paper: one box (cluster) per zone
 // listing its nameservers, and an arrow from zone to zone for each
 // dependency. Self-loops are omitted for clarity, as in the figure.
+// Boxes and arrows come in apex order and servers in name order, so the
+// text is the same whatever order the crawl interned them in.
 func (g *Graph) DOT(name string) (string, error) {
 	name = dnsname.Canonical(name)
 	zoneIDs, err := g.ReachableZoneIDs(name)
 	if err != nil {
 		return "", err
+	}
+	// ns[z] lists zone z's servers by name; the first anchors its arrows.
+	ns := make(map[int32][]string, len(zoneIDs))
+	for _, z := range zoneIDs {
+		for _, h := range g.zoneNS[z] {
+			ns[z] = append(ns[z], g.hosts[h])
+		}
+		sort.Strings(ns[z])
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", name)
@@ -204,38 +215,39 @@ func (g *Graph) DOT(name string) (string, error) {
 	for _, z := range zoneIDs {
 		apex := g.zones[z]
 		fmt.Fprintf(&sb, "  subgraph \"cluster_%s\" {\n    label=%q;\n", apex, apex)
-		for _, h := range g.zoneNS[z] {
-			fmt.Fprintf(&sb, "    %q;\n", g.hosts[h])
+		for _, h := range ns[z] {
+			fmt.Fprintf(&sb, "    %q;\n", h)
 		}
 		sb.WriteString("  }\n")
 	}
 
-	// Name -> its chain zones' first servers (visual anchor to each box).
+	// Name -> its authoritative zone's first server (visual anchor to
+	// the box).
 	var chain []int32
 	if cid, ok := g.NameChainID(name); ok {
 		chain = g.chains[cid]
 	}
 	if len(chain) > 0 {
 		az := chain[len(chain)-1]
-		if len(g.zoneNS[az]) > 0 {
-			fmt.Fprintf(&sb, "  %q -> %q [lhead=\"cluster_%s\"];\n",
-				name, g.hosts[g.zoneNS[az][0]], g.zones[az])
+		if len(ns[az]) > 0 {
+			fmt.Fprintf(&sb, "  %q -> %q [lhead=\"cluster_%s\"];\n", name, ns[az][0], g.zones[az])
 		}
 	}
 
-	// Zone -> zone dependency edges (deduplicated, self-loops dropped).
+	// Zone -> zone dependency edges (self-loops dropped). Every zone a
+	// reachable zone depends on is itself reachable, so zoneIDs lists
+	// each target once, in apex order.
 	for _, z := range zoneIDs {
-		seen := map[int32]bool{}
+		dep := map[int32]bool{}
 		for _, w := range g.zoneAdj[z] {
-			if w == z || seen[w] {
-				continue
-			}
-			seen[w] = true
-			if len(g.zoneNS[z]) == 0 || len(g.zoneNS[w]) == 0 {
+			dep[w] = true
+		}
+		for _, w := range zoneIDs {
+			if w == z || !dep[w] || len(ns[z]) == 0 || len(ns[w]) == 0 {
 				continue
 			}
 			fmt.Fprintf(&sb, "  %q -> %q [ltail=\"cluster_%s\", lhead=\"cluster_%s\"];\n",
-				g.hosts[g.zoneNS[z][0]], g.hosts[g.zoneNS[w][0]], g.zones[z], g.zones[w])
+				ns[z][0], ns[w][0], g.zones[z], g.zones[w])
 		}
 	}
 	sb.WriteString("}\n")

@@ -27,15 +27,14 @@ import (
 	"sync"
 
 	"dnstrust/internal/dnsname"
-	"dnstrust/internal/resolver"
 )
 
 // Graph is the zone-level dependency structure extracted from a crawl at
-// one committed epoch. Build one incrementally with a Builder (or from a
-// snapshot with Build); it is immutable (and safe for concurrent use)
-// afterwards — later epochs of the same builder share its storage
-// copy-on-write instead of mutating it. Accessors deliberately share
-// the append-only interned tables instead of copying (shared-returns).
+// one committed epoch. Build one incrementally with a Builder; it is
+// immutable (and safe for concurrent use) afterwards — later epochs of
+// the same builder share its storage copy-on-write instead of mutating
+// it. Accessors deliberately share the append-only interned tables
+// instead of copying (shared-returns).
 //
 //lint:immutable shared-returns
 type Graph struct {
@@ -70,35 +69,6 @@ type Graph struct {
 
 	namesOnce sync.Once
 	names     []string
-}
-
-// Build constructs the dependency graph from a crawl snapshot. It is the
-// batch-mode compatibility path over the incremental Builder: the
-// snapshot's zones, host chains, and name chains are replayed as events
-// and finished in one pass.
-func Build(snap *resolver.Snapshot) *Graph {
-	b := NewBuilder(len(snap.NameChain))
-
-	// Zones are replayed in sorted apex order so batch-built graphs have
-	// deterministic intern ids (streamed graphs intern in arrival order).
-	apexes := make([]string, 0, len(snap.Zones))
-	for apex := range snap.Zones {
-		if apex == "" {
-			continue
-		}
-		apexes = append(apexes, apex)
-	}
-	sort.Strings(apexes)
-	for _, apex := range apexes {
-		b.ObserveZone(apex, snap.Zones[apex].NSHosts)
-	}
-	for host, chain := range snap.HostChain {
-		b.ObserveChain(host, chain)
-	}
-	for name, chain := range snap.NameChain {
-		b.Complete(name, chain)
-	}
-	return b.Finish()
 }
 
 // Epoch reports the builder epoch this graph was finalized at (1 for the

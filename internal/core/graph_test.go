@@ -19,15 +19,29 @@ func crawl(t *testing.T, reg *topology.Registry, names ...string) *core.Graph {
 		t.Fatal(err)
 	}
 	w := resolver.NewWalker(r)
-	chains := map[string][]string{}
+	b := core.NewBuilder(len(names))
+	w.SetObserver(builderObserver{b})
 	for _, n := range names {
 		chain, err := w.WalkName(context.Background(), n)
 		if err != nil {
 			t.Fatalf("WalkName(%q): %v", n, err)
 		}
-		chains[n] = chain
+		b.Complete(n, chain)
 	}
-	return core.Build(w.Snapshot(chains, nil))
+	return b.Finish()
+}
+
+// builderObserver feeds walker events straight into a Builder — the
+// event order a crawl produces. The test walks are single-goroutine, so
+// no channel hand-off is needed.
+type builderObserver struct{ b *core.Builder }
+
+func (o builderObserver) ZoneDiscovered(apex, _ string, nsHosts []string) {
+	o.b.ObserveZone(apex, nsHosts)
+}
+
+func (o builderObserver) ChainResolved(key string, chain []string) {
+	o.b.ObserveChain(key, chain)
 }
 
 func TestFigure1TCB(t *testing.T) {

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"dnstrust/internal/atomicio"
@@ -80,7 +78,8 @@ type CrawlStats struct {
 	BuildTime time.Duration
 	// Generation stamps the Engine generation this survey was committed
 	// at: 1 for a one-shot Run (its engine's only batch), increasing per
-	// Add on a resident Engine, 0 for snapshot-built surveys.
+	// Add on a resident Engine (a restored engine resumes its saved
+	// count), 0 for a survey no Add committed (FromGraph).
 	Generation int64
 	// LateAttachedHosts lists host ids whose address chain attached
 	// after the host had already appeared in an earlier generation — the
@@ -112,33 +111,9 @@ type Survey struct {
 	Vulns map[string][]vulndb.Vuln
 	// DB is the vulnerability matrix the survey was scored against.
 	DB *vulndb.DB
-	// Stats summarizes the crawl engine's work (zero for surveys built
-	// from a snapshot rather than crawled).
+	// Stats summarizes the crawl engine's work (zero for a FromGraph
+	// survey, which no engine crawled).
 	Stats CrawlStats
-
-	// walker backs the lazy Snapshot reconstruction for crawled surveys.
-	walker   *resolver.Walker
-	snapOnce sync.Once
-	snap     *resolver.Snapshot
-}
-
-// Snapshot returns the legacy string-keyed view of the survey's
-// dependency structure. Crawled surveys no longer materialize it during
-// the crawl — it is reconstructed on first use from the walker's caches
-// and the graph (an O(corpus) string conversion; analyses should prefer
-// the Graph's interned ids).
-func (s *Survey) Snapshot() *resolver.Snapshot {
-	s.snapOnce.Do(func() {
-		if s.snap != nil || s.walker == nil {
-			return
-		}
-		nameChains := make(map[string][]string, len(s.Names))
-		for _, n := range s.Names {
-			nameChains[n] = s.Graph.NameChainZones(n)
-		}
-		s.snap = s.walker.Snapshot(nameChains, s.Failed)
-	})
-	return s.snap
 }
 
 // Vulnerable reports whether a host has at least one known exploit.
@@ -167,25 +142,6 @@ func (s *Survey) VulnerableHosts() int {
 		}
 	}
 	return n
-}
-
-// FromSnapshot packages an existing walker snapshot as a Survey with no
-// fingerprinting performed (callers may fill Banner/Vulns themselves).
-// Useful for hand-built scenario worlds.
-func FromSnapshot(snap *resolver.Snapshot) *Survey {
-	s := &Survey{
-		Graph:  core.Build(snap),
-		snap:   snap,
-		Failed: snap.Failed,
-		Banner: make(map[string]string),
-		Vulns:  make(map[string][]vulndb.Vuln),
-		DB:     vulndb.Default(),
-	}
-	for name := range snap.NameChain {
-		s.Names = append(s.Names, name)
-	}
-	sort.Strings(s.Names)
-	return s
 }
 
 // eventKind tags one entry of the crawl's unified event stream.

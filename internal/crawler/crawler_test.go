@@ -82,6 +82,12 @@ func TestSurveyDeterministic(t *testing.T) {
 		if a != b {
 			t.Fatalf("TCB(%s) differs: %d vs %d", s1.Names[i], a, b)
 		}
+		// Rendering must not leak intern ids, which follow the schedule.
+		da, err1 := s1.Graph.DOT(s1.Names[i])
+		db, err2 := s2.Graph.DOT(s2.Names[i])
+		if err1 != nil || err2 != nil || da != db {
+			t.Fatalf("DOT(%s) differs across parallelism (errors %v, %v)", s1.Names[i], err1, err2)
+		}
 	}
 }
 

@@ -97,7 +97,6 @@ func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string
 		Vulns:  map[string][]vulndb.Vuln{},
 		DB:     e.db,
 		Stats:  CrawlStats{MemoLoaded: e.memoLoaded},
-		walker: w,
 	})
 	return e, nil
 }
@@ -273,7 +272,6 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 			LateAttachedHosts: late,
 			FailuresRetried:   retried,
 		},
-		walker: e.w,
 	}
 	e.view.Store(s)
 	return s, nil

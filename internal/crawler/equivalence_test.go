@@ -10,20 +10,25 @@ import (
 	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/mincut"
+	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
-// TestIncrementalBuildMatchesLegacy is the equivalence property test for
-// the streaming graph pipeline: on randomized generator worlds, the
-// graph assembled incrementally during a parallel crawl must be
-// semantically identical — same names, same host/zone sets, same zone
-// closures, same TCBs, same min-cuts — to the legacy batch Build over
-// the reconstructed snapshot. Intern ids may differ (arrival order vs
-// sorted order); everything observable through names must not.
-func TestIncrementalBuildMatchesLegacy(t *testing.T) {
+// TestSharedCrawlMatchesIsolatedWalks is the equivalence property test
+// for the crawl engine. A parallel crawl answers every name from one
+// walker whose zone, chain and address caches, single-flight groups and
+// query memo are shared by all workers and all names; the reference
+// shares nothing: each name is walked alone, by a fresh Walker feeding a
+// fresh Builder on the test goroutine. On randomized generator worlds
+// the two must agree on everything observable through names — each
+// name's TCB host set, the min-cut size and minimized safe count (graph
+// invariants) on every 13th name, and the set of hosts discovered
+// overall.
+func TestSharedCrawlMatchesIsolatedWalks(t *testing.T) {
 	for _, seed := range []int64{7, 21, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			ctx := context.Background()
 			world, err := topology.Generate(topology.GenParams{Seed: seed, Names: 500})
 			if err != nil {
 				t.Fatal(err)
@@ -33,89 +38,89 @@ func TestIncrementalBuildMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := crawler.Run(context.Background(), r, world.Corpus,
+			s, err := crawler.Run(ctx, r, world.Corpus,
 				world.Registry.ProbeFunc(tr), crawler.Config{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamed := s.Graph
-			legacy := core.Build(s.Snapshot())
-
-			// Same surveyed names.
-			if got, want := streamed.Names(), legacy.Names(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("name sets differ: %d vs %d names", len(got), len(want))
-			}
-			// Same host and zone sets (ids may differ; sets must not).
-			if got, want := sortedCopy(streamed.Hosts()), sortedCopy(legacy.Hosts()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("host sets differ: %d vs %d hosts", len(got), len(want))
-			}
-			if got, want := sortedCopy(streamed.Zones()), sortedCopy(legacy.Zones()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("zone sets differ: %d vs %d zones", len(got), len(want))
-			}
-
-			// Same closure per zone.
-			for _, apex := range legacy.Zones() {
-				if got, want := closureSet(streamed, apex), closureSet(legacy, apex); !reflect.DeepEqual(got, want) {
-					t.Fatalf("closure(%s) differs:\nstreamed %v\nlegacy   %v", apex, got, want)
-				}
-			}
-
-			// Same TCB per name (TCB() returns sorted host names).
-			for _, n := range legacy.Names() {
-				st, err1 := streamed.TCB(n)
-				lt, err2 := legacy.TCB(n)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("TCB(%s) error mismatch: %v vs %v", n, err1, err2)
-				}
-				if !reflect.DeepEqual(st, lt) {
-					t.Fatalf("TCB(%s) differs:\nstreamed %v\nlegacy   %v", n, st, lt)
-				}
-			}
-
-			// Same min-cuts on a sample of names (min-cut size and the
-			// minimized safe count are graph invariants).
 			vuln := func(h string) bool { return s.Vulnerable(h) }
-			names := legacy.Names()
-			step := len(names)/40 + 1
-			for i := 0; i < len(names); i += step {
-				n := names[i]
-				sd, err1 := streamed.Digraph(n)
-				ld, err2 := legacy.Digraph(n)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("Digraph(%s) error mismatch: %v vs %v", n, err1, err2)
+
+			isolatedHosts := map[string]bool{}
+			for i, n := range world.Corpus {
+				w := resolver.NewWalker(r)
+				b := core.NewBuilder(1)
+				w.SetObserver(builderObserver{b})
+				chain, werr := w.WalkName(ctx, n)
+				if (werr != nil) != (s.Failed[n] != nil) {
+					t.Fatalf("walk(%s) error mismatch: isolated %v, crawl %v", n, werr, s.Failed[n])
 				}
-				if err1 != nil {
+				if werr != nil {
+					b.Fail(n, werr)
+				} else {
+					b.Complete(n, chain)
+				}
+				alone := b.Finish()
+				for _, h := range alone.Hosts() {
+					isolatedHosts[h] = true
+				}
+				if werr != nil {
 					continue
+				}
+
+				want, err1 := alone.TCB(n)
+				got, err2 := s.Graph.TCB(n)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("TCB(%s): isolated %v, crawl %v", n, err1, err2)
+				}
+				if !reflect.DeepEqual(got, want) { // TCB returns sorted host names
+					t.Fatalf("TCB(%s) differs:\ncrawl    %v\nisolated %v", n, got, want)
+				}
+
+				if i%13 != 0 {
+					continue
+				}
+				ad, err1 := alone.Digraph(n)
+				sd, err2 := s.Graph.Digraph(n)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("Digraph(%s): isolated %v, crawl %v", n, err1, err2)
+				}
+				ares, err := mincut.Analyze(ad, vuln)
+				if err != nil {
+					t.Fatal(err)
 				}
 				sres, err := mincut.Analyze(sd, vuln)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lres, err := mincut.Analyze(ld, vuln)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sres.Size != lres.Size || sres.SafeInCut != lres.SafeInCut {
+				if sres.Size != ares.Size || sres.SafeInCut != ares.SafeInCut {
 					t.Fatalf("min-cut(%s) differs: size %d/%d, safe %d/%d",
-						n, sres.Size, lres.Size, sres.SafeInCut, lres.SafeInCut)
+						n, sres.Size, ares.Size, sres.SafeInCut, ares.SafeInCut)
 				}
 			}
+
+			want := make([]string, 0, len(isolatedHosts))
+			for h := range isolatedHosts {
+				want = append(want, h)
+			}
+			sort.Strings(want)
+			got := append([]string(nil), s.Graph.Hosts()...)
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("host sets differ: crawl %d hosts, isolated walks %d", len(got), len(want))
+			}
+			t.Logf("%d names, %d hosts", len(s.Names), len(got))
 		})
 	}
 }
 
-func sortedCopy(s []string) []string {
-	cp := append([]string(nil), s...)
-	sort.Strings(cp)
-	return cp
+// builderObserver feeds one walker's events straight into a Builder; the
+// isolated walks are single-goroutine, so no channel hand-off is needed.
+type builderObserver struct{ b *core.Builder }
+
+func (o builderObserver) ZoneDiscovered(apex, _ string, nsHosts []string) {
+	o.b.ObserveZone(apex, nsHosts)
 }
 
-func closureSet(g *core.Graph, apex string) []string {
-	ids := g.ZoneClosure(apex)
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.Host(id))
-	}
-	sort.Strings(out)
-	return out
+func (o builderObserver) ChainResolved(key string, chain []string) {
+	o.b.ObserveChain(key, chain)
 }

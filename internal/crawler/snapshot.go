@@ -174,7 +174,6 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		Vulns:  maps.Clone(e.vulns),
 		DB:     e.db,
 		Stats:  CrawlStats{Generation: gen, MemoLoaded: e.memoLoaded},
-		walker: w,
 	})
 	return e, nil
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"dnstrust/internal/core"
+	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnswire"
 	"dnstrust/internal/hijack"
 	"dnstrust/internal/mincut"
-	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 )
 
@@ -20,12 +20,14 @@ func fbiGraph(t *testing.T) (*topology.Registry, *core.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(context.Background(), "www.fbi.gov")
+	s, err := crawler.Run(context.Background(), r, []string{"www.fbi.gov"}, nil, crawler.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, core.Build(w.Snapshot(map[string][]string{"www.fbi.gov": chain}, nil))
+	if err := s.Failed["www.fbi.gov"]; err != nil {
+		t.Fatal(err)
+	}
+	return reg, s.Graph
 }
 
 func TestNoAttackUnaffected(t *testing.T) {

@@ -24,9 +24,8 @@ func fnv1a(s string) uint32 {
 }
 
 // cacheShard is one shard of the walker's discovery state. Entries are
-// first-write-wins and logically immutable once stored, so readers may
-// share returned values without copying (Snapshot copies defensively at
-// extraction time).
+// first-write-wins and logically immutable once stored, so readers (and
+// the WalkObserver) may share returned values without copying.
 type cacheShard struct {
 	mu sync.RWMutex
 	// zones caches discovered delegations by apex.

@@ -26,54 +26,6 @@ type ZoneInfo struct {
 	NSHosts []string
 }
 
-// Snapshot is the walker's accumulated view of the DNS dependency
-// structure: every zone discovered, and the delegation chain of every
-// surveyed name and every nameserver host. It is the input to the
-// delegation-graph analyses in internal/core.
-type Snapshot struct {
-	// Zones maps zone apex to its delegation information.
-	Zones map[string]*ZoneInfo
-	// NameChain maps a surveyed name to the apexes of the zones on its
-	// delegation chain, shallowest (TLD) first, root excluded.
-	NameChain map[string][]string
-	// HostChain maps a nameserver host name to the zone chain of its
-	// address resolution, same shape as NameChain.
-	HostChain map[string][]string
-	// Failed maps names that could not be resolved to their error.
-	Failed map[string]error
-}
-
-// NewSnapshot returns an empty snapshot.
-func NewSnapshot() *Snapshot {
-	return &Snapshot{
-		Zones:     make(map[string]*ZoneInfo),
-		NameChain: make(map[string][]string),
-		HostChain: make(map[string][]string),
-		Failed:    make(map[string]error),
-	}
-}
-
-// Hosts returns every nameserver host mentioned by any discovered zone
-// except the root, sorted. This is the survey's "nameservers discovered"
-// set (the paper excludes root servers throughout).
-func (s *Snapshot) Hosts() []string {
-	seen := map[string]bool{}
-	for apex, zi := range s.Zones {
-		if apex == "" {
-			continue
-		}
-		for _, h := range zi.NSHosts {
-			seen[h] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats summarizes a walker's work: how much crossed the transport and
 // how much was absorbed by the memo and single-flight layers.
 type Stats struct {
@@ -95,8 +47,8 @@ type Stats struct {
 
 // WalkObserver receives walker discovery events as they stream in, so a
 // consumer (the crawl's graph assembler) can absorb the dependency
-// structure incrementally instead of extracting a full Snapshot at the
-// end. Callbacks fire exactly once per zone/chain, from whichever walk
+// structure incrementally; it is the only way discoveries leave the
+// walker. Callbacks fire exactly once per zone/chain, from whichever walk
 // goroutine made the discovery, and crucially *before* the discovery
 // becomes visible to any other walk goroutine: an implementation that
 // forwards events into one FIFO channel therefore observes every zone
@@ -373,8 +325,8 @@ func (w *Walker) newWalkCtx() *walkCtx {
 
 // WalkName discovers the complete dependency structure of name: its own
 // delegation chain plus, transitively, the chains of every nameserver
-// host involved. Results accumulate in the walker's caches; use Snapshot
-// to extract them. It returns the name's own zone chain.
+// host involved. Discoveries stream to the WalkObserver and stay cached
+// for later walks. It returns the name's own zone chain.
 func (w *Walker) WalkName(ctx context.Context, name string) ([]string, error) {
 	name = dnsname.Canonical(name)
 	wc := w.newWalkCtx()
@@ -848,34 +800,4 @@ func (w *Walker) dispatch(ctx context.Context, zone string, servers []ServerAddr
 		return resp, nil
 	}
 	return nil, lastErr
-}
-
-// Snapshot extracts the accumulated dependency structure from the
-// sharded caches. nameChains maps each surveyed name to its chain
-// (collected from WalkName calls); failed maps names whose walk failed.
-func (w *Walker) Snapshot(nameChains map[string][]string, failed map[string]error) *Snapshot {
-	s := NewSnapshot()
-	for i := range w.shards {
-		sh := &w.shards[i]
-		sh.mu.RLock()
-		for apex, zi := range sh.zones {
-			cp := *zi
-			cp.NSHosts = append([]string(nil), zi.NSHosts...)
-			s.Zones[apex] = &cp
-		}
-		for host, chain := range sh.chains {
-			s.HostChain[host] = append([]string(nil), chain...)
-		}
-		for host, err := range sh.hostErr {
-			s.Failed[host] = err
-		}
-		sh.mu.RUnlock()
-	}
-	for name, chain := range nameChains {
-		s.NameChain[name] = append([]string(nil), chain...)
-	}
-	for name, err := range failed {
-		s.Failed[name] = err
-	}
-	return s
 }

@@ -3,6 +3,8 @@ package resolver_test
 import (
 	"context"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,45 @@ func newWalker(t *testing.T, reg *topology.Registry) *resolver.Walker {
 	return resolver.NewWalker(r)
 }
 
+// recorder is a WalkObserver that keeps what the walker announces: the
+// event stream the crawl engine builds its graph from, and the only way
+// discoveries leave a Walker.
+type recorder struct {
+	mu     sync.Mutex
+	zones  map[string][]string // apex -> NS hosts
+	chains map[string][]string // NS host or walked name -> zone chain
+}
+
+// record installs a fresh recorder on w; call it before the first walk.
+func record(w *resolver.Walker) *recorder {
+	rec := &recorder{zones: map[string][]string{}, chains: map[string][]string{}}
+	w.SetObserver(rec)
+	return rec
+}
+
+func (r *recorder) ZoneDiscovered(apex, _ string, nsHosts []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.zones[apex] = nsHosts
+}
+
+func (r *recorder) ChainResolved(key string, chain []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.chains[key] = chain
+}
+
+// hosts returns every nameserver host of every announced zone, sorted —
+// the survey's "nameservers discovered" set (the root is never announced).
+func (r *recorder) hosts() []string {
+	var out []string
+	for _, ns := range r.zones {
+		out = append(out, ns...)
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
+}
+
 func TestWalkNameChain(t *testing.T) {
 	reg := topology.FBIWorld()
 	w := newWalker(t, reg)
@@ -37,20 +78,20 @@ func TestWalkNameChain(t *testing.T) {
 func TestWalkDiscoversTransitiveZones(t *testing.T) {
 	reg := topology.FBIWorld()
 	w := newWalker(t, reg)
+	rec := record(w)
 	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot(map[string][]string{}, nil)
 	// The walk must discover the full dependency tail:
 	// fbi.gov -> sprintip.com (com) -> telemail.net (net) -> gtld/gov-servers.
 	for _, apex := range []string{"gov", "fbi.gov", "com", "sprintip.com", "net", "telemail.net", "gov-servers.net", "gtld-servers.net"} {
-		if _, ok := snap.Zones[apex]; !ok {
-			t.Errorf("zone %q not discovered; have %v", apex, keys(snap.Zones))
+		if _, ok := rec.zones[apex]; !ok {
+			t.Errorf("zone %q not discovered; have %v", apex, keys(rec.zones))
 		}
 	}
 }
 
-func keys(m map[string]*resolver.ZoneInfo) []string {
+func keys(m map[string][]string) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k)
@@ -61,20 +102,20 @@ func keys(m map[string]*resolver.ZoneInfo) []string {
 func TestWalkHostChains(t *testing.T) {
 	reg := topology.FBIWorld()
 	w := newWalker(t, reg)
+	rec := record(w)
 	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot(nil, nil)
 	// dns.sprintip.com's address chain runs through com then sprintip.com.
-	chain, ok := snap.HostChain["dns.sprintip.com"]
+	chain, ok := rec.chains["dns.sprintip.com"]
 	if !ok {
-		t.Fatalf("no host chain for dns.sprintip.com; have %v", snap.HostChain)
+		t.Fatalf("no host chain for dns.sprintip.com; have %v", rec.chains)
 	}
 	if !reflect.DeepEqual(chain, []string{"com", "sprintip.com"}) {
 		t.Errorf("chain = %v", chain)
 	}
 	// reston-ns2.telemail.net's chain runs through net then telemail.net.
-	chain, ok = snap.HostChain["reston-ns2.telemail.net"]
+	chain, ok = rec.chains["reston-ns2.telemail.net"]
 	if !ok {
 		t.Fatal("no host chain for reston-ns2.telemail.net")
 	}
@@ -115,10 +156,10 @@ func TestWalkMemoization(t *testing.T) {
 func TestWalkFigure1Dependencies(t *testing.T) {
 	reg := topology.Figure1World()
 	w := newWalker(t, reg)
+	rec := record(w)
 	if _, err := w.WalkName(context.Background(), "www.cs.cornell.edu"); err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot(nil, nil)
 	// The paper's headline example: www.cs.cornell.edu depends indirectly
 	// on a nameserver in umich.edu via rochester -> wisc -> umich.
 	for _, apex := range []string{
@@ -127,11 +168,11 @@ func TestWalkFigure1Dependencies(t *testing.T) {
 		"cs.wisc.edu", "wisc.edu", "itd.umich.edu", "umich.edu",
 		"nstld.com", "gtld-servers.net",
 	} {
-		if _, ok := snap.Zones[apex]; !ok {
+		if _, ok := rec.zones[apex]; !ok {
 			t.Errorf("zone %q missing from the dependency walk", apex)
 		}
 	}
-	hosts := snap.Hosts()
+	hosts := rec.hosts()
 	found := false
 	for _, h := range hosts {
 		if h == "dns2.itd.umich.edu" {
@@ -146,23 +187,24 @@ func TestWalkFigure1Dependencies(t *testing.T) {
 func TestWalkUkraineWorstCase(t *testing.T) {
 	reg := topology.UkraineWorld()
 	w := newWalker(t, reg)
+	rec := record(w)
 	if _, err := w.WalkName(context.Background(), "www.rkc.lviv.ua"); err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot(nil, nil)
 	// The Ukrainian chain reaches US universities and Australia.
 	for _, apex := range []string{"ua", "lviv.ua", "rkc.lviv.ua", "berkeley.edu", "monash.edu.au", "telstra.net"} {
-		if _, ok := snap.Zones[apex]; !ok {
+		if _, ok := rec.zones[apex]; !ok {
 			t.Errorf("zone %q missing", apex)
 		}
 	}
-	if len(snap.Hosts()) < 15 {
-		t.Errorf("only %d hosts discovered; the Ukraine scenario should fan out wide", len(snap.Hosts()))
+	hosts := rec.hosts()
+	if len(hosts) < 15 {
+		t.Errorf("only %d hosts discovered; the Ukraine scenario should fan out wide", len(hosts))
 	}
 	// The paper's point: a Ukrainian name depends on servers in the US and
 	// Australia.
 	hostSet := map[string]bool{}
-	for _, h := range snap.Hosts() {
+	for _, h := range hosts {
 		hostSet[h] = true
 	}
 	for _, h := range []string{"ns.berkeley.edu", "ns.monash.edu.au", "ns1.stanford.edu", "ns.telstra.net"} {
@@ -219,6 +261,7 @@ func TestWalkStressOverlappingCorpus(t *testing.T) {
 
 	// Serial reference.
 	serial := newWalker(t, world.Registry)
+	ss := record(serial)
 	for _, n := range world.Corpus {
 		if _, err := serial.WalkName(context.Background(), n); err != nil {
 			t.Fatalf("serial walk %s: %v", n, err)
@@ -226,6 +269,7 @@ func TestWalkStressOverlappingCorpus(t *testing.T) {
 	}
 
 	concurrent := newWalker(t, world.Registry)
+	cs := record(concurrent)
 	const goroutines = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -257,12 +301,11 @@ func TestWalkStressOverlappingCorpus(t *testing.T) {
 	}
 
 	// The discovered worlds must be identical.
-	ss, cs := serial.Snapshot(nil, nil), concurrent.Snapshot(nil, nil)
-	if !reflect.DeepEqual(ss.Hosts(), cs.Hosts()) {
+	if !reflect.DeepEqual(ss.hosts(), cs.hosts()) {
 		t.Error("serial and concurrent walks discovered different host sets")
 	}
-	if len(ss.Zones) != len(cs.Zones) {
-		t.Errorf("zone counts differ: serial=%d concurrent=%d", len(ss.Zones), len(cs.Zones))
+	if len(ss.zones) != len(cs.zones) {
+		t.Errorf("zone counts differ: serial=%d concurrent=%d", len(ss.zones), len(cs.zones))
 	}
 }
 
@@ -305,8 +348,8 @@ func TestWalkCancellationIsolation(t *testing.T) {
 			t.Fatalf("walk %s after unrelated cancellation: %v", n, err)
 		}
 	}
-	for host, err := range w.Snapshot(nil, nil).Failed {
-		t.Errorf("cancellation leaked into cached failure: %s: %v", host, err)
+	if n := w.ForgetFailures(); n != 0 {
+		t.Errorf("cancellation leaked into %d cached failures", n)
 	}
 }
 
@@ -320,20 +363,6 @@ func TestWalkLameHostRecorded(t *testing.T) {
 	w := newWalker(t, reg)
 	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatalf("walk should survive a lame host: %v", err)
-	}
-}
-
-func TestSnapshotHostsSorted(t *testing.T) {
-	reg := topology.FBIWorld()
-	w := newWalker(t, reg)
-	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
-		t.Fatal(err)
-	}
-	hosts := w.Snapshot(nil, nil).Hosts()
-	for i := 1; i < len(hosts); i++ {
-		if hosts[i-1] >= hosts[i] {
-			t.Errorf("hosts not sorted at %d: %q >= %q", i, hosts[i-1], hosts[i])
-		}
 	}
 }
 

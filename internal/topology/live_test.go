@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"dnstrust/internal/dnswire"
@@ -34,34 +35,26 @@ func TestLiveEndToEnd(t *testing.T) {
 	}
 
 	// Walk dependencies over the wire.
+	liveHosts := nsHostSet{}
 	w := resolver.NewWalker(r)
-	chain, err := w.WalkName(context.Background(), "www.fbi.gov")
-	if err != nil {
+	w.SetObserver(liveHosts)
+	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatal(err)
 	}
-	liveSnap := w.Snapshot(map[string][]string{"www.fbi.gov": chain}, nil)
 
 	// Compare against the direct in-memory walk.
 	dr, err := reg.Resolver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	directHosts := nsHostSet{}
 	dw := resolver.NewWalker(dr)
-	dchain, err := dw.WalkName(context.Background(), "www.fbi.gov")
-	if err != nil {
+	dw.SetObserver(directHosts)
+	if _, err := dw.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatal(err)
 	}
-	directSnap := dw.Snapshot(map[string][]string{"www.fbi.gov": dchain}, nil)
-
-	liveHosts := liveSnap.Hosts()
-	directHosts := directSnap.Hosts()
-	if len(liveHosts) != len(directHosts) {
-		t.Fatalf("live crawl found %d hosts, direct %d", len(liveHosts), len(directHosts))
-	}
-	for i := range liveHosts {
-		if liveHosts[i] != directHosts[i] {
-			t.Fatalf("host %d differs: %s vs %s", i, liveHosts[i], directHosts[i])
-		}
+	if len(liveHosts) == 0 || !reflect.DeepEqual(liveHosts, directHosts) {
+		t.Fatalf("live crawl found hosts %v, direct %v", liveHosts, directHosts)
 	}
 
 	// version.bind over the wire.
@@ -73,3 +66,15 @@ func TestLiveEndToEnd(t *testing.T) {
 		t.Errorf("live banner = %q", banner)
 	}
 }
+
+// nsHostSet is a resolver.WalkObserver collecting every nameserver host
+// a single-goroutine walk announces.
+type nsHostSet map[string]bool
+
+func (s nsHostSet) ZoneDiscovered(_, _ string, nsHosts []string) {
+	for _, h := range nsHosts {
+		s[h] = true
+	}
+}
+
+func (s nsHostSet) ChainResolved(string, []string) {}

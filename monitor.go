@@ -18,7 +18,7 @@ import (
 
 // Survey re-exports the crawl dataset type (graph, banners,
 // vulnerabilities, engine stats) so callers outside the module can name
-// what View.Survey and Study.Survey return.
+// what View.Survey returns.
 type Survey = crawler.Survey
 
 // QueryLog re-exports the transport query log — the recordable,
@@ -64,9 +64,9 @@ type Monitor struct {
 	hooks  []func(*View)
 }
 
-// Open generates a world from opts (Seed, Names sizing the corpus, as in
-// NewStudy) and starts a monitoring session over it with an empty
-// survey. Names are not crawled until Add.
+// Open generates a world from opts (Seed, and Names sizing the corpus)
+// and starts a monitoring session over it with an empty survey. Names
+// are not crawled until Add.
 func Open(ctx context.Context, opts Options) (*Monitor, error) {
 	world, err := NewWorld(opts)
 	if err != nil {

@@ -173,10 +173,6 @@ func TestMonitorConcurrentReadsDuringCrawl(t *testing.T) {
 					errs <- errors.New("view fingerprint changed during a concurrent Add")
 					return
 				}
-				if snap := v1.Survey().Snapshot(); len(snap.NameChain) != len(v1.Names()) {
-					errs <- errors.New("snapshot changed during a concurrent Add")
-					return
-				}
 				if _, err := m.At().TCB(m.At().Names()[0]); err != nil {
 					errs <- err
 					return
@@ -259,12 +255,12 @@ func (w *cancelOnWriter) Write(p []byte) (int, error) {
 // between experiments on a cancelled context, returning the rows of the
 // experiments already finished and an error wrapping context.Canceled.
 func TestRunAllHonorsCancellation(t *testing.T) {
-	s := sharedStudy(t)
+	v := sharedStudy(t).At()
 
 	// Cancelled before the first experiment: wrapped cancellation, no rows.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	rows, err := RunAll(pre, s.View(), &bytes.Buffer{})
+	rows, err := RunAll(pre, v, &bytes.Buffer{})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAll on a dead context = %v, want wrapped context.Canceled", err)
 	}
@@ -279,7 +275,7 @@ func TestRunAllHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &cancelOnWriter{marker: []byte("===== Figure 2"), cancel: cancel}
-	rows, err = RunAll(ctx, s.View(), w)
+	rows, err = RunAll(ctx, v, w)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run RunAll = %v, want wrapped context.Canceled", err)
 	}

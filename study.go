@@ -14,11 +14,8 @@
 //	v, err := m.Add(ctx, m.World().Corpus...)
 //	sum := m.At().Summary()
 //
-// The one-shot Study API remains as a thin wrapper for batch
-// reproductions:
-//
-//	study, err := dnstrust.NewStudy(ctx, dnstrust.Options{Names: 20000})
-//	comparisons, err := dnstrust.RunAll(ctx, study.View(), os.Stdout)
+// A batch reproduction is the same three calls: RunAll(ctx, v, os.Stdout)
+// regenerates every figure and table from the View that Add returned.
 //
 // Individual subsystems (wire codec, authoritative server, iterative
 // resolver, vulnerability matrix, attack simulator) live in internal
@@ -26,20 +23,11 @@
 package dnstrust
 
 import (
-	"context"
-	"errors"
-
-	"dnstrust/internal/analysis"
-	"dnstrust/internal/audit"
-	"dnstrust/internal/crawler"
-	"dnstrust/internal/hijack"
-	"dnstrust/internal/mincut"
 	"dnstrust/internal/resolver"
-	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
 )
 
-// Options configures a study or monitoring session.
+// Options configures a monitoring session.
 type Options struct {
 	// Seed drives world generation; equal seeds give identical studies.
 	// Zero means seed 1.
@@ -116,79 +104,4 @@ type Options struct {
 	ReplayLog *transport.Log
 	// ReplayFallthrough selects the fallthrough replay mode above.
 	ReplayFallthrough bool
-}
-
-// Study is a generated world plus its completed survey: the one-shot
-// compatibility wrapper over a Monitor session that crawled the whole
-// corpus in one Add and closed. Its read methods delegate to the final
-// View, so they share the View's memoized analyses.
-type Study struct {
-	// World is the synthetic Internet and its corpus.
-	World *topology.World
-	// Survey is the crawl dataset (graph, banners, vulnerabilities).
-	Survey *crawler.Survey
-
-	view *View
-}
-
-// NewStudy generates a world and surveys it end to end.
-func NewStudy(ctx context.Context, opts Options) (*Study, error) {
-	m, err := Open(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return studyFromMonitor(ctx, m)
-}
-
-// SurveyWorld crawls an existing world (hand-built or generated).
-func SurveyWorld(ctx context.Context, world *topology.World, opts Options) (*Study, error) {
-	m, err := OpenWorld(ctx, world, opts)
-	if err != nil {
-		return nil, err
-	}
-	return studyFromMonitor(ctx, m)
-}
-
-// studyFromMonitor crawls the monitor's whole corpus as one batch and
-// freezes the session, preserving the old Run semantics: the query memo
-// is saved even when the crawl aborts, and a memo-save failure does not
-// discard a completed survey (it surfaces via Survey.Stats.MemoSaveErr).
-func studyFromMonitor(ctx context.Context, m *Monitor) (*Study, error) {
-	v, addErr := m.Add(ctx, m.World().Corpus...)
-	memoErr := m.Close()
-	if addErr != nil {
-		return nil, errors.Join(addErr, memoErr)
-	}
-	v.Survey().Stats.MemoSaveErr = memoErr
-	return &Study{World: m.World(), Survey: v.Survey(), view: v}, nil
-}
-
-// View returns the study's completed survey as a View — the read surface
-// shared with Monitor sessions, with memoized whole-survey analyses.
-func (s *Study) View() *View { return s.view }
-
-// TCB returns the trusted computing base of a surveyed name.
-func (s *Study) TCB(name string) ([]string, error) { return s.view.TCB(name) }
-
-// DOT renders a surveyed name's delegation graph in Graphviz format.
-func (s *Study) DOT(name string) (string, error) { return s.view.DOT(name) }
-
-// Summary computes the headline statistics over the whole corpus.
-func (s *Study) Summary() *analysis.Summary { return s.view.Summary() }
-
-// Bottleneck runs the §3.2 min-cut analysis for one name.
-func (s *Study) Bottleneck(name string) (*mincut.Result, error) {
-	return s.view.Bottleneck(name)
-}
-
-// Attack builds a hijack scenario with the given compromised and downed
-// servers against this study's dependency graph.
-func (s *Study) Attack(compromised, downed []string) (*hijack.Attack, error) {
-	return s.view.Attack(compromised, downed)
-}
-
-// Audit runs the §5 diligence check on a surveyed name: where its trust
-// goes and which dependencies are dangerous.
-func (s *Study) Audit(name string) ([]audit.Finding, error) {
-	return s.view.Audit(name)
 }

@@ -3,22 +3,36 @@ package dnstrust
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// surveyCorpus is the one-shot study: open a session over a generated
+// world, crawl its whole corpus as one batch, and close the session. The
+// closed Monitor still serves its World and its final View (At).
+func surveyCorpus(opts Options) (*Monitor, error) {
+	ctx := context.Background()
+	m, err := Open(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	_, err = m.Add(ctx, m.World().Corpus...)
+	return m, errors.Join(err, m.Close())
+}
+
 // The study is expensive; build it once for the whole test binary.
 var (
 	studyOnce sync.Once
-	testStudy *Study
+	testStudy *Monitor
 	studyErr  error
 )
 
-func sharedStudy(t *testing.T) *Study {
+func sharedStudy(t *testing.T) *Monitor {
 	t.Helper()
 	studyOnce.Do(func() {
-		testStudy, studyErr = NewStudy(context.Background(), Options{Seed: 1, Names: 6000})
+		testStudy, studyErr = surveyCorpus(Options{Seed: 1, Names: 6000})
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)
@@ -26,24 +40,25 @@ func sharedStudy(t *testing.T) *Study {
 	return testStudy
 }
 
-func TestNewStudyDefaults(t *testing.T) {
-	s := sharedStudy(t)
-	if len(s.Survey.Names) == 0 {
+func TestStudyDefaults(t *testing.T) {
+	m := sharedStudy(t)
+	s := m.At().Survey()
+	if len(s.Names) == 0 {
 		t.Fatal("no names surveyed")
 	}
-	if len(s.Survey.Failed) != 0 {
-		for n, err := range s.Survey.Failed {
+	if len(s.Failed) != 0 {
+		for n, err := range s.Failed {
 			t.Errorf("failed walk %s: %v", n, err)
 		}
 	}
-	if got := len(s.Survey.Names); got != len(s.World.Corpus) {
-		t.Errorf("surveyed %d of %d corpus names", got, len(s.World.Corpus))
+	if got := len(s.Names); got != len(m.World().Corpus) {
+		t.Errorf("surveyed %d of %d corpus names", got, len(m.World().Corpus))
 	}
 }
 
 func TestStudyFacade(t *testing.T) {
-	s := sharedStudy(t)
-	name := s.Survey.Names[0]
+	s := sharedStudy(t).At()
+	name := s.Survey().Names[0]
 	tcb, err := s.TCB(name)
 	if err != nil || len(tcb) == 0 {
 		t.Fatalf("TCB(%s) = %v, %v", name, tcb, err)
@@ -76,9 +91,8 @@ func TestStudyFacade(t *testing.T) {
 // TestRunAllExperiments is the reproduction gate: every experiment must
 // run, and every paper-vs-measured shape claim must hold at this scale.
 func TestRunAllExperiments(t *testing.T) {
-	s := sharedStudy(t)
 	var buf bytes.Buffer
-	rows, err := RunAll(context.Background(), s.View(), &buf)
+	rows, err := RunAll(context.Background(), sharedStudy(t).At(), &buf)
 	if err != nil {
 		t.Fatalf("RunAll: %v\noutput so far:\n%s", err, buf.String())
 	}
@@ -120,41 +134,43 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestStudyDeterminism(t *testing.T) {
-	a, err := NewStudy(context.Background(), Options{Seed: 9, Names: 300})
+	ma, err := surveyCorpus(Options{Seed: 9, Names: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewStudy(context.Background(), Options{Seed: 9, Names: 300, Workers: 8})
+	mb, err := surveyCorpus(Options{Seed: 9, Names: 300, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Survey.Names) != len(b.Survey.Names) {
+	a, b := ma.At().Survey(), mb.At().Survey()
+	if len(a.Names) != len(b.Names) {
 		t.Fatal("name counts differ")
 	}
-	for i := range a.Survey.Names {
-		if a.Survey.Names[i] != b.Survey.Names[i] {
+	for i := range a.Names {
+		if a.Names[i] != b.Names[i] {
 			t.Fatal("names differ")
 		}
-		if a.Survey.Graph.TCBSize(a.Survey.Names[i]) != b.Survey.Graph.TCBSize(b.Survey.Names[i]) {
+		if a.Graph.TCBSize(a.Names[i]) != b.Graph.TCBSize(b.Names[i]) {
 			t.Fatal("TCB sizes differ")
 		}
 	}
 }
 
 func TestWireFramedStudyMatchesDirect(t *testing.T) {
-	direct, err := NewStudy(context.Background(), Options{Seed: 11, Names: 200})
+	md, err := surveyCorpus(Options{Seed: 11, Names: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wired, err := NewStudy(context.Background(), Options{Seed: 11, Names: 200, WireFramed: true})
+	mw, err := surveyCorpus(Options{Seed: 11, Names: 200, WireFramed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct.Survey.Names) != len(wired.Survey.Names) {
+	direct, wired := md.At().Survey(), mw.At().Survey()
+	if len(direct.Names) != len(wired.Names) {
 		t.Fatal("name counts differ between transports")
 	}
-	for _, n := range direct.Survey.Names {
-		if direct.Survey.Graph.TCBSize(n) != wired.Survey.Graph.TCBSize(n) {
+	for _, n := range direct.Names {
+		if direct.Graph.TCBSize(n) != wired.Graph.TCBSize(n) {
 			t.Fatalf("TCB(%s) differs between direct and wire-framed transports", n)
 		}
 	}
