@@ -294,7 +294,7 @@ func main() {
 
 	// Monitor-era benchmarks: incremental epoch adds vs one batch build,
 	// read throughput against immutable views during a crawl, and the
-	// chain-memo warm/cold ratio the ≥10x second-pass claim rests on.
+	// chain-memo warm/cold ratio (what a warm memo saves a second pass).
 	run("MonitorIncrementalAdd/batch=1x1M", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -2,10 +2,14 @@ package analysis
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
-	"strings"
+	"sort"
 	"sync"
+	"sync/atomic"
 
+	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/mincut"
 )
@@ -36,134 +40,197 @@ func Bottlenecks(ctx context.Context, s *crawler.Survey, names []string, workers
 	return BottlenecksMemo(ctx, s, names, workers, nil)
 }
 
+// chainCut is one chain's contribution to BottleneckStats.
+type chainCut struct {
+	size, safe int32
+	ok         bool // false: the chain has no computable cut
+}
+
+// missRange is how many missed chains a worker claims at a time: at a
+// few microseconds a chain, large enough that the cursor, the ctx check
+// and the memo's lock cost nothing, small enough that a cancelled pass
+// stops within a millisecond and the last ranges still balance.
+const missRange = 64
+
 // BottlenecksMemo is Bottlenecks backed by a persistent chain memo:
 // chains whose min-cut is already cached (from an earlier pass, or an
 // earlier generation that did not touch them) are aggregated without
 // running max-flow, and freshly computed chains are stored for the next
-// pass. With a warm memo the whole analysis degenerates to one map
-// lookup per distinct chain. memo may be nil (pure dedup within the
-// call, the previous behavior).
+// pass. With a warm memo the whole analysis degenerates to one lookup
+// per name. memo may be nil (pure dedup within the call).
+//
+// SafeCounts and CutSizes follow the order of names, whatever the memo
+// held and however the workers were scheduled. A cancelled pass returns
+// ctx.Err() after its workers have stopped; the cuts it had finished stay
+// in the memo, so the next call resumes where it stopped.
 func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, workers int, memo *ChainMemo) (*BottleneckStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	vuln := func(host string) bool { return s.Vulnerable(host) }
+	g := s.Graph
 	gen := s.Stats.Generation
 
 	// Group names by interned chain id: identical chains give identical
-	// digraphs and cuts.
-	type group struct {
-		cid   int32
-		rep   string // representative name
-		count int
-	}
-	groups := map[int32]*group{}
-	for _, n := range names {
-		cid, ok := s.Graph.NameChainID(n)
+	// digraphs and cuts. slot[cid] is 1 + the chain's index in cids and
+	// cuts, nameSlot[i] the same for names[i] (0: not in the survey).
+	slot := make([]int32, g.NumChains())
+	nameSlot := make([]int32, len(names))
+	var cids []int32
+	for i, n := range names {
+		cid, ok := g.NameChainID(n)
 		if !ok {
 			continue
 		}
-		if g, ok := groups[cid]; ok {
-			g.count++
+		if slot[cid] == 0 {
+			cids = append(cids, cid)
+			slot[cid] = int32(len(cids))
+		}
+		nameSlot[i] = slot[cid]
+	}
+
+	// Serve memo hits directly; only misses go to the workers.
+	cuts := make([]chainCut, len(cids))
+	var misses []int32 // indices into cids
+	for i, cid := range cids {
+		if res, ok := memo.cut(cid, gen); ok {
+			cuts[i] = chainCut{size: int32(res.Size), safe: int32(res.SafeInCut), ok: true}
 		} else {
-			groups[cid] = &group{cid: cid, rep: n, count: 1}
+			misses = append(misses, int32(i))
 		}
 	}
 
-	stats := &BottleneckStats{}
-	tally := func(res *mincut.Result, count int) {
-		for k := 0; k < count; k++ {
-			stats.Names++
-			stats.SafeCounts = append(stats.SafeCounts, res.SafeInCut)
-			stats.CutSizes = append(stats.CutSizes, res.Size)
-			if res.SafeInCut == 0 {
-				stats.FullyVulnerable++
-			}
-			if res.SafeInCut == 1 {
-				stats.OneSafe++
-			}
-		}
-	}
-
-	// Serve memo hits directly; only misses go to the worker pool.
-	var misses []*group
-	for _, g := range groups {
-		if res, ok := memo.cut(g.cid, gen); ok {
-			tally(res, g.count)
-		} else {
-			misses = append(misses, g)
-		}
-	}
-	if len(misses) == 0 {
-		return stats, ctx.Err()
-	}
-
-	type outcome struct {
-		cid   int32
-		res   *mincut.Result
-		count int
-		err   error
-	}
-	in := make(chan *group)
-	out := make(chan outcome)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range in {
-				d, err := s.Graph.Digraph(g.rep)
-				if err != nil {
-					out <- outcome{err: err, count: g.count}
-					continue
+	var solveErr error
+	if len(misses) > 0 {
+		vulnerable := newHostVuln(s).of
+		workers = min(workers, (len(misses)+missRange-1)/missRange)
+		errs := make([]error, workers) // each worker's first
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc := scratchPool.Get().(*cutScratch)
+				defer scratchPool.Put(sc)
+				var batch []storedCut
+				for ctx.Err() == nil {
+					lo := int(cursor.Add(missRange)) - missRange
+					if lo >= len(misses) {
+						return
+					}
+					batch = batch[:0]
+					for _, i := range misses[lo:min(lo+missRange, len(misses))] {
+						c, err := sc.solve(g, cids[i], vulnerable)
+						if err != nil {
+							if errs[w] == nil {
+								errs[w] = fmt.Errorf("analysis: min-cut of chain %d: %w", cids[i], err)
+							}
+							continue
+						}
+						cuts[i] = chainCut{size: int32(len(c.Nodes)), safe: int32(c.SafeInCut), ok: true}
+						if memo != nil {
+							batch = append(batch, storedCut{cid: cids[i], res: sc.result(g, c)})
+						}
+					}
+					memo.storeCuts(gen, batch)
 				}
-				res, err := mincut.Analyze(d, vuln)
-				out <- outcome{cid: g.cid, res: res, err: err, count: g.count}
-			}
-		}()
-	}
-	go func() {
-		defer close(in)
-		for _, g := range misses {
-			select {
-			case in <- g:
-			case <-ctx.Done():
-				return
-			}
+			}()
 		}
-	}()
-	go func() {
 		wg.Wait()
-		close(out)
-	}()
-
-	var firstErr error
-	for oc := range out {
-		if oc.err != nil {
-			if firstErr == nil {
-				firstErr = oc.err
-			}
-			continue
-		}
-		memo.storeCut(oc.cid, gen, oc.res)
-		tally(oc.res, oc.count)
+		solveErr = errors.Join(errs...)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil && stats.Names == 0 {
-		return nil, firstErr
+
+	stats := &BottleneckStats{}
+	for _, sl := range nameSlot {
+		if sl == 0 || !cuts[sl-1].ok {
+			continue
+		}
+		c := cuts[sl-1]
+		stats.Names++
+		stats.SafeCounts = append(stats.SafeCounts, int(c.safe))
+		stats.CutSizes = append(stats.CutSizes, int(c.size))
+		if c.safe == 0 {
+			stats.FullyVulnerable++
+		}
+		if c.safe == 1 {
+			stats.OneSafe++
+		}
+	}
+	if solveErr != nil && stats.Names == 0 {
+		return nil, solveErr
 	}
 	return stats, nil
 }
 
+// hostVuln answers Survey.Vulnerable by interned host id for one pass,
+// asking the survey once per host: the same server sits in thousands of
+// TCBs. Workers share it; two racing first lookups store the same answer.
+type hostVuln struct {
+	s     *crawler.Survey
+	known []atomic.Uint32 // 0 unasked, 1 safe, 2 vulnerable
+}
+
+func newHostVuln(s *crawler.Survey) *hostVuln {
+	return &hostVuln{s: s, known: make([]atomic.Uint32, s.Graph.NumHosts())}
+}
+
+func (v *hostVuln) of(host int32) bool {
+	k := v.known[host].Load()
+	if k == 0 {
+		k = 1
+		if v.s.Vulnerable(v.s.Graph.Host(host)) {
+			k = 2
+		}
+		v.known[host].Store(k)
+	}
+	return k == 2
+}
+
+// cutScratch is everything one chain's min-cut needs, reused from chain
+// to chain: a worker of a pass owns one, single-name queries borrow one
+// from scratchPool.
+type cutScratch struct {
+	d  core.Digraph
+	sv mincut.Solver
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
+
+// solve fills the chain's delegation digraph and runs both cuts on it.
+// On scratch that has seen a chain as large it allocates nothing; the
+// returned cut aliases the scratch.
+//
+//lint:hotpath
+func (sc *cutScratch) solve(g *core.Graph, cid int32, vulnerable func(host int32) bool) (mincut.Cut, error) {
+	if err := sc.d.Fill(g, cid); err != nil {
+		return mincut.Cut{}, err
+	}
+	return sc.sv.Analyze(&sc.d, vulnerable)
+}
+
+// result renders the cut solve just returned as a caller-owned Result.
+// The cut lists servers by name: node order follows the crawl's intern
+// ids, which differ from one crawl schedule to the next.
+func (sc *cutScratch) result(g *core.Graph, c mincut.Cut) *mincut.Result {
+	res := &mincut.Result{
+		Cut:       make([]string, len(c.Nodes)),
+		Size:      len(c.Nodes),
+		SafeInCut: c.SafeInCut,
+		VulnInCut: c.VulnInCut,
+	}
+	for i, v := range c.Nodes {
+		res.Cut[i] = g.Host(sc.d.Hosts[v])
+	}
+	sort.Strings(res.Cut)
+	return res
+}
+
 // BottleneckOf runs the §3.2 min-cut analysis for a single name.
 func BottleneckOf(s *crawler.Survey, name string) (*mincut.Result, error) {
-	d, err := s.Graph.Digraph(name)
-	if err != nil {
-		return nil, err
-	}
-	return mincut.Analyze(d, func(host string) bool { return s.Vulnerable(host) })
+	return BottleneckOfMemo(s, name, nil)
 }
 
 // ANDORHijackBound computes, via the AND/OR tree-cost fixpoint, an upper
@@ -189,27 +256,14 @@ func ANDORHijackBound(s *crawler.Survey, names []string) []int64 {
 	for z := int32(0); z < int32(nz); z++ {
 		in.ZoneNS[z] = g.ZoneNSIDs(z)
 		// TLD servers are grounded by root glue.
-		if isTLD(g.Zone(z)) {
+		if g.ZoneIsTLD(z) {
 			for _, h := range g.ZoneNSIDs(z) {
 				in.Grounded[h] = true
 			}
 		}
 	}
 	for hid := int32(0); hid < int32(nh); hid++ {
-		chain := g.HostChainIDs(hid)
-		// Glue waiver: an in-bailiwick server of its own zone is reached
-		// through parent referral glue; its own zone is not an address
-		// dependency. The shared chain slice is re-sliced, never mutated.
-		if len(chain) > 0 {
-			az := chain[len(chain)-1]
-			for _, ns := range g.ZoneNSIDs(az) {
-				if ns == hid {
-					chain = chain[:len(chain)-1]
-					break
-				}
-			}
-		}
-		in.HostChain[hid] = chain
+		in.HostChain[hid] = g.HostDepZoneIDs(hid)
 	}
 	res := mincut.SolveANDOR(in)
 
@@ -226,8 +280,4 @@ func ANDORHijackBound(s *crawler.Survey, names []string) []int64 {
 		out = append(out, res.KillName(chain))
 	}
 	return out
-}
-
-func isTLD(apex string) bool {
-	return apex != "" && strings.IndexByte(apex, '.') < 0
 }

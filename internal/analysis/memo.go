@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"fmt"
 	"sync"
 
 	"dnstrust/internal/crawler"
@@ -110,19 +111,27 @@ func (m *ChainMemo) cut(cid int32, viewGen int64) (*mincut.Result, bool) {
 	return e.res, true
 }
 
-// storeCut records a chain's min-cut computed against a view of the
-// given generation, preferring the newest computation when views of
+// storedCut is one freshly computed chain result on its way into the memo.
+type storedCut struct {
+	cid int32
+	res *mincut.Result
+}
+
+// storeCuts records, under one lock, min-cuts computed against a view of
+// the given generation, preferring the newest computation when views of
 // different generations race.
-func (m *ChainMemo) storeCut(cid int32, viewGen int64, res *mincut.Result) {
-	if m == nil {
+func (m *ChainMemo) storeCuts(viewGen int64, batch []storedCut) {
+	if m == nil || len(batch) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.cuts[cid]; ok && e.gen > viewGen {
-		return
+	for _, c := range batch {
+		if e, ok := m.cuts[c.cid]; ok && e.gen > viewGen {
+			continue
+		}
+		m.cuts[c.cid] = memoCut{gen: viewGen, res: c.res}
 	}
-	m.cuts[cid] = memoCut{gen: viewGen, res: res}
 }
 
 // count returns the memoized (TCB size, vulnerable members) of a chain
@@ -157,20 +166,28 @@ func (m *ChainMemo) storeCount(cid int32, viewGen int64, size, vuln int) {
 // BottleneckOfMemo runs the §3.2 min-cut analysis for one name through
 // the memo: the first query of a chain pays the max-flow, every later
 // query of any name on that chain — in this generation or any untouched
-// one — is a lookup. The returned result is caller-owned.
+// one — is a lookup. The returned result is caller-owned. memo may be
+// nil.
 func BottleneckOfMemo(s *crawler.Survey, name string, memo *ChainMemo) (*mincut.Result, error) {
-	cid, ok := s.Graph.NameChainID(name)
+	g := s.Graph
+	cid, ok := g.NameChainID(name)
 	if !ok {
-		return BottleneckOf(s, name) // surfaces the not-in-survey error
+		return nil, fmt.Errorf("analysis: name %q not in survey", name)
 	}
 	gen := s.Stats.Generation
 	if res, ok := memo.cut(cid, gen); ok {
 		return res.Clone(), nil
 	}
-	res, err := BottleneckOf(s, name)
+	sc := scratchPool.Get().(*cutScratch)
+	defer scratchPool.Put(sc)
+	c, err := sc.solve(g, cid, func(host int32) bool { return s.Vulnerable(g.Host(host)) })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: min-cut of %q: %w", name, err)
 	}
-	memo.storeCut(cid, gen, res)
+	res := sc.result(g, c)
+	if memo == nil {
+		return res, nil
+	}
+	memo.storeCuts(gen, []storedCut{{cid: cid, res: res}})
 	return res.Clone(), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,45 +9,177 @@ import (
 	"dnstrust/internal/dnsname"
 )
 
-// Digraph is the per-name, server-level delegation digraph of the paper's
-// Figure 1, in the form consumed by the min-cut bottleneck analysis:
+// Digraph is the server-level delegation digraph of the paper's Figure 1
+// for one interned delegation chain, in the form consumed by the min-cut
+// bottleneck analysis:
 //
-//   - node Source stands for the surveyed name;
+//   - node Source stands for the surveyed name (every name on the chain
+//     has the same digraph);
 //   - node Sink stands for the trust ground (the root, whose servers the
 //     paper excludes and whose referral glue bootstraps all resolution);
-//   - one node per nameserver host in the name's TCB;
-//   - Source points at the NS hosts of the name's authoritative zone;
-//   - a host points at every NS host of every zone on its address chain —
-//     any of those servers could be involved in resolving the host;
+//   - one node per nameserver host in the chain's TCB;
+//   - Source points at the NS hosts of the chain's authoritative zone;
+//   - a host points at every NS host of every zone its address depends on
+//     (HostDepZoneIDs) — any of those servers could be involved in
+//     resolving the host;
 //   - hosts serving a top-level domain point at Sink: their addresses
 //     come from root referral glue, the bootstrap every resolution uses.
 //
 // A directed path Source→…→Sink is a way resolution can reach ground; a
 // vertex cut over host nodes is a server set whose compromise intercepts
 // every such path — a complete hijack.
+//
+// A Digraph is a caller-owned value that Fill overwrites: one per worker
+// serves every chain of a pass without allocating once its arrays have
+// grown to the largest chain. Nodes and edges are interned ids in flat
+// arrays, in whatever order the graph's tables yield them. No consumer
+// may depend on that order, and none needs to: a minimum cut's size is a
+// property of the edge set, and the cut the analysis reports — the
+// members of the minimal source side of the residual graph — is the same
+// for every maximum flow, so sorting edges here would buy nothing.
 type Digraph struct {
-	// Name is the surveyed name this digraph belongs to.
-	Name string
-	// Hosts maps local node index -> host name. Local indices run
-	// 0..len(Hosts)-1; Source and Sink are virtual nodes beyond them.
-	Hosts []string
-	// Source and Sink are the virtual node indices.
-	Source, Sink int
-	// Adj is the adjacency list over all nodes (hosts + Source + Sink).
-	Adj [][]int
-	// hostIndex maps host name -> local node index.
-	hostIndex map[string]int
+	// Hosts maps local node index -> interned host id: the chain's TCB,
+	// sorted by id. It aliases the graph's table; do not modify.
+	Hosts []int32
+	// Off and Adj are the adjacency in CSR form over all nodes (hosts,
+	// then Source, then Sink): node v's successors are
+	// Adj[Off[v]:Off[v+1]].
+	Off, Adj []int32
+
+	// Fill's scratch. local maps host id -> local node + 1 and zoneSeen
+	// marks visited zone ids; both span the whole graph and are all zero
+	// between Fills. queue is the zone BFS, grounded and mark are per
+	// local node (mark[w] == v+1: edge v->w is already written).
+	local    []int32
+	zoneSeen []bool
+	queue    []int32
+	grounded []bool
+	mark     []int32
 }
+
+// ErrEmptyChain is Fill's error for a chain with no zones: there is no
+// authoritative zone for Source to point at.
+var ErrEmptyChain = errors.New("core: empty delegation chain")
 
 // NumNodes returns the total node count including Source and Sink.
 func (d *Digraph) NumNodes() int { return len(d.Hosts) + 2 }
 
-// HostNode returns the node index of a host, or -1.
-func (d *Digraph) HostNode(host string) int {
-	if i, ok := d.hostIndex[dnsname.Canonical(host)]; ok {
-		return i
+// Source returns the virtual node standing for the surveyed name.
+func (d *Digraph) Source() int { return len(d.Hosts) }
+
+// Sink returns the virtual node standing for the trust ground.
+func (d *Digraph) Sink() int { return len(d.Hosts) + 1 }
+
+// Succ returns node v's successors; the slice aliases d.
+func (d *Digraph) Succ(v int) []int32 { return d.Adj[d.Off[v]:d.Off[v+1]] }
+
+// Fill overwrites d with the delegation digraph of interned chain cid at
+// g's epoch, reusing d's arrays.
+func (d *Digraph) Fill(g *Graph, cid int32) error {
+	chain := g.chains[cid]
+	if len(chain) == 0 {
+		return ErrEmptyChain
 	}
-	return -1
+	tcb := g.chainTCB[cid]
+	n := len(tcb)
+	d.Hosts = tcb
+	d.local = grown(d.local, len(g.hosts))
+	d.zoneSeen = grown(d.zoneSeen, len(g.zones))
+	d.grounded = zeroed(d.grounded, n)
+	d.mark = zeroed(d.mark, n)
+	for v, h := range tcb {
+		d.local[h] = int32(v) + 1
+	}
+
+	// Grounded hosts: servers of any TLD zone reachable from the chain
+	// (the TCB is exactly the servers of the reachable zones).
+	queue := d.queue[:0]
+	for _, z := range chain {
+		if !d.zoneSeen[z] {
+			d.zoneSeen[z] = true
+			queue = append(queue, z)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		for _, w := range g.zoneAdj[queue[i]] {
+			if !d.zoneSeen[w] {
+				d.zoneSeen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	for _, z := range queue {
+		d.zoneSeen[z] = false
+		if g.ZoneIsTLD(z) {
+			for _, h := range g.zoneNS[z] {
+				if w := d.local[h]; w != 0 {
+					d.grounded[w-1] = true
+				}
+			}
+		}
+	}
+	d.queue = queue
+
+	// Host edges. The members' address chains are read under one lock
+	// (entries can attach in later epochs; the stamp check hides those
+	// writes from this graph).
+	off, adj := d.Off[:0], d.Adj[:0]
+	sink := int32(n + 1)
+	g.st.mu.RLock()
+	for v, h := range tcb {
+		off = append(off, int32(len(adj)))
+		deps := g.hostDepsLocked(h)
+		if d.grounded[v] || len(deps) == 0 {
+			// TLD servers are root-glue-grounded; hosts with unknown
+			// chains are grounded optimistically (the paper treats
+			// unknowns optimistically throughout).
+			adj = append(adj, sink)
+			continue
+		}
+		from := int32(v) + 1
+		for _, z := range deps {
+			for _, h2 := range g.zoneNS[z] {
+				if w := d.local[h2]; w != 0 && w != from && d.mark[w-1] != from {
+					d.mark[w-1] = from
+					adj = append(adj, w-1)
+				}
+			}
+		}
+	}
+	g.st.mu.RUnlock()
+
+	// Source -> NS(authoritative zone); Sink has no successors.
+	off = append(off, int32(len(adj)))
+	for _, h := range g.zoneNS[chain[len(chain)-1]] {
+		if w := d.local[h]; w != 0 {
+			adj = append(adj, w-1)
+		}
+	}
+	d.Off = append(off, int32(len(adj)), int32(len(adj)))
+	d.Adj = adj
+
+	for _, h := range tcb {
+		d.local[h] = 0
+	}
+	return nil
+}
+
+// grown returns s with at least n elements, the added ones zero.
+func grown[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// zeroed returns n zero elements, in s's array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ReachableZoneIDs returns every zone id reachable from name's delegation
@@ -78,113 +211,34 @@ func (g *Graph) ReachableZoneIDs(name string) ([]int32, error) {
 	return queue, nil
 }
 
-// isTLDZone reports whether zone id z is a top-level domain.
-func (g *Graph) isTLDZone(z int32) bool {
+// ZoneIsTLD reports whether zone id z is a top-level domain. A TLD's
+// servers are reached through root referral glue, so every analysis
+// treats them as grounded.
+func (g *Graph) ZoneIsTLD(z int32) bool {
 	return dnsname.CountLabels(g.zones[z]) == 1
 }
 
-// Digraph builds the per-name delegation digraph for min-cut analysis.
-func (g *Graph) Digraph(name string) (*Digraph, error) {
-	name = dnsname.Canonical(name)
-	cid, ok := g.NameChainID(name)
-	if !ok {
-		return nil, fmt.Errorf("core: name %q not in survey", name)
-	}
-	chain := g.chains[cid]
-	if len(chain) == 0 {
-		return nil, fmt.Errorf("core: name %q has an empty delegation chain", name)
-	}
-	tcb := g.chainTCB[cid]
-
-	// Materialize the TCB members' address chains at this epoch in one
-	// locked pass (entries can attach in later epochs; the stamp check
-	// hides those writes from this graph).
-	memberChain := make(map[int32][]int32, len(tcb))
+// HostDepZoneIDs returns the zone ids host h's address depends on: its
+// address chain less the glue waiver — an in-bailiwick server of its own
+// zone is reached through parent referral glue, so that zone is not an
+// address dependency. The slice is shared, do not modify.
+func (g *Graph) HostDepZoneIDs(h int32) []int32 {
 	g.st.mu.RLock()
-	for _, hid := range tcb {
-		memberChain[hid] = g.hostChainOfLocked(hid)
-	}
-	g.st.mu.RUnlock()
+	defer g.st.mu.RUnlock()
+	return g.hostDepsLocked(h)
+}
 
-	d := &Digraph{Name: name, hostIndex: make(map[string]int, len(tcb))}
-	local := make(map[int32]int, len(tcb))
-	for _, hid := range tcb {
-		idx := len(d.Hosts)
-		local[hid] = idx
-		d.Hosts = append(d.Hosts, g.hosts[hid])
-		d.hostIndex[g.hosts[hid]] = idx
-	}
-	d.Source = len(d.Hosts)
-	d.Sink = len(d.Hosts) + 1
-	d.Adj = make([][]int, d.NumNodes())
-
-	// Grounded hosts: servers of any TLD zone reachable here.
-	grounded := map[int32]bool{}
-	zoneIDs, err := g.ReachableZoneIDs(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, z := range zoneIDs {
-		if g.isTLDZone(z) {
-			for _, h := range g.zoneNS[z] {
-				grounded[h] = true
+// hostDepsLocked is HostDepZoneIDs with the store lock held by the caller.
+func (g *Graph) hostDepsLocked(h int32) []int32 {
+	chain := g.hostChainOfLocked(h)
+	if n := len(chain); n > 0 {
+		for _, ns := range g.zoneNS[chain[n-1]] {
+			if ns == h {
+				return chain[:n-1]
 			}
 		}
 	}
-
-	addEdge := func(from, to int) {
-		d.Adj[from] = append(d.Adj[from], to)
-	}
-
-	// Source -> NS(authoritative zone of name).
-	authZone := chain[len(chain)-1]
-	for _, h := range g.zoneNS[authZone] {
-		if idx, ok := local[h]; ok {
-			addEdge(d.Source, idx)
-		}
-	}
-
-	// Host edges.
-	for _, hid := range tcb {
-		from := local[hid]
-		chain := memberChain[hid]
-		// Glue waiver: in-bailiwick servers of their own zone are reached
-		// through parent referral glue, so their own zone is not an
-		// address dependency.
-		if len(chain) > 0 {
-			az := chain[len(chain)-1]
-			for _, ns := range g.zoneNS[az] {
-				if ns == hid {
-					chain = chain[:len(chain)-1]
-					break
-				}
-			}
-		}
-		if grounded[hid] || len(chain) == 0 {
-			// TLD servers are root-glue-grounded; hosts with unknown
-			// chains are grounded optimistically (the paper treats
-			// unknowns optimistically throughout).
-			addEdge(from, d.Sink)
-			continue
-		}
-		targets := map[int]bool{}
-		for _, z := range chain {
-			for _, h2 := range g.zoneNS[z] {
-				if idx, ok := local[h2]; ok && idx != from {
-					targets[idx] = true
-				}
-			}
-		}
-		sorted := make([]int, 0, len(targets))
-		for t := range targets {
-			sorted = append(sorted, t)
-		}
-		sort.Ints(sorted)
-		for _, t := range sorted {
-			addEdge(from, t)
-		}
-	}
-	return d, nil
+	return chain
 }
 
 // DOT renders the name's delegation graph in Graphviz format at the zone

@@ -2,7 +2,7 @@ package core_test
 
 import (
 	"context"
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +20,7 @@ func crawl(t *testing.T, reg *topology.Registry, names ...string) *core.Graph {
 	}
 	w := resolver.NewWalker(r)
 	b := core.NewBuilder(len(names))
-	w.SetObserver(builderObserver{b})
+	w.SetObserver(core.BuilderObserver{B: b})
 	for _, n := range names {
 		chain, err := w.WalkName(context.Background(), n)
 		if err != nil {
@@ -29,19 +29,6 @@ func crawl(t *testing.T, reg *topology.Registry, names ...string) *core.Graph {
 		b.Complete(n, chain)
 	}
 	return b.Finish()
-}
-
-// builderObserver feeds walker events straight into a Builder — the
-// event order a crawl produces. The test walks are single-goroutine, so
-// no channel hand-off is needed.
-type builderObserver struct{ b *core.Builder }
-
-func (o builderObserver) ZoneDiscovered(apex, _ string, nsHosts []string) {
-	o.b.ObserveZone(apex, nsHosts)
-}
-
-func (o builderObserver) ChainResolved(key string, chain []string) {
-	o.b.ObserveChain(key, chain)
 }
 
 func TestFigure1TCB(t *testing.T) {
@@ -250,9 +237,6 @@ func TestUnknownName(t *testing.T) {
 	if g.TCBSize("unknown.example.com") != -1 {
 		t.Error("TCBSize of unsurveyed name must be -1")
 	}
-	if _, err := g.Digraph("unknown.example.com"); err == nil {
-		t.Error("Digraph of unsurveyed name must error")
-	}
 	if _, err := g.DOT("unknown.example.com"); err == nil {
 		t.Error("DOT of unsurveyed name must error")
 	}
@@ -260,54 +244,49 @@ func TestUnknownName(t *testing.T) {
 
 func TestDigraphStructure(t *testing.T) {
 	g := crawl(t, topology.FBIWorld(), "www.fbi.gov")
-	d, err := g.Digraph("www.fbi.gov")
-	if err != nil {
+	cid, ok := g.NameChainID("www.fbi.gov")
+	if !ok {
+		t.Fatal("www.fbi.gov not surveyed")
+	}
+	var d core.Digraph
+	if err := d.Fill(g, cid); err != nil {
 		t.Fatal(err)
 	}
-	if d.NumNodes() != len(d.Hosts)+2 {
+	if d.NumNodes() != len(d.Hosts)+2 || len(d.Off) != d.NumNodes()+1 {
 		t.Error("node count mismatch")
 	}
-	// Source must point exactly at fbi.gov's two nameservers.
-	var sourceTargets []string
-	for _, to := range d.Adj[d.Source] {
-		sourceTargets = append(sourceTargets, d.Hosts[to])
-	}
-	sort.Strings(sourceTargets)
-	want := []string{"dns.sprintip.com", "dns2.sprintip.com"}
-	if len(sourceTargets) != 2 || sourceTargets[0] != want[0] || sourceTargets[1] != want[1] {
-		t.Errorf("source targets = %v, want %v", sourceTargets, want)
-	}
-	// gov TLD servers must be grounded at the sink.
-	govNode := d.HostNode("a.gov-servers.net")
-	if govNode < 0 {
-		t.Fatal("a.gov-servers.net missing from digraph")
-	}
-	grounded := false
-	for _, to := range d.Adj[govNode] {
-		if to == d.Sink {
-			grounded = true
+	// succ[a] lists a's successors by name, in name order.
+	succ := map[string][]string{}
+	for _, line := range core.DigraphLines(g, &d) {
+		if from, to, ok := strings.Cut(line, " -> "); ok {
+			succ[from] = append(succ[from], to)
 		}
 	}
-	if !grounded {
-		t.Error("TLD server must have an edge to the sink")
+	// Source must point exactly at fbi.gov's two nameservers.
+	want := []string{"dns.sprintip.com", "dns2.sprintip.com"}
+	if got := succ[core.SourceNode]; !reflect.DeepEqual(got, want) {
+		t.Errorf("source targets = %v, want %v", got, want)
+	}
+	// gov TLD servers must be grounded at the sink.
+	if got := succ["a.gov-servers.net"]; !reflect.DeepEqual(got, []string{core.SinkNode}) {
+		t.Errorf("a.gov-servers.net points at %v, want only the sink (a TLD server is grounded)", got)
 	}
 	// A path Source -> ... -> Sink must exist.
-	if !reachable(d.Adj, d.Source, d.Sink) {
+	if !reachable(succ, core.SourceNode, core.SinkNode) {
 		t.Error("no path from source to sink")
 	}
 }
 
-func reachable(adj [][]int, from, to int) bool {
-	seen := make([]bool, len(adj))
-	stack := []int{from}
-	seen[from] = true
+func reachable(succ map[string][]string, from, to string) bool {
+	seen := map[string]bool{from: true}
+	stack := []string{from}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if v == to {
 			return true
 		}
-		for _, w := range adj[v] {
+		for _, w := range succ[v] {
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)

@@ -1,14 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"maps"
+	"reflect"
+	"sort"
 	"testing"
+
+	"dnstrust/internal/dnsname"
 )
 
-// This file keeps the whole-graph closure/TCB pass — every zone through
-// Tarjan, every closure and every chain TCB re-unioned and re-sorted each
-// epoch — as the oracle the incremental pass in graph.go is compared
-// against. It exists only in tests.
+// This file keeps two constructions the production code replaced, as the
+// oracles their replacements are compared against: the whole-graph
+// closure/TCB pass — every zone through Tarjan, every closure and every
+// chain TCB re-unioned and re-sorted each epoch — for the incremental
+// pass in graph.go, and the map-and-string per-name digraph for the flat
+// Digraph.Fill. They exist only in tests.
 
 // finishChecked runs b.FinishEpoch and asserts that closure, zoneAdj,
 // chainTCB and chainStamp equal what the whole-graph pass derives from
@@ -223,4 +230,202 @@ func tcbIntersects(tcb []int32, late map[int32]struct{}) bool {
 		}
 	}
 	return false
+}
+
+// oracleDigraphT is the per-name digraph as Graph.Digraph returned it
+// before Digraph became a flat, reusable value: nodes by host name, one
+// adjacency slice per node.
+type oracleDigraphT struct {
+	Name         string
+	Hosts        []string
+	Source, Sink int
+	Adj          [][]int
+	hostIndex    map[string]int
+}
+
+func (d *oracleDigraphT) NumNodes() int { return len(d.Hosts) + 2 }
+
+// oracleDigraph is the body of the former Graph.Digraph, kept verbatim as
+// the reference for Digraph.Fill: three maps, a per-host target map and a
+// sort, and a second name lookup inside ReachableZoneIDs.
+func (g *Graph) oracleDigraph(name string) (*oracleDigraphT, error) {
+	name = dnsname.Canonical(name)
+	cid, ok := g.NameChainID(name)
+	if !ok {
+		return nil, fmt.Errorf("core: name %q not in survey", name)
+	}
+	chain := g.chains[cid]
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("core: name %q has an empty delegation chain", name)
+	}
+	tcb := g.chainTCB[cid]
+
+	// Materialize the TCB members' address chains at this epoch in one
+	// locked pass (entries can attach in later epochs; the stamp check
+	// hides those writes from this graph).
+	memberChain := make(map[int32][]int32, len(tcb))
+	g.st.mu.RLock()
+	for _, hid := range tcb {
+		memberChain[hid] = g.hostChainOfLocked(hid)
+	}
+	g.st.mu.RUnlock()
+
+	d := &oracleDigraphT{Name: name, hostIndex: make(map[string]int, len(tcb))}
+	local := make(map[int32]int, len(tcb))
+	for _, hid := range tcb {
+		idx := len(d.Hosts)
+		local[hid] = idx
+		d.Hosts = append(d.Hosts, g.hosts[hid])
+		d.hostIndex[g.hosts[hid]] = idx
+	}
+	d.Source = len(d.Hosts)
+	d.Sink = len(d.Hosts) + 1
+	d.Adj = make([][]int, d.NumNodes())
+
+	// Grounded hosts: servers of any TLD zone reachable here.
+	grounded := map[int32]bool{}
+	zoneIDs, err := g.ReachableZoneIDs(name)
+	if err != nil {
+		return nil, err
+	}
+	for _, z := range zoneIDs {
+		if dnsname.CountLabels(g.zones[z]) == 1 {
+			for _, h := range g.zoneNS[z] {
+				grounded[h] = true
+			}
+		}
+	}
+
+	addEdge := func(from, to int) {
+		d.Adj[from] = append(d.Adj[from], to)
+	}
+
+	// Source -> NS(authoritative zone of name).
+	authZone := chain[len(chain)-1]
+	for _, h := range g.zoneNS[authZone] {
+		if idx, ok := local[h]; ok {
+			addEdge(d.Source, idx)
+		}
+	}
+
+	// Host edges.
+	for _, hid := range tcb {
+		from := local[hid]
+		chain := memberChain[hid]
+		// Glue waiver: in-bailiwick servers of their own zone are reached
+		// through parent referral glue, so their own zone is not an
+		// address dependency.
+		if len(chain) > 0 {
+			az := chain[len(chain)-1]
+			for _, ns := range g.zoneNS[az] {
+				if ns == hid {
+					chain = chain[:len(chain)-1]
+					break
+				}
+			}
+		}
+		if grounded[hid] || len(chain) == 0 {
+			// TLD servers are root-glue-grounded; hosts with unknown
+			// chains are grounded optimistically (the paper treats
+			// unknowns optimistically throughout).
+			addEdge(from, d.Sink)
+			continue
+		}
+		targets := map[int]bool{}
+		for _, z := range chain {
+			for _, h2 := range g.zoneNS[z] {
+				if idx, ok := local[h2]; ok && idx != from {
+					targets[idx] = true
+				}
+			}
+		}
+		sorted := make([]int, 0, len(targets))
+		for t := range targets {
+			sorted = append(sorted, t)
+		}
+		sort.Ints(sorted)
+		for _, t := range sorted {
+			addEdge(from, t)
+		}
+	}
+	return d, nil
+}
+
+// The two virtual nodes as DigraphLines names them; no host is called so.
+const (
+	SourceNode = "<source>"
+	SinkNode   = "<sink>"
+)
+
+// DigraphLines renders a filled digraph by host name, one "node N" line
+// per node and one "A -> B" line per edge, sorted: the form in which
+// tests read a flat digraph and compare two of them as edge sets.
+func DigraphLines(g *Graph, d *Digraph) []string {
+	names := make([]string, 0, d.NumNodes())
+	for _, h := range d.Hosts {
+		names = append(names, g.hosts[h])
+	}
+	return edgeLines(names, func(v int) []int {
+		var succ []int
+		for _, w := range d.Succ(v) {
+			succ = append(succ, int(w))
+		}
+		return succ
+	})
+}
+
+// lines is DigraphLines for the reference digraph.
+func (d *oracleDigraphT) lines() []string {
+	return edgeLines(d.Hosts, func(v int) []int { return d.Adj[v] })
+}
+
+// edgeLines renders a digraph whose nodes are the named hosts followed
+// by Source and Sink — the numbering both constructions use.
+func edgeLines(hosts []string, succ func(v int) []int) []string {
+	names := append(append([]string(nil), hosts...), SourceNode, SinkNode)
+	var lines []string
+	for v, from := range names {
+		lines = append(lines, "node "+from)
+		for _, w := range succ(v) {
+			lines = append(lines, from+" -> "+names[w])
+		}
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// checkDigraphs asserts that Fill on the reused d yields, for each given
+// chain with a live name at g's epoch, the node set and edge sets of the
+// reference construction. It returns how many chains it compared.
+func checkDigraphs(t testing.TB, g *Graph, d *Digraph, cids []int32) int {
+	t.Helper()
+	checked := 0
+	for _, cid := range cids {
+		names := g.NamesOnChain(cid)
+		if len(names) == 0 {
+			continue
+		}
+		want, wantErr := g.oracleDigraph(names[0])
+		gotErr := d.Fill(g, cid)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("epoch %d chain %d (%s): Fill error %v, reference %v", g.epoch, cid, names[0], gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if got, want := DigraphLines(g, d), want.lines(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d chain %d (%s): digraph differs\nflat      %v\nreference %v", g.epoch, cid, names[0], got, want)
+		}
+		checked++
+	}
+	return checked
+}
+
+// allChains lists every chain id of g.
+func allChains(g *Graph) []int32 {
+	cids := make([]int32, g.NumChains())
+	for i := range cids {
+		cids[i] = int32(i)
+	}
+	return cids
 }

@@ -2,8 +2,10 @@ package crawler_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"dnstrust/internal/analysis"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/topology"
 )
@@ -87,6 +89,15 @@ func TestSurveyDeterministic(t *testing.T) {
 		db, err2 := s2.Graph.DOT(s2.Names[i])
 		if err1 != nil || err2 != nil || da != db {
 			t.Fatalf("DOT(%s) differs across parallelism (errors %v, %v)", s1.Names[i], err1, err2)
+		}
+		// Nor may the bottleneck's server list: same servers, same order.
+		if i%7 != 0 {
+			continue
+		}
+		ca, err1 := analysis.BottleneckOf(s1, s1.Names[i])
+		cb, err2 := analysis.BottleneckOf(s2, s2.Names[i])
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(ca, cb) {
+			t.Fatalf("Bottleneck(%s) differs across parallelism: %+v vs %+v (errors %v, %v)", s1.Names[i], ca, cb, err1, err2)
 		}
 	}
 }

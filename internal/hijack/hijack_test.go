@@ -156,13 +156,7 @@ func TestVerdictString(t *testing.T) {
 // returned cut set, when compromised, must yield a complete hijack.
 func TestMinCutImpliesComplete(t *testing.T) {
 	_, g := fbiGraph(t)
-	d, err := g.Digraph("www.fbi.gov")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unit min cut via the mincut package, indirectly through analysis is
-	// overkill here; build it directly.
-	a, err := hijack.New(g, cutHosts(t, d), nil)
+	a, err := hijack.New(g, cutHosts(t, g, "www.fbi.gov"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,31 +166,28 @@ func TestMinCutImpliesComplete(t *testing.T) {
 	}
 }
 
-func cutHosts(t *testing.T, d *core.Digraph) []string {
+// cutHosts returns the name's minimum cut by host name, straight from
+// the digraph and the solver without the analysis plumbing.
+func cutHosts(t *testing.T, g *core.Graph, name string) []string {
 	t.Helper()
-	weights := make([]int64, d.NumNodes())
-	for i := range d.Hosts {
-		weights[i] = 1
+	cid, ok := g.NameChainID(name)
+	if !ok {
+		t.Fatalf("%s not surveyed", name)
 	}
-	cut, _, err := vertexCut(d, weights)
+	var d core.Digraph
+	if err := d.Fill(g, cid); err != nil {
+		t.Fatal(err)
+	}
+	var sv mincut.Solver
+	cut, err := sv.Analyze(&d, func(int32) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cut
-}
-
-// vertexCut adapts mincut.VertexCut to host names without importing the
-// analysis plumbing.
-func vertexCut(d *core.Digraph, weights []int64) ([]string, int64, error) {
-	cut, total, err := mincutVertexCut(d.Adj, weights, d.Source, d.Sink)
-	if err != nil {
-		return nil, 0, err
-	}
 	var hosts []string
-	for _, v := range cut {
-		hosts = append(hosts, d.Hosts[v])
+	for _, v := range cut.Nodes {
+		hosts = append(hosts, g.Host(d.Hosts[v]))
 	}
-	return hosts, total, nil
+	return hosts
 }
 
 func TestForgingTransportDivertsResolution(t *testing.T) {
@@ -255,9 +246,4 @@ func TestForgingTransportHonestWithoutAttack(t *testing.T) {
 	if len(res.Addrs) != 1 || res.Addrs[0].String() == "203.0.113.66" {
 		t.Errorf("honest resolution broken: %v", res.Addrs)
 	}
-}
-
-// mincutVertexCut is a thin indirection to mincut.VertexCut.
-func mincutVertexCut(adj [][]int, weights []int64, s, t int) ([]int, int64, error) {
-	return mincut.VertexCut(adj, weights, s, t)
 }

@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,55 @@ func TestVertexCutIsActuallyACut(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolverReuseMatchesFresh runs one Solver over 1000 seeded random
+// digraphs (cycles included) whose sizes shrink and grow from one to the
+// next, so every scratch array is at some point longer than the network
+// it serves. Each cut must equal a fresh solver's, member for member,
+// and the brute-force optimum: anything a previous network left behind
+// shows up as a difference.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var reused Solver
+	for i := 0; i < 1000; i++ {
+		n := 3 + r.Intn(8) // 3..10 nodes, node 0 = s, n-1 = t
+		if i%7 == 0 {
+			n = 3 + r.Intn(3) // a small one right after a large one
+		}
+		adj := make([][]int, n)
+		for v := 0; v < n; v++ {
+			for w := 0; w < n; w++ {
+				if v == 0 && w == n-1 {
+					continue // keep a finite cut possible
+				}
+				if r.Intn(3) == 0 {
+					adj[v] = append(adj[v], w) // self-loops and back edges too
+				}
+			}
+		}
+		weights := make([]int64, n)
+		for v := range weights {
+			weights[v] = int64(1 + r.Intn(4))
+		}
+		cut, total, err := reused.VertexCut(adj, weights, 0, n-1)
+		if err != nil {
+			t.Fatalf("graph %d: %v", i, err)
+		}
+		fcut, ftotal, err := VertexCut(adj, weights, 0, n-1)
+		if err != nil {
+			t.Fatalf("graph %d, fresh solver: %v", i, err)
+		}
+		if total != ftotal || !reflect.DeepEqual(cut, fcut) {
+			t.Fatalf("graph %d (%d nodes): reused solver cut %v weight %d, fresh solver %v weight %d", i, n, cut, total, fcut, ftotal)
+		}
+		if best := bruteForceCut(adj, weights, 0, n-1); total != best {
+			t.Fatalf("graph %d (%d nodes): cut weight %d, brute force %d", i, n, total, best)
+		}
+		if pathAvoiding(adj, 0, n-1, cut) {
+			t.Fatalf("graph %d: cut %v does not disconnect", i, cut)
+		}
 	}
 }
 

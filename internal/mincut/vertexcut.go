@@ -1,10 +1,16 @@
 package mincut
 
 import (
+	"errors"
 	"fmt"
 
 	"dnstrust/internal/core"
 )
+
+// ErrNoFiniteCut is returned when every source-sink separation needs an
+// unremovable node: the source is adjacent to the sink, or the cut's
+// weight reaches Inf.
+var ErrNoFiniteCut = errors.New("mincut: no finite vertex cut (source adjacent to sink?)")
 
 // VertexCut computes a minimum-weight vertex cut separating source from
 // sink in the digraph given by adj. weights[v] is the cost of removing
@@ -17,6 +23,11 @@ import (
 // the cut members are the nodes whose in-half is residually reachable
 // from the source while their out-half is not.
 func VertexCut(adj [][]int, weights []int64, source, sink int) ([]int, int64, error) {
+	return new(Solver).VertexCut(adj, weights, source, sink)
+}
+
+// VertexCut is the package-level VertexCut on s's reusable network.
+func (s *Solver) VertexCut(adj [][]int, weights []int64, source, sink int) ([]int, int64, error) {
 	n := len(adj)
 	if source < 0 || source >= n || sink < 0 || sink >= n {
 		return nil, 0, fmt.Errorf("mincut: source/sink out of range")
@@ -27,46 +38,27 @@ func VertexCut(adj [][]int, weights []int64, source, sink int) ([]int, int64, er
 	if len(weights) != n {
 		return nil, 0, fmt.Errorf("mincut: %d weights for %d nodes", len(weights), n)
 	}
-	in := func(v int) int { return 2 * v }
-	out := func(v int) int { return 2*v + 1 }
-
-	m := newMaxflow(2 * n)
-	for v := 0; v < n; v++ {
-		c := weights[v]
-		if v == source || v == sink {
-			c = Inf
-		}
-		m.addEdge(in(v), out(v), c)
-		for _, w := range adj[v] {
-			if w == v {
-				continue
-			}
-			m.addEdge(out(v), in(w), Inf)
+	s.begin(n)
+	for v, succ := range adj {
+		for _, w := range succ {
+			s.link(int32(v), int32(w))
 		}
 	}
-	total := m.run(out(source), in(sink))
-	if total == 0 {
-		return nil, 0, nil
+	copy(s.weight, weights)
+	total, err := s.minCut(int32(source), int32(sink))
+	if err != nil || total == 0 {
+		return nil, 0, err
 	}
-	if total >= Inf {
-		return nil, 0, fmt.Errorf("mincut: no finite vertex cut (source adjacent to sink?)")
-	}
-	reach := m.residualReach(out(source))
-	var cut []int
-	for v := 0; v < n; v++ {
-		if v == source || v == sink {
-			continue
-		}
-		if reach[in(v)] && !reach[out(v)] {
-			cut = append(cut, v)
-		}
+	cut := make([]int, len(s.cut))
+	for i, v := range s.cut {
+		cut[i] = int(v)
 	}
 	return cut, total, nil
 }
 
 // Result is the bottleneck analysis of one name's delegation digraph.
 type Result struct {
-	// Cut lists the cut's nameserver hosts.
+	// Cut lists the cut's nameserver hosts, by name.
 	Cut []string
 	// Size is the number of servers in the minimum cut (unit weights).
 	Size int
@@ -92,35 +84,53 @@ func (r *Result) Clone() *Result {
 // digraph size (cut weight must stay below Inf).
 const safeWeight = int64(1) << 32
 
-// Analyze runs both cut computations on a per-name delegation digraph.
-// vulnerable reports whether a host has a known exploit.
-func Analyze(d *core.Digraph, vulnerable func(host string) bool) (*Result, error) {
+// Cut is the bottleneck of one delegation digraph, by local node.
+type Cut struct {
+	// Nodes lists the minimum (unit-weight) cut's members as local node
+	// indices of the digraph. It aliases the Solver and is valid until
+	// the Solver's next use.
+	Nodes []int32
+	// SafeInCut and VulnInCut count the non-vulnerable and vulnerable
+	// servers of the cut that minimizes the former (Result's fields).
+	SafeInCut, VulnInCut int
+}
+
+// Analyze runs both cut computations on a delegation digraph: the split
+// network is built once, the weighted cut runs on it, then the unit cut
+// with the capacities reset — last, because its members are what
+// Cut.Nodes aliases. vulnerable reports whether an interned host id has a
+// known exploit. It allocates nothing once s has grown to the digraph's
+// size.
+func (s *Solver) Analyze(d *core.Digraph, vulnerable func(host int32) bool) (Cut, error) {
 	n := d.NumNodes()
-	unit := make([]int64, n)
-	weighted := make([]int64, n)
-	for i, h := range d.Hosts {
-		unit[i] = 1
-		if vulnerable(h) {
-			weighted[i] = 1
-		} else {
-			weighted[i] = safeWeight
+	s.begin(n)
+	for v := 0; v < n; v++ {
+		for _, w := range d.Succ(v) {
+			s.link(int32(v), w)
 		}
 	}
+	source, sink := int32(d.Source()), int32(d.Sink())
 
-	cut, size, err := VertexCut(d.Adj, unit, d.Source, d.Sink)
+	for v, h := range d.Hosts {
+		if vulnerable(h) {
+			s.weight[v] = 1
+		} else {
+			s.weight[v] = safeWeight
+		}
+	}
+	wtotal, err := s.minCut(source, sink)
 	if err != nil {
-		return nil, fmt.Errorf("unit cut for %q: %w", d.Name, err)
+		return Cut{}, err
 	}
-	res := &Result{Size: int(size)}
-	for _, v := range cut {
-		res.Cut = append(res.Cut, d.Hosts[v])
-	}
+	c := Cut{SafeInCut: int(wtotal / safeWeight)}
+	c.VulnInCut = len(s.cut) - c.SafeInCut
 
-	wcut, wtotal, err := VertexCut(d.Adj, weighted, d.Source, d.Sink)
-	if err != nil {
-		return nil, fmt.Errorf("weighted cut for %q: %w", d.Name, err)
+	for v := range d.Hosts {
+		s.weight[v] = 1
 	}
-	res.SafeInCut = int(wtotal / safeWeight)
-	res.VulnInCut = len(wcut) - res.SafeInCut
-	return res, nil
+	if _, err := s.minCut(source, sink); err != nil {
+		return Cut{}, err
+	}
+	c.Nodes = s.cut
+	return c, nil
 }
