@@ -246,11 +246,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
 				os.Exit(1)
 			}
-			e, err := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, ShardName: name})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
-				os.Exit(1)
-			}
+			e := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, ShardName: name})
 			if _, err := e.Add(context.Background(), parts[i]...); err != nil {
 				fmt.Fprintf(os.Stderr, "dnsbench: shard %s crawl: %v\n", name, err)
 				os.Exit(1)

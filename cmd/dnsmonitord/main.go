@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dnsmonitord [-addr :8053] [-names 20000] [-seed 1] [-workers 0] [-retain 8]
-//	            [-memo-file crawl.memo] [-snapshot session.snap]
+//	            [-memo-file crawl.qlog] [-snapshot session.snap]
 //	            [-record crawl.qlog] [-replay crawl.qlog] [-live]
 //	            [-shard-name s0]
 //
@@ -63,7 +63,9 @@
 // byte-stable query log of every exchange (saved after the initial
 // crawl and after every /add), and -replay serves the whole session —
 // /add included — from a recorded log, so the daemon can monitor a
-// snapshot of the past.
+// snapshot of the past. -memo-file names a query log replayed with
+// fallthrough: questions it answered are not asked again, and it is
+// saved back wherever the -record log is, and on SIGTERM.
 package main
 
 import (
@@ -132,11 +134,11 @@ func main() {
 	log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
 		v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), ln.Addr())
 
-	// The atomic save inside Monitor.Close means a kill mid-shutdown
-	// still leaves the previous snapshot loadable.
+	// The atomic saves inside Monitor.Close and SaveRecording mean a kill
+	// mid-shutdown still leaves the previous files loadable.
 	os.Exit(daemon.Serve(ln, srv.mux(), func() error {
 		srv.cache.Close()
-		return m.Close()
+		return errors.Join(m.Close(), sess.SaveRecording(log.Printf))
 	}))
 }
 

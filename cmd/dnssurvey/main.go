@@ -8,6 +8,7 @@
 //	dnssurvey -follow [-names 20000] ...
 //	dnssurvey -record crawl.qlog          # record the crawl's transport exchanges
 //	dnssurvey -replay crawl.qlog          # re-run the survey offline from a recording
+//	dnssurvey -memo-file crawl.qlog       # resume: ask only what the log cannot answer
 //	dnssurvey -live                       # crawl over real UDP/TCP loopback sockets
 //	dnssurvey -diff old.qlog new.qlog     # drift study: diff two recordings offline
 //	dnssurvey -snapshot-out session.snap  # save the surveyed epoch store as a snapshot
@@ -29,9 +30,17 @@
 // nameserver as a real DNS server on loopback and crawls over actual
 // sockets; -record captures every transport exchange into a byte-stable
 // query log; -replay serves the entire crawl (fingerprint probes
-// included) from such a log — or from a -memo-file — touching no other
-// transport, so the same analysis can run over recorded snapshots from
-// different times. -record composes with both -live and -replay.
+// included) from such a log, touching no other transport, so the same
+// analysis can run over recorded snapshots from different times.
+// -record composes with both -live and -replay.
+//
+// -memo-file makes an interrupted survey resumable: the file is a query
+// log replayed with fallthrough over the default or -live terminal, so
+// every question it answered successfully is not asked again (failures
+// are), and every answer is saved back to it, even after an aborted
+// crawl. A missing file is a fresh start; a memo file is itself a
+// recording that -replay serves strictly. It cannot be combined with
+// -replay.
 //
 // With -follow the survey session stays open after the initial crawl:
 // every line read from stdin is a whitespace-separated batch of names to
@@ -84,7 +93,7 @@ func main() {
 		}
 		os.Exit(runDiff(ctx, flag.Arg(0), flag.Arg(1), opts, *quiet, os.Stdout, os.Stderr))
 	}
-	// save persists the query log and -snapshot-out. A closed session can
+	// save persists the query logs and -snapshot-out. A closed session can
 	// still be snapshotted: Close only ends the write side.
 	save := func(m *dnstrust.Monitor, snapshotPath string) {
 		if err := sess.SaveRecording(logf); err != nil {
@@ -111,8 +120,8 @@ func main() {
 	v, err := m.Add(ctx, m.World().Corpus...)
 	if err != nil {
 		m.Close()
-		// Like the query memo, a partial recording survives an aborted
-		// crawl: everything answered so far is worth keeping.
+		// Partial query logs survive an aborted crawl: everything answered
+		// so far is worth keeping.
 		save(m, "")
 		fmt.Fprintf(os.Stderr, "dnssurvey: %v\n", err)
 		os.Exit(1)
@@ -135,8 +144,8 @@ func main() {
 		return
 	}
 
-	// One-shot mode: freeze the session (persisting the query memo) and
-	// regenerate the paper.
+	// One-shot mode: freeze the session, persist it, and regenerate the
+	// paper.
 	if err := m.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "dnssurvey: warning: session teardown: %v\n", err)
 	}
@@ -353,9 +362,6 @@ func printStats(sv *dnstrust.Survey) {
 		"engine: gen %d, %d workers, %d transport queries, %d query-memo hits, %d shared walks, %d inline fallbacks\n",
 		st.Generation, st.Workers, st.Walker.Queries, st.Walker.MemoHits, st.Walker.SharedWalks, st.Walker.InlineWalks)
 	fmt.Fprintf(os.Stderr,
-		"phases: walk+assemble %.2fs (streamed), closure build %.3fs; %d memo entries resumed, %d failures retried\n",
-		st.WalkTime.Seconds(), st.BuildTime.Seconds(), st.MemoLoaded, st.FailuresRetried)
-	if err := st.MemoSaveErr; err != nil {
-		fmt.Fprintf(os.Stderr, "dnssurvey: warning: session teardown: %v\n", err)
-	}
+		"phases: walk+assemble %.2fs (streamed), closure build %.3fs; %d failures retried\n",
+		st.WalkTime.Seconds(), st.BuildTime.Seconds(), st.FailuresRetried)
 }

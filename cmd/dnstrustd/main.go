@@ -10,10 +10,16 @@
 // Usage:
 //
 //	dnstrustd [-listen 127.0.0.1:5353] [-names 20000] [-seed 1] [-workers 0]
-//	          [-memo-file crawl.memo] [-snapshot session.snap]
+//	          [-memo-file crawl.qlog] [-snapshot session.snap]
 //	          [-record crawl.qlog] [-replay crawl.qlog] [-live]
 //	          [-max-tcb 100] [-narrow-cut 1] [-flag-only]
 //	          [-verdict-ttl 1m] [-queue 1024] [-stats-every 60s]
+//
+// -memo-file resumes the monitor's crawls from a query log replayed
+// with fallthrough (questions it answered are not asked again) and saves
+// the log back after the initial crawl and on SIGTERM. The proxy's own
+// resolution goes to the terminal (the default or -live), never to the
+// log.
 //
 // Per-name verdicts come from a sharded, lock-free cache invalidated
 // precisely at each generation commit: only names whose delegation

@@ -1,6 +1,6 @@
 // Package atomicio implements the write-to-temp-then-rename idiom shared
 // by every on-disk artifact that must never be observable half-written:
-// query-memo files and epoch-store snapshots. The content is produced
+// query logs and epoch-store snapshots. The content is produced
 // into a temporary sibling of the target, synced, and renamed into place
 // — a crash or SIGTERM at any point leaves either the previous complete
 // file or no file, never a loadable partial one.

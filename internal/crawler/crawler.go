@@ -8,11 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
-	"dnstrust/internal/atomicio"
 	"dnstrust/internal/core"
 	"dnstrust/internal/dnsname"
 	"dnstrust/internal/resolver"
@@ -28,18 +25,12 @@ type Config struct {
 	// empty, i.e. optimistically safe).
 	SkipVersionProbe bool
 	// Source, when non-nil, is the composed transport chain backing the
-	// engine's resolver. The engine takes ownership: Close closes it
-	// after the memo save, flushing stateful middleware (query
-	// recording) and releasing whatever the terminal holds (live
-	// sockets). The engine never queries it directly — queries flow
-	// through the resolver, which was built over the same chain.
+	// engine's resolver. The engine takes ownership: Close closes it,
+	// flushing stateful middleware (query recording) and releasing
+	// whatever the terminal holds (live sockets). The engine never
+	// queries it directly — queries flow through the resolver, which was
+	// built over the same chain.
 	Source transport.Source
-	// MemoFile, when non-empty, persists the walker's (name, qtype)
-	// query memo: an existing file is loaded before the crawl (resuming
-	// an interrupted run without re-asking answered questions) and the
-	// memo is saved back after the walk phase, even when the crawl is
-	// cancelled partway.
-	MemoFile string
 	// Progress, when non-nil, receives the number of names completed so
 	// far at coarse intervals.
 	Progress func(done, total int)
@@ -60,15 +51,10 @@ type CrawlStats struct {
 	Workers int
 	// Walker carries the walker's query/memo/single-flight counters.
 	Walker resolver.Stats
-	// MemoLoaded is the number of query-memo entries resumed from
-	// Config.MemoFile (0 when persistence is off or the file was absent).
-	MemoLoaded int
-	// MemoSaveErr records a teardown failure after an otherwise
-	// successful crawl — persisting the query memo, or closing the
-	// engine-owned transport source (Config.Source). The survey itself
-	// is still returned; only resume state or source resources were
-	// affected.
-	MemoSaveErr error
+	// CloseErr records a failure to close the engine-owned transport
+	// source (Config.Source) after an otherwise successful Run. The
+	// survey itself is still returned.
+	CloseErr error
 	// WalkTime is the wall time of the streaming phase: corpus walk plus
 	// incremental graph assembly, which overlap completely.
 	WalkTime time.Duration
@@ -170,61 +156,23 @@ type event struct {
 // skip fingerprinting.
 //
 // Run is the one-shot convenience over the resident Engine: it opens an
-// engine, Adds the whole corpus as one batch, and closes the engine
-// (saving the query memo when configured — even when the crawl aborts,
-// so an interrupted survey resumes without re-asking answered
-// questions). The streaming pipeline, worker-pool semantics, and
-// incremental graph assembly are the Engine's; see Engine.Add.
+// engine, Adds the whole corpus as one batch, and closes the engine. The
+// streaming pipeline, worker-pool semantics, and incremental graph
+// assembly are the Engine's; see Engine.Add.
 func Run(ctx context.Context, r *resolver.Resolver, corpus []string, probe func(ctx context.Context, host string) (string, error), cfg Config) (*Survey, error) {
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("crawler: empty corpus")
 	}
-	e, err := NewEngine(r, probe, cfg)
-	if err != nil {
-		return nil, err
-	}
+	e := NewEngine(r, probe, cfg)
 	s, addErr := e.Add(ctx, corpus...)
-	// Close persists the memo before any error is reported: resuming an
-	// interrupted crawl is exactly the point of the memo file. A save
-	// failure must not discard a completed survey — it is joined onto
-	// abort errors and otherwise surfaced through Stats.MemoSaveErr.
-	memoErr := e.Close()
+	// A close failure must not discard a completed survey: it is joined
+	// onto abort errors and otherwise surfaced through Stats.CloseErr.
+	closeErr := e.Close()
 	if addErr != nil {
-		return nil, errors.Join(addErr, memoErr)
+		return nil, errors.Join(addErr, closeErr)
 	}
-	s.Stats.MemoSaveErr = memoErr
+	s.Stats.CloseErr = closeErr
 	return s, nil
-}
-
-// loadMemoFile resumes the walker's query memo from path; a missing file
-// is a fresh start, not an error.
-func loadMemoFile(w *resolver.Walker, path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("crawler: memo file: %w", err)
-	}
-	defer f.Close()
-	n, err := w.LoadMemo(f)
-	if err != nil {
-		return n, fmt.Errorf("crawler: memo file %s: %w", path, err)
-	}
-	return n, nil
-}
-
-// saveMemoFile persists the walker's query memo to path atomically, so
-// an interrupt during save never corrupts an earlier memo.
-func saveMemoFile(w *resolver.Walker, path string) error {
-	_, err := atomicio.WriteFile(path, func(f io.Writer) error {
-		_, err := w.SaveMemo(f)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("crawler: memo file %s: %w", path, err)
-	}
-	return nil
 }
 
 // FromGraph packages a finished dependency graph as a Survey with no

@@ -41,14 +41,13 @@ type Engine struct {
 	// mu serializes Add and Close and guards the mutable crawl state
 	// below. The committed view is published through an atomic pointer
 	// so readers never touch the lock.
-	mu         sync.Mutex
-	b          *core.Builder
-	banner     map[string]string
-	vulns      map[string][]vulndb.Vuln
-	db         *vulndb.DB
-	probed     int // prefix of the graph's host table already fingerprinted
-	memoLoaded int
-	closed     bool
+	mu     sync.Mutex
+	b      *core.Builder
+	banner map[string]string
+	vulns  map[string][]vulndb.Vuln
+	db     *vulndb.DB
+	probed int // prefix of the graph's host table already fingerprinted
+	closed bool
 	// pendingLate carries late-attached host ids drained from the
 	// builder by an Add that then failed before committing (e.g. probe
 	// cancellation): they must surface in the NEXT committed
@@ -68,13 +67,11 @@ type Engine struct {
 
 // NewEngine opens a resident survey engine over r. probe fetches
 // version.bind banners for newly discovered hosts (nil skips
-// fingerprinting). When cfg.MemoFile names an existing file, the query
-// memo is resumed from it; Close saves it back. The engine starts at
-// generation 0 with an empty committed view.
-func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string) (string, error), cfg Config) (*Engine, error) {
-	w := resolver.NewWalker(r)
+// fingerprinting). The engine starts at generation 0 with an empty
+// committed view.
+func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string) (string, error), cfg Config) *Engine {
 	e := &Engine{
-		w:      w,
+		w:      resolver.NewWalker(r),
 		probe:  probe,
 		cfg:    cfg,
 		b:      core.NewBuilder(0),
@@ -82,23 +79,15 @@ func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string
 		vulns:  make(map[string][]vulndb.Vuln),
 		db:     vulndb.Default(),
 	}
-	if cfg.MemoFile != "" {
-		n, err := loadMemoFile(w, cfg.MemoFile)
-		if err != nil {
-			return nil, err
-		}
-		e.memoLoaded = n
-	}
-	w.SetObserver(e)
+	e.w.SetObserver(e)
 	e.view.Store(&Survey{
 		Graph:  e.b.FinishEpoch(),
 		Failed: map[string]error{},
 		Banner: map[string]string{},
 		Vulns:  map[string][]vulndb.Vuln{},
 		DB:     e.db,
-		Stats:  CrawlStats{MemoLoaded: e.memoLoaded},
 	})
-	return e, nil
+	return e
 }
 
 // ZoneDiscovered forwards a walker discovery into the active batch's
@@ -265,7 +254,6 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 		Stats: CrawlStats{
 			Workers:           workers,
 			Walker:            e.w.Stats(),
-			MemoLoaded:        e.memoLoaded,
 			WalkTime:          walkTime,
 			BuildTime:         buildTime,
 			Generation:        e.gen.Add(1),
@@ -290,11 +278,10 @@ func (e *Engine) PruneJournal(epoch int64) {
 	}
 }
 
-// Close saves the query memo (when Config.MemoFile is set), releases the
-// memoized responses, closes the engine-owned transport chain (when
-// Config.Source is set), and rejects further Adds. Committed views
-// remain fully readable — Close only ends the engine's write side. It
-// returns the memo-save or source-close failure, if any.
+// Close releases the memoized responses, closes the engine-owned
+// transport chain (when Config.Source is set), and rejects further Adds.
+// Committed views remain fully readable — Close only ends the engine's
+// write side. It returns the source-close failure, if any.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -302,15 +289,11 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	var memoErr error
-	if e.cfg.MemoFile != "" {
-		memoErr = saveMemoFile(e.w, e.cfg.MemoFile)
-	}
 	e.w.ReleaseQueryMemo()
 	if e.cfg.Source != nil {
-		memoErr = errors.Join(memoErr, e.cfg.Source.Close())
+		return e.cfg.Source.Close()
 	}
-	return memoErr
+	return nil
 }
 
 // mergeSorted merges two sorted id slices, deduplicating.

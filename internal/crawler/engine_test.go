@@ -21,11 +21,7 @@ func openEngine(t *testing.T, world *topology.World, cfg crawler.Config) (*crawl
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, counter
+	return crawler.NewEngine(r, world.Registry.ProbeFunc(tr), cfg), counter
 }
 
 // TestEngineIncrementalMatchesBatch is the Engine's equivalence gate: a

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -99,19 +100,22 @@ func hashNames(names []string) uint64 {
 // failure tables, banners, and generation counter are restored from a
 // snapshot file instead of crawled: the restart path that reproduces the
 // last committed generation's Survey with zero transport queries. The
-// walker's discovery caches start cold — they refill lazily (and
-// transport-free, when cfg.MemoFile resumes the query memo) as new names
-// are added. The snapshot's mapping stays referenced for the life of the
-// engine's store.
+// walker's discovery caches start cold — they refill lazily as new names
+// are added (transport-free for whatever a fallthrough query log
+// answers). The snapshot's mapping stays referenced for the life of the
+// engine's store; a failed restore releases it.
 func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context, host string) (string, error), cfg Config, path string) (*Engine, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: snapshot %s: %w", path, err)
 	}
-	b, err := core.LoadSnapshot(f)
-	if err != nil {
+	fail := func(err error) (*Engine, error) {
 		f.Close()
 		return nil, fmt.Errorf("crawler: snapshot %s: %w", path, err)
+	}
+	b, err := core.LoadSnapshot(f)
+	if err != nil {
+		return fail(err)
 	}
 
 	md := snapshot.NewSectionReader(f, "crawler/meta")
@@ -121,20 +125,15 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 	bd := snapshot.NewSectionReader(f, "crawler/banner")
 	hosts := bd.Strings()
 	banners := bd.Strings()
-	if err := md.Err(); err != nil {
-		return nil, fmt.Errorf("crawler: snapshot %s: %w", path, err)
-	}
-	if err := bd.Err(); err != nil {
-		return nil, fmt.Errorf("crawler: snapshot %s: %w", path, err)
+	if err := errors.Join(md.Err(), bd.Err()); err != nil {
+		return fail(err)
 	}
 	if len(banners) != len(hosts) {
-		return nil, fmt.Errorf("crawler: snapshot %s: %w: %d banners for %d hosts",
-			path, snapshot.ErrCorrupt, len(banners), len(hosts))
+		return fail(fmt.Errorf("%w: %d banners for %d hosts", snapshot.ErrCorrupt, len(banners), len(hosts)))
 	}
 
-	w := resolver.NewWalker(r)
 	e := &Engine{
-		w:           w,
+		w:           resolver.NewWalker(r),
 		probe:       probe,
 		cfg:         cfg,
 		b:           b,
@@ -150,14 +149,7 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 			e.vulns[h] = vs
 		}
 	}
-	if cfg.MemoFile != "" {
-		n, err := loadMemoFile(w, cfg.MemoFile)
-		if err != nil {
-			return nil, err
-		}
-		e.memoLoaded = n
-	}
-	w.SetObserver(e)
+	e.w.SetObserver(e)
 	e.gen.Store(gen)
 
 	g := b.LastGraph()
@@ -173,7 +165,7 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		Banner: maps.Clone(e.banner),
 		Vulns:  maps.Clone(e.vulns),
 		DB:     e.db,
-		Stats:  CrawlStats{Generation: gen, MemoLoaded: e.memoLoaded},
+		Stats:  CrawlStats{Generation: gen},
 	})
 	return e, nil
 }

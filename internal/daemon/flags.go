@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"dnstrust"
@@ -15,8 +16,8 @@ import (
 
 // Session is the flag block every survey command shares — which world
 // to generate and which Internet to crawl it over — and, once opened,
-// the transport pieces the command still needs: the recording to save
-// and the upstream terminal a resolver can share with the monitor.
+// the transport pieces the command still needs: the logs to save and
+// the upstream terminal a resolver can share with the monitor.
 type Session struct {
 	names    int
 	seed     int64
@@ -26,6 +27,7 @@ type Session struct {
 	replay   string
 	live     bool
 	recLog   *dnstrust.QueryLog
+	memoLog  *dnstrust.QueryLog
 
 	// Snapshot is the -snapshot path ("" when off).
 	Snapshot string
@@ -42,7 +44,7 @@ func BindSession(fs *flag.FlagSet, durable bool) *Session {
 	fs.IntVar(&s.names, "names", 20000, "initial survey corpus size (paper: 593160)")
 	fs.Int64Var(&s.seed, "seed", 1, "world generation seed")
 	fs.IntVar(&s.workers, "workers", 0, "crawl parallelism (0 = GOMAXPROCS)")
-	fs.StringVar(&s.memoFile, "memo-file", "", "persist the query memo here and resume from it")
+	fs.StringVar(&s.memoFile, "memo-file", "", "resume from this query log (answered questions are not asked again) and save every answer back to it")
 	if durable {
 		fs.StringVar(&s.Snapshot, "snapshot", "", "persist the session snapshot here: restored at boot, saved after each crawl and on SIGTERM")
 	}
@@ -53,21 +55,36 @@ func BindSession(fs *flag.FlagSet, durable bool) *Session {
 }
 
 // Options maps the parsed flags onto dnstrust.Options. The transport
-// fields (RecordLog, ReplayLog, Source) are composed by Open.
+// fields (RecordLog, ReplayLog, ReplayFallthrough, Source) are composed
+// by Open.
 func (s *Session) Options() dnstrust.Options {
-	return dnstrust.Options{Seed: s.seed, Names: s.names, Workers: s.workers,
-		MemoFile: s.memoFile, SnapshotFile: s.Snapshot}
+	return dnstrust.Options{Seed: s.seed, Names: s.names, Workers: s.workers, SnapshotFile: s.Snapshot}
 }
 
 // Open generates the world the flags describe, composes the session's
-// transport — a fresh recording, a strict replay of a recorded log, or
-// real loopback servers under -live — and opens a monitor over it.
-// opts is Options() plus whatever else the command sets; logf receives
-// one line per start-up step.
+// transport — a fresh recording, a strict replay of a recorded log, a
+// -memo-file log replayed with fallthrough, real loopback servers under
+// -live — and opens a monitor over it. opts is Options() plus whatever
+// else the command sets; logf receives one line per start-up step.
 func (s *Session) Open(ctx context.Context, opts dnstrust.Options, logf func(format string, args ...any)) (*dnstrust.Monitor, error) {
+	if s.memoFile != "" && s.replay != "" {
+		return nil, errors.New("-memo-file and -replay both name a log to answer from; use one")
+	}
 	if s.record != "" {
 		s.recLog = transport.NewLog()
 		opts.RecordLog = s.recLog
+	}
+	if s.memoFile != "" {
+		// The memo file is a query log that resumes: what it holds is
+		// answered offline, and the terminal chosen below answers (and
+		// extends it with) the rest. A missing file is a fresh start.
+		s.memoLog = transport.NewLog()
+		n, err := s.memoLog.LoadFile(s.memoFile)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("-memo-file %s: %w", s.memoFile, err)
+		}
+		logf("resuming from %s: %d recorded questions", s.memoFile, n)
+		opts.ReplayLog, opts.ReplayFallthrough = s.memoLog, true
 	}
 	if s.replay != "" {
 		// A missing or unreadable recording fails the open: replaying
@@ -111,18 +128,24 @@ func (s *Session) Open(ctx context.Context, opts dnstrust.Options, logf func(for
 	return dnstrust.OpenWorld(ctx, world, opts)
 }
 
-// SaveRecording writes the -record query log, when one is being kept,
-// and reports its size on logf. A partial recording is worth saving
-// after an aborted crawl, like the query memo. Calls must not overlap.
+// SaveRecording writes the -record and -memo-file query logs, whichever
+// are kept, and reports each size on logf. Both are worth saving after
+// an aborted crawl: everything answered so far need not be asked again.
+// Calls must not overlap.
 func (s *Session) SaveRecording(logf func(format string, args ...any)) error {
-	if s.recLog == nil {
+	return errors.Join(saveLog(s.recLog, s.record, "recording", logf), saveLog(s.memoLog, s.memoFile, "memo file", logf))
+}
+
+// saveLog writes lg to path when lg is kept (non-nil).
+func saveLog(lg *dnstrust.QueryLog, path, what string, logf func(format string, args ...any)) error {
+	if lg == nil {
 		return nil
 	}
-	n, err := s.recLog.SaveFile(s.record)
+	n, err := lg.SaveFile(path)
 	if err != nil {
-		return fmt.Errorf("recording not saved: %w", err)
+		return fmt.Errorf("%s not saved: %w", what, err)
 	}
-	logf("recorded %d questions to %s", n, s.record)
+	logf("%s: saved %d questions to %s", what, n, path)
 	return nil
 }
 
@@ -137,8 +160,7 @@ func (s *Session) Crawl(ctx context.Context, m *dnstrust.Monitor, logf func(form
 	logf("crawling initial corpus...")
 	v, err := m.Add(ctx, m.World().Corpus...)
 	if err != nil {
-		// Close flushes the query memo, and a partial recording is worth
-		// keeping like it: both survive an aborted crawl.
+		// A partial recording and memo file both survive an aborted crawl.
 		return nil, errors.Join(fmt.Errorf("initial crawl: %w", err), m.Close(), s.SaveRecording(logf))
 	}
 	s.Persist(m, logf)
@@ -146,8 +168,8 @@ func (s *Session) Crawl(ctx context.Context, m *dnstrust.Monitor, logf func(form
 }
 
 // Persist saves what a committed crawl must leave on disk — the -record
-// query log and the -snapshot file, whichever are configured — and
-// reports each outcome on logf. Calls must not overlap.
+// and -memo-file query logs and the -snapshot file, whichever are
+// configured — and reports each outcome on logf. Calls must not overlap.
 func (s *Session) Persist(m *dnstrust.Monitor, logf func(format string, args ...any)) {
 	if err := s.SaveRecording(logf); err != nil {
 		logf("%v", err)

@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"dnstrust/internal/daemon"
+	"dnstrust/internal/transport"
 )
 
 // The flag sets the four commands registered before the session and
@@ -123,6 +125,93 @@ func TestSessionReplay(t *testing.T) {
 	_, _, err = openWith(t, "-names", "40", "-replay", filepath.Join(t.TempDir(), "absent.qlog"))
 	if err == nil || !strings.Contains(err.Error(), "absent.qlog") {
 		t.Errorf("opening a missing -replay file = %v, want an error naming it", err)
+	}
+}
+
+// TestSessionMemoLog: -memo-file is a resumable query log. A missing
+// file is a fresh start and the crawl's answers are saved to it; a second
+// session resumes from it, asks nothing new and saves the same bytes;
+// and the file is a recording that -replay serves strictly.
+func TestSessionMemoLog(t *testing.T) {
+	memo := filepath.Join(t.TempDir(), "crawl.qlog")
+	args := []string{"-names", "40", "-seed", "3", "-memo-file", memo}
+	if _, _, err := openWith(t, args...); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(memo)
+	if err != nil || len(first) == 0 {
+		t.Fatalf("-memo-file left no log: %v", err)
+	}
+	_, logged, err := openWith(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := strings.Join(logged, "\n"); !strings.Contains(all, "resuming from "+memo) || strings.Contains(all, ": 0 recorded questions") {
+		t.Errorf("second session did not resume from the saved log; logged:\n%s", all)
+	}
+	if second, err := os.ReadFile(memo); err != nil || !bytes.Equal(first, second) {
+		t.Errorf("a resumed session changed the memo file (%v)", err)
+	}
+	if _, _, err := openWith(t, "-names", "40", "-seed", "3", "-replay", memo); err != nil {
+		t.Errorf("strict replay of a memo file: %v", err)
+	}
+	if _, _, err := openWith(t, "-names", "40", "-memo-file", memo, "-replay", memo); err == nil ||
+		!strings.Contains(err.Error(), "-memo-file") || !strings.Contains(err.Error(), "-replay") {
+		t.Errorf("-memo-file with -replay = %v, want an error naming both flags", err)
+	}
+}
+
+// TestSessionMemoLogRejectsGarbage: a memo file that is not a whole
+// query log fails the open with an error naming it, instead of silently
+// resuming from nothing.
+func TestSessionMemoLogRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	var rec bytes.Buffer
+	lg := transport.NewLog()
+	if _, err := lg.Save(&rec); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"garbage.qlog":   []byte("not a query log at all"),
+		"truncated.qlog": append(rec.Bytes(), 0, 1),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := openWith(t, "-names", "40", "-memo-file", path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("opening memo file %s = %v, want an error naming it", name, err)
+		}
+	}
+}
+
+// TestSessionMemoLogSaveFailureKeepsCrawl: an unwritable -memo-file path
+// loses the resume state, never the completed crawl — Crawl returns the
+// committed generation and logs the failed save.
+func TestSessionMemoLogSaveFailureKeepsCrawl(t *testing.T) {
+	memo := filepath.Join(t.TempDir(), "no", "such", "dir", "crawl.qlog")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	sess := daemon.BindSession(fs, false)
+	if err := fs.Parse([]string{"-names", "50", "-memo-file", memo}); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	logf := func(format string, a ...any) { logged = append(logged, fmt.Sprintf(format, a...)) }
+	ctx := context.Background()
+	m, err := sess.Open(ctx, sess.Options(), logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	v, err := sess.Crawl(ctx, m, logf)
+	if err != nil {
+		t.Fatalf("a crawl must survive a memo-file save failure, got %v", err)
+	}
+	if got, want := v.NumNames()+len(v.Survey().Failed), len(m.World().Corpus); got != want {
+		t.Errorf("crawled %d of %d names", got, want)
+	}
+	if all := strings.Join(logged, "\n"); !strings.Contains(all, "memo file not saved") || !strings.Contains(all, memo) {
+		t.Errorf("the lost resume state was not reported; logged:\n%s", all)
 	}
 }
 

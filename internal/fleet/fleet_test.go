@@ -41,10 +41,7 @@ func newShardEngine(t testing.TB, world *topology.World, name string) (*crawler.
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, ShardName: name})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, ShardName: name})
 	t.Cleanup(func() { e.Close() })
 	return e, counter
 }

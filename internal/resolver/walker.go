@@ -176,8 +176,8 @@ func (w *Walker) ForgetFailures() int {
 
 // ReleaseQueryMemo drops the (name, qtype) query memo, freeing the
 // cached response messages — O(total queries) of memory a finished crawl
-// no longer needs. Call it only once all walks are done (and after
-// SaveMemo, if persisting): later walks would re-query the transport.
+// no longer needs. Call it only once all walks are done: later walks
+// would re-query the transport.
 // The discovery caches (zones, chains, addresses) are unaffected.
 func (w *Walker) ReleaseQueryMemo() {
 	for i := range w.qmemo {

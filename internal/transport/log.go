@@ -27,34 +27,25 @@ var ErrNotRecorded = errors.New("transport: query not in recorded log")
 // as packed wire messages. A saved log is byte-stable — sorted records,
 // response IDs normalized to zero — so two recordings of the same
 // corpus are byte-identical and diffable, and a log is all a Replay
-// source needs to serve an entire crawl offline.
+// source needs to serve an entire crawl offline. It is also the one
+// on-disk format for resuming a crawl: replayed with fallthrough
+// (ReplayThrough), a log answers what it holds and records the rest.
 //
-// Record granularity follows the survey's query model, which is what
-// makes byte-stability possible at all:
+// Each question keeps two kinds of record (see record):
 //
-//   - INET records are server-agnostic. The walker's answer to a
-//     logical (name, qtype) question is a deterministic function of the
-//     question — its answering zone is fixed by the descent pattern —
-//     but *which server of that zone* happens to be asked varies with
-//     the worker schedule, so keying by server would make recordings
-//     schedule-dependent.
-//   - Non-INET records (CHAOS version.bind probes) are keyed per
-//     server: banners genuinely differ per box, and the probe set
-//     (every discovered host at its fixed address) is
-//     schedule-invariant.
+//   - a per-server exact answer, for every class. CHAOS version.bind
+//     banners differ per box, and an INET question asked of the root
+//     and of the TLD gets different answers. A SERVFAIL/REFUSED INET
+//     answer is never kept per server.
+//   - for INET, one server-agnostic fallback: the first answer, replaced
+//     by a later success when the first was a SERVFAIL/REFUSED, so a
+//     transient failure from one server never shadows the real answer
+//     (the walker's own dispatch retries past it the same way).
 //
-// A transient SERVFAIL/REFUSED from one server never shadows the real
-// answer: a later successful recording of the same question replaces a
-// failed fallback, mirroring the walker's own retry-past-failures
-// dispatch.
-//
-// Load also accepts the walker's query-memo file format
-// (resolver.SaveMemo): memo entries carry no server or class, so they
-// load as server-agnostic INET records.
-//
-// The (name, qtype) keying matches the Walker's descent, which asks
-// each question of exactly one zone. Plain Resolver.Resolve traffic is
-// outside this model — it re-asks the same (name, qtype) at every
+// Recordings stay schedule-independent because the walker asks each
+// (name, qtype) once — query memo plus single flight — of one zone, whose
+// servers it tries in sorted host order. Plain Resolver.Resolve traffic
+// is outside this model — it re-asks the same (name, qtype) at every
 // delegation hop, so its recordings are not replayable.
 //
 // A Log is safe for concurrent use.
@@ -71,10 +62,10 @@ type logKey struct {
 
 // logEntry holds the packed responses recorded for one question:
 // per-server exact answers (CHAOS version.bind banners differ per box)
-// plus one server-agnostic fallback (the first recording, or a memo
-// import). wildBad marks a fallback whose RCode was a server failure —
-// a later successful answer replaces it, so a transient SERVFAIL from
-// the first-tried server cannot shadow the real answer the retry found.
+// plus one server-agnostic fallback (the first recording). wildBad marks
+// a fallback whose RCode was a server failure — a later successful
+// answer replaces it, so a transient SERVFAIL from the first-tried
+// server cannot shadow the real answer the retry found.
 type logEntry struct {
 	byServer map[netip.Addr][]byte
 	wild     []byte
@@ -143,22 +134,20 @@ func (l *Log) record(server netip.Addr, name string, qtype dnswire.Type, class d
 
 // lookup returns the packed response for a query: the exact
 // (server, question) recording when present, the server-agnostic
-// fallback otherwise.
-func (l *Log) lookup(server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) ([]byte, bool) {
+// fallback otherwise. bad reports that the answer is a fallback whose
+// RCode was a server failure.
+func (l *Log) lookup(server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (pkt []byte, bad, ok bool) {
 	key := logKey{name: dnsname.Canonical(name), qtype: qtype, class: class}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	e, ok := l.m[key]
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	if pkt, ok := e.byServer[server]; ok {
-		return pkt, true
+		return pkt, false, true
 	}
-	if e.wild != nil {
-		return e.wild, true
-	}
-	return nil, false
+	return e.wild, e.wildBad, e.wild != nil
 }
 
 // Log file format (little-endian), one record per recorded exchange:
@@ -166,10 +155,6 @@ func (l *Log) lookup(server netip.Addr, name string, qtype dnswire.Type, class d
 //	u8 addrLen | addr bytes (0 = server-agnostic) | u16 nameLen | name |
 //	u16 qtype | u16 class | u32 msgLen | packed DNS message
 var logMagic = []byte("DNSQLOG1\n")
-
-// memoMagic mirrors resolver.SaveMemo's header so a walker memo file
-// loads as a replayable log.
-var memoMagic = []byte("DNSQMEMO1\n")
 
 // Save writes the log to dst in deterministic order — records sorted by
 // (name, qtype, class, server) — and returns how many records were
@@ -271,8 +256,8 @@ func (l *Log) SaveFile(path string) (int, error) {
 	return n, nil
 }
 
-// LoadFile reads a query-log (or walker memo) file into the log,
-// returning how many records were read.
+// LoadFile reads a query-log file into the log, returning how many
+// records were read.
 func (l *Log) LoadFile(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -282,26 +267,17 @@ func (l *Log) LoadFile(path string) (int, error) {
 	return l.Load(f)
 }
 
-// Load reads records from src — either the native log format or a
-// walker query-memo file — and merges them into the log, returning how
-// many records were read. Existing entries win over loaded ones.
+// Load reads records from src and merges them into the log, returning
+// how many records were read. Existing entries win over loaded ones.
 func (l *Log) Load(src io.Reader) (int, error) {
 	br := bufio.NewReader(src)
 	magic := make([]byte, len(logMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return 0, fmt.Errorf("transport: log header: %w", err)
 	}
-	switch string(magic) {
-	case string(logMagic):
-		return l.loadNative(br)
-	case string(memoMagic):
-		return l.loadMemo(br)
-	default:
-		return 0, fmt.Errorf("transport: not a query log or memo file")
+	if string(magic) != string(logMagic) {
+		return 0, fmt.Errorf("transport: not a query log (want a %q header)", logMagic[:len(logMagic)-1])
 	}
-}
-
-func (l *Log) loadNative(br *bufio.Reader) (int, error) {
 	loaded := 0
 	var hdr [10]byte
 	for {
@@ -349,43 +325,6 @@ func (l *Log) loadNative(br *bufio.Reader) (int, error) {
 			return loaded, fmt.Errorf("transport: log message for %q: %w", name, err)
 		}
 		l.install(logKey{name: string(name), qtype: qtype, class: class}, addr, wild, pkt, badRCode(msg.RCode))
-		loaded++
-	}
-}
-
-// loadMemo reads resolver.SaveMemo records: (name, qtype) keyed packed
-// messages, installed as server-agnostic INET answers.
-func (l *Log) loadMemo(br *bufio.Reader) (int, error) {
-	loaded := 0
-	var hdr [6]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[0:2]); err != nil {
-			if err == io.EOF {
-				return loaded, nil
-			}
-			return loaded, fmt.Errorf("transport: memo record: %w", err)
-		}
-		name := make([]byte, binary.LittleEndian.Uint16(hdr[0:2]))
-		if _, err := io.ReadFull(br, name); err != nil {
-			return loaded, fmt.Errorf("transport: memo record: %w", err)
-		}
-		if _, err := io.ReadFull(br, hdr[0:6]); err != nil {
-			return loaded, fmt.Errorf("transport: memo record: %w", err)
-		}
-		qtype := dnswire.Type(binary.LittleEndian.Uint16(hdr[0:2]))
-		msgLen := binary.LittleEndian.Uint32(hdr[2:6])
-		if msgLen > 0xffff {
-			return loaded, fmt.Errorf("transport: memo message for %q: implausible length %d", name, msgLen)
-		}
-		pkt := make([]byte, msgLen)
-		if _, err := io.ReadFull(br, pkt); err != nil {
-			return loaded, fmt.Errorf("transport: memo record: %w", err)
-		}
-		msg, err := dnswire.Unpack(pkt)
-		if err != nil {
-			return loaded, fmt.Errorf("transport: memo message for %q: %w", name, err)
-		}
-		l.install(logKey{name: string(name), qtype: qtype, class: dnswire.ClassINET}, netip.Addr{}, true, pkt, badRCode(msg.RCode))
 		loaded++
 	}
 }
@@ -442,7 +381,7 @@ func (r replaySource) Query(ctx context.Context, server netip.Addr, name string,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pkt, ok := r.log.lookup(server, name, qtype, class)
+	pkt, _, ok := r.log.lookup(server, name, qtype, class)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s %v %v", ErrNotRecorded, name, qtype, class)
 	}
@@ -454,8 +393,10 @@ func (r replaySource) Close() error { return nil }
 // ReplayThrough is the fallthrough replay source: queries the log can
 // answer are served offline; misses delegate to inner and the delta is
 // recorded back into the log, so the returned source converges toward a
-// complete recording. Misses() counts the delegated queries — zero
-// proves the log already covered the crawl.
+// complete recording. Only successes are resumed: a question whose only
+// record is a SERVFAIL/REFUSED counts as a miss and is asked again, so a
+// dependency that was lame and has recovered is seen. Misses() counts
+// the delegated queries — zero proves the log already covered the crawl.
 func ReplayThrough(log *Log, inner Source) *FallthroughSource {
 	return &FallthroughSource{log: log, inner: inner}
 }
@@ -472,7 +413,7 @@ func (f *FallthroughSource) Misses() int64 { return f.misses.Load() }
 
 // Query implements Source.
 func (f *FallthroughSource) Query(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {
-	if pkt, ok := f.log.lookup(server, name, qtype, class); ok {
+	if pkt, bad, ok := f.log.lookup(server, name, qtype, class); ok && !bad {
 		return dnswire.Unpack(pkt)
 	}
 	f.misses.Add(1)

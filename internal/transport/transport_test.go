@@ -229,6 +229,36 @@ func TestLogSuccessReplacesRecordedServFail(t *testing.T) {
 	}
 }
 
+// TestFallthroughRetriesRecordedFailure: a question the log holds only a
+// SERVFAIL for is a miss to a fallthrough replay — delegated once, and
+// served offline from the real answer after that — while strict replay
+// still serves the recorded SERVFAIL. A resumed crawl must see a
+// dependency that was lame and has recovered.
+func TestFallthroughRetriesRecordedFailure(t *testing.T) {
+	ctx := context.Background()
+	log := NewLog()
+	var served int
+	servfail := Chain(From(queryCounter{&served}), Record(log), Fault(FaultModel{Seed: 7, ServFail: 1}))
+	if _, err := servfail.Query(ctx, testAddr, "x.example", dnswire.TypeA, dnswire.ClassINET); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := Replay(log).Query(ctx, testAddr, "x.example", dnswire.TypeA, dnswire.ClassINET)
+	if err != nil || resp.RCode != dnswire.RCodeServFail {
+		t.Fatalf("strict replay of a recorded SERVFAIL = %v, %v; want the SERVFAIL", resp, err)
+	}
+
+	ft := ReplayThrough(log, From(queryCounter{&served}))
+	for i := 0; i < 2; i++ {
+		resp, err := ft.Query(ctx, testAddr, "x.example", dnswire.TypeA, dnswire.ClassINET)
+		if err != nil || resp.RCode != dnswire.RCodeSuccess {
+			t.Fatalf("fallthrough ask %d = %v, %v; want the terminal's success", i, resp, err)
+		}
+	}
+	if ft.Misses() != 1 || served != 1 {
+		t.Fatalf("recorded SERVFAIL delegated %d times (served %d), want once", ft.Misses(), served)
+	}
+}
+
 // bannerSource answers CHAOS version.bind with a per-server banner.
 type bannerSource struct{}
 

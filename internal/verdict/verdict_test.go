@@ -59,10 +59,7 @@ func openEngine(t *testing.T, world *topology.World) *crawler.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, Source: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := crawler.NewEngine(r, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4, Source: tr})
 	t.Cleanup(func() { e.Close() })
 	return e
 }

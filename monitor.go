@@ -136,7 +136,6 @@ func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor
 	}
 	cfg := crawler.Config{
 		Workers:   opts.Workers,
-		MemoFile:  opts.MemoFile,
 		Progress:  opts.Progress,
 		Source:    src,
 		ShardName: opts.ShardName,
@@ -148,18 +147,15 @@ func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor
 		} else if !os.IsNotExist(serr) {
 			err = serr
 		}
-		// A missing snapshot file is a fresh start, exactly like a
-		// missing memo file; corrupt or future-version files fail the
-		// open instead (they are never silently discarded).
+		// A missing snapshot file is a fresh start; corrupt or
+		// future-version files fail the open instead (they are never
+		// silently discarded).
 	}
 	if err != nil {
 		return nil, errors.Join(err, src.Close())
 	}
 	if eng == nil {
-		eng, err = crawler.NewEngine(r, world.Registry.ProbeFunc(src), cfg)
-		if err != nil {
-			return nil, errors.Join(err, src.Close())
-		}
+		eng = crawler.NewEngine(r, world.Registry.ProbeFunc(src), cfg)
 	}
 	m := &Monitor{world: world, eng: eng, memo: analysis.NewChainMemo(),
 		snapshotFile: opts.SnapshotFile, tl: view.NewTimeline(opts.Retain)}
@@ -289,9 +285,9 @@ func (m *Monitor) Snapshot() (int64, error) {
 }
 
 // Close ends the session's write side: the session snapshot is saved
-// (when Options.SnapshotFile is set), the query memo is persisted (when
-// Options.MemoFile is set) and released, and further Adds fail. Every
-// committed View remains fully queryable.
+// (when Options.SnapshotFile is set), the query memo is released, the
+// transport chain is closed, and further Adds fail. Every committed View
+// remains fully queryable.
 func (m *Monitor) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/netip"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"dnstrust/internal/dnswire"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/transport"
 )
@@ -106,15 +109,15 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		}
 	}
 
-	// Fallthrough replay over a counted terminal: zero misses, zero
-	// queries to the terminal source.
+	// Fallthrough replay over a counted terminal — the -memo-file resume
+	// path: zero queries to the terminal source.
 	counter := transport.NewCounter()
 	world3, err := NewWorld(Options{Seed: 31, Names: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := transport.ReplayThrough(reloaded, transport.Chain(world3.Registry.Source(), counter.Middleware()))
-	m3, err := OpenWorld(ctx, world3, Options{Workers: 4, Source: ft})
+	m3, err := OpenWorld(ctx, world3, Options{Workers: 4, ReplayLog: reloaded, ReplayFallthrough: true,
+		Source: transport.Chain(world3.Registry.Source(), counter.Middleware())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,29 +129,111 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	if got := counter.Queries(); got != 0 {
 		t.Errorf("fallthrough replay sent %d queries to the terminal source, want 0", got)
 	}
-	if got := ft.Misses(); got != 0 {
-		t.Errorf("fallthrough replay reported %d log misses, want 0", got)
-	}
 	if !reflect.DeepEqual(v3.Summary(), s1) {
 		t.Error("fallthrough-replayed summary differs from the recorded crawl")
 	}
 }
 
-// TestRecordingByteStable: two parallel recorded crawls of the same
-// corpus must save byte-identical query logs — INET records are
-// server-agnostic (which server answers a logical query is schedule
-// noise) and CHAOS probes hit a fixed per-host address set, so nothing
-// schedule-dependent reaches the file. This is the diffability
-// guarantee longitudinal comparisons rest on.
-func TestRecordingByteStable(t *testing.T) {
+// TestFallthroughLogResume is the -memo-file resume path: a crawl over an
+// empty fallthrough log fills it, and a second crawl of the same world
+// resumed from the saved log — fingerprint probes on — sends zero
+// queries to its terminal and reproduces the names, banners, per-name
+// TCBs and Summary.
+func TestFallthroughLogResume(t *testing.T) {
 	ctx := context.Background()
-	recordOnce := func() []byte {
+	world, err := NewWorld(Options{Seed: 17, Names: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	crawl := func() (*View, int64) {
 		log := transport.NewLog()
-		m, err := Open(ctx, Options{Seed: 37, Names: 250, Workers: 8, RecordLog: log})
+		if file.Len() > 0 {
+			if _, err := log.Load(bytes.NewReader(file.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counter := transport.NewCounter()
+		m, err := OpenWorld(ctx, world, Options{Workers: 4, ReplayLog: log, ReplayFallthrough: true,
+			Source: transport.Chain(world.Registry.Source(), counter.Middleware())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Add(ctx, m.World().Corpus...); err != nil {
+		v, err := m.Add(ctx, world.Corpus...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file.Reset()
+		if _, err := log.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		return v, counter.Queries()
+	}
+
+	v1, q1 := crawl()
+	if q1 == 0 {
+		t.Fatal("first crawl issued no terminal queries")
+	}
+	v2, q2 := crawl()
+	if q2 != 0 {
+		t.Errorf("resumed crawl sent %d queries to the terminal, want 0 (all answered from the log)", q2)
+	}
+	if !reflect.DeepEqual(v1.Names(), v2.Names()) {
+		t.Fatalf("resumed names differ: %d vs %d", len(v1.Names()), len(v2.Names()))
+	}
+	if !reflect.DeepEqual(v1.Survey().Banner, v2.Survey().Banner) {
+		t.Error("resumed banners differ")
+	}
+	for _, n := range v1.Names() {
+		if a, b := v1.Survey().Graph.TCBSize(n), v2.Survey().Graph.TCBSize(n); a != b {
+			t.Fatalf("TCB(%s) differs after resume: %d vs %d", n, a, b)
+		}
+	}
+	if !reflect.DeepEqual(v1.Summary(), v2.Summary()) {
+		t.Error("resumed summary differs")
+	}
+}
+
+// idJitterSource stamps a fresh, schedule-dependent ID onto every
+// response — the behaviour of a live crawl's dnsclient, whose random
+// query IDs echo back in the answers.
+type idJitterSource struct {
+	transport.Source
+	n atomic.Uint32
+}
+
+func (s *idJitterSource) Query(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {
+	resp, err := s.Source.Query(ctx, server, name, qtype, class)
+	if err == nil {
+		resp.ID = uint16(s.n.Add(1))
+	}
+	return resp, err
+}
+
+// TestRecordingByteStable: two parallel recorded crawls of the same
+// corpus must save byte-identical query logs, even when the terminal
+// stamps schedule-dependent response IDs — the walker asks each question
+// once, of servers in a fixed order, and Save sorts records and zeroes
+// IDs, so nothing schedule-dependent reaches the file. This is the
+// diffability guarantee longitudinal comparisons and resumed
+// -memo-file logs rest on.
+func TestRecordingByteStable(t *testing.T) {
+	ctx := context.Background()
+	world, err := NewWorld(Options{Seed: 37, Names: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordOnce := func() []byte {
+		log := transport.NewLog()
+		m, err := OpenWorld(ctx, world, Options{Workers: 8, RecordLog: log,
+			Source: &idJitterSource{Source: world.Registry.Source()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Add(ctx, world.Corpus...); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Close(); err != nil {

@@ -1,39 +1,71 @@
 package dnstrust
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"dnstrust/internal/transport"
 )
 
 // TestMonitorSnapshotColdStart is the headline restart property: a
 // session reopened from a snapshot file reproduces the saved
 // generation's Summary byte-for-byte with zero transport queries, and
-// then keeps crawling incrementally.
+// then keeps crawling incrementally. Reopened with the fallthrough query
+// log it kept before the restart (the -memo-file recipe), its next batch
+// asks the terminal exactly what a monitor that never restarted asks.
 func TestMonitorSnapshotColdStart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "session.snap")
-	opts := Options{Seed: 11, Names: 400, SnapshotFile: path}
-
-	m := openTestMonitor(t, opts)
 	ctx := context.Background()
-	corpus := m.World().Corpus
-	v1, err := m.Add(ctx, corpus...)
+	path := filepath.Join(t.TempDir(), "session.snap")
+	world, err := NewWorld(Options{Seed: 11, Names: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(world.Corpus) / 2
+	first, second := world.Corpus[:half], world.Corpus[half:]
+	// open starts a session over world whose terminal queries are counted.
+	open := func(opts Options) (*Monitor, *transport.Counter) {
+		counter := transport.NewCounter()
+		opts.Source = transport.Chain(world.Registry.Source(), counter.Middleware())
+		m, err := OpenWorld(ctx, world, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m, counter
+	}
+	summary := func(v *View) string {
+		b, err := json.Marshal(v.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	log := transport.NewLog()
+	m, _ := open(Options{SnapshotFile: path, ReplayLog: log, ReplayFallthrough: true})
+	v1, err := m.Add(ctx, first...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := m.Snapshot(); err != nil || n == 0 {
 		t.Fatalf("Snapshot() = %d bytes, %v", n, err)
 	}
-	wantSum, err := json.Marshal(v1.Summary())
-	if err != nil {
+	var logFile bytes.Buffer
+	if _, err := log.Save(&logFile); err != nil {
 		t.Fatal(err)
 	}
-	wantNames := v1.Names()
+	wantSum, wantNames := summary(v1), v1.Names()
 
-	m2 := openTestMonitor(t, opts)
+	resumed := transport.NewLog()
+	if _, err := resumed.Load(&logFile); err != nil {
+		t.Fatal(err)
+	}
+	m2, terminal := open(Options{SnapshotFile: path, ReplayLog: resumed, ReplayFallthrough: true})
 	if got := m2.Queries(); got != 0 {
 		t.Fatalf("cold start issued %d transport queries, want 0", got)
 	}
@@ -44,11 +76,7 @@ func TestMonitorSnapshotColdStart(t *testing.T) {
 	if !reflect.DeepEqual(v2.Names(), wantNames) {
 		t.Fatal("restored names differ")
 	}
-	gotSum, err := json.Marshal(v2.Summary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotSum) != string(wantSum) {
+	if gotSum := summary(v2); gotSum != wantSum {
 		t.Fatalf("restored summary differs:\n got %s\nwant %s", gotSum, wantSum)
 	}
 	if got := m2.Queries(); got != 0 {
@@ -62,14 +90,35 @@ func TestMonitorSnapshotColdStart(t *testing.T) {
 		}
 	}
 
-	// The restored session is live: a new Add commits the next generation.
-	v3, err := m2.Add(ctx, "www.fresh.example")
+	// The restored session is live: the second half commits the next
+	// generation, asking the terminal exactly what a monitor that never
+	// restarted asks. The walker's caches start cold, so it re-asks
+	// questions the first half answered; the log serves every one.
+	v3, err := m2.Add(ctx, second...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v3.Generation() != v1.Generation()+1 {
 		t.Fatalf("post-restore Add committed generation %d, want %d",
 			v3.Generation(), v1.Generation()+1)
+	}
+	m0, never := open(Options{})
+	if _, err := m0.Add(ctx, first...); err != nil {
+		t.Fatal(err)
+	}
+	neverBefore, walkerBefore := never.Queries(), m0.Queries()
+	v0, err := m0.Add(ctx, second...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neverAsked := never.Queries() - neverBefore
+	if got := terminal.Queries(); got != neverAsked {
+		t.Errorf("restored monitor asked the terminal %d times for the second half, never-restarted %d", got, neverAsked)
+	}
+	t.Logf("second half: %d terminal queries on both sides; the log served %d walker re-asks",
+		neverAsked, m2.Queries()-(m0.Queries()-walkerBefore))
+	if got, want := summary(v3), summary(v0); got != want {
+		t.Fatalf("second-half summary differs after restart:\n got %s\nwant %s", got, want)
 	}
 }
 

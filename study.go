@@ -53,10 +53,6 @@ type Options struct {
 	// WireFramed routes every query through the full DNS wire codec
 	// (pack + unpack both ways) instead of in-memory message passing.
 	WireFramed bool
-	// MemoFile, when non-empty, persists the crawl's query memo to disk
-	// and reloads it on the next run, resuming an interrupted survey
-	// without re-asking answered questions.
-	MemoFile string
 	// SnapshotFile, when non-empty, makes session state durable as a
 	// binary epoch-store snapshot: OpenWorld restores the last committed
 	// generation from the file when it exists (missing is a fresh start),
@@ -64,9 +60,9 @@ type Options struct {
 	// saves it one last time. Restoring reproduces the saved generation's
 	// entire read surface — graph, banners, vulnerability scoring,
 	// Summary — with zero transport queries, in load time rather than
-	// re-crawl time. Unlike MemoFile (a query-level memo that still
-	// replays the walk) the snapshot is the walked result itself; see the
-	// README's "Snapshots vs. memo files vs. query logs".
+	// re-crawl time. Unlike a query log (which still replays the walk)
+	// the snapshot is the walked result itself; see the README's
+	// "Snapshots vs. query logs".
 	SnapshotFile string
 	// Progress receives crawl progress callbacks when non-nil.
 	Progress func(done, total int)
@@ -100,7 +96,10 @@ type Options struct {
 	// false) errors on any query the log cannot answer, proving the
 	// crawl never touched another Internet; fallthrough mode delegates
 	// misses to the terminal (Source or the world's direct transport)
-	// and records the delta back into the log.
+	// and records the delta back into the log. Fallthrough over a saved
+	// log is how an interrupted survey resumes (the -memo-file flag):
+	// answered questions never cross the transport again, and recorded
+	// failures are asked again.
 	ReplayLog *transport.Log
 	// ReplayFallthrough selects the fallthrough replay mode above.
 	ReplayFallthrough bool
