@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -822,7 +823,7 @@ func sortUnique(ids *[]int32) {
 	if len(s) < 2 {
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {

@@ -31,8 +31,9 @@ type Config struct {
 	// queries it directly — queries flow through the resolver, which was
 	// built over the same chain.
 	Source transport.Source
-	// Progress, when non-nil, receives the number of names completed so
-	// far at coarse intervals.
+	// Progress, when non-nil, receives how many of a batch's names have
+	// been walked and the batch's size: every 1000 names, and once when
+	// the batch is fully walked.
 	Progress func(done, total int)
 	// ShardName, when non-empty, labels this engine as one shard of a
 	// monitor fleet: WriteSnapshot appends a shard/meta section (shard

@@ -180,3 +180,33 @@ func TestSurveyProgressCallback(t *testing.T) {
 		t.Error("progress callback never invoked")
 	}
 }
+
+// TestEngineProgressOnReAdd: progress counts the batch's own results, so
+// re-adding names the survey already holds reports at the same coarse
+// interval as a first crawl and ends at done == total.
+func TestEngineProgressOnReAdd(t *testing.T) {
+	world, err := topology.Generate(topology.GenParams{Seed: 4, Names: 2500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type call struct{ done, total int }
+	var calls []call
+	e, _ := openEngine(t, world, crawler.Config{
+		Progress: func(done, total int) { calls = append(calls, call{done, total}) },
+	})
+	defer e.Close()
+	ctx := context.Background()
+	n := len(world.Corpus)
+	for _, batch := range []string{"first crawl", "re-add"} {
+		calls = nil
+		if _, err := e.Add(ctx, world.Corpus...); err != nil {
+			t.Fatal(err)
+		}
+		if max := (n+999)/1000 + 1; len(calls) == 0 || len(calls) > max {
+			t.Fatalf("%s of %d names: %d progress calls, want 1..%d", batch, n, len(calls), max)
+		}
+		if last := calls[len(calls)-1]; last.done != last.total || last.total != n {
+			t.Errorf("%s: last progress call %d/%d, want %d/%d", batch, last.done, last.total, n, n)
+		}
+	}
+}

@@ -192,7 +192,7 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	// Incremental assembler: absorbs discoveries and results into the
 	// shared graph's intern tables as they stream in.
 	walkStart := time.Now()
-	total := e.b.Done() + len(names)
+	done := 0
 	//lint:allow locksafety e.mu makes Add the single assembler; draining the bounded worker stream under it is the design (workers close events when done, so this terminates)
 	for ev := range events {
 		switch ev.kind {
@@ -206,8 +206,9 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 			} else {
 				e.b.Complete(ev.key, ev.chain)
 			}
-			if e.cfg.Progress != nil && e.b.Done()%1000 == 0 {
-				e.cfg.Progress(e.b.Done(), total)
+			done++
+			if e.cfg.Progress != nil && (done%1000 == 0 || done == len(names)) {
+				e.cfg.Progress(done, len(names))
 			}
 		}
 	}

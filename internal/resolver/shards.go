@@ -25,7 +25,9 @@ func fnv1a(s string) uint32 {
 
 // cacheShard is one shard of the walker's discovery state. Entries are
 // first-write-wins and logically immutable once stored, so readers (and
-// the WalkObserver) may share returned values without copying.
+// the WalkObserver) may share returned values without copying. In
+// particular a cached servers slice is handed out as is by deepestKnown
+// and only read by descendToZone, dispatch and enterZoneAnswer.
 type cacheShard struct {
 	mu sync.RWMutex
 	// zones caches discovered delegations by apex.

@@ -24,6 +24,10 @@ type ZoneInfo struct {
 	Parent string
 	// NSHosts are the zone's nameserver host names, sorted.
 	NSHosts []string
+
+	// closed is set once every NS host in the zone's transitive closure
+	// has a cached chain; see walkHosts.
+	closed atomic.Bool
 }
 
 // Stats summarizes a walker's work: how much crossed the transport and
@@ -314,13 +318,15 @@ func isCtxErr(err error) bool {
 
 // walkCtx carries one walk's identity (for cross-goroutine deadlock
 // detection) and its recursion stack (for glue-less cycle detection).
+// visiting is allocated by the first host address the walk resolves, so a
+// walk answered from the caches allocates none.
 type walkCtx struct {
 	owner    int64
 	visiting visitSet
 }
 
 func (w *Walker) newWalkCtx() *walkCtx {
-	return &walkCtx{owner: w.nextOwner.Add(1), visiting: newVisitSet()}
+	return &walkCtx{owner: w.nextOwner.Add(1)}
 }
 
 // WalkName discovers the complete dependency structure of name: its own
@@ -342,21 +348,42 @@ func (w *Walker) WalkName(ctx context.Context, name string) ([]string, error) {
 
 // walkHosts walks the address chains of all NS hosts of the given zones,
 // then of the zones those chains reveal, until closure.
+//
+// A zone is closed once every NS host in its transitive closure has a
+// cached chain. Chains are first-write-wins and never evicted
+// (ForgetFailures drops only failures), so a closed zone stays closed,
+// and walkHosts skips it: a walk costs the zones no earlier walk closed,
+// not the name's whole trust closure. A walk marks the zones it visited
+// only when it ends with no host error and no context error; a walk that
+// met a lame host marks nothing, so once ForgetFailures has evicted the
+// failure the next walk re-asks the host. The mark is set after the
+// walk's own observer events were sent and read before a later walk
+// returns its result, so the WalkObserver ordering holds.
 func (w *Walker) walkHosts(ctx context.Context, seedZones []string, wc *walkCtx) error {
-	pending := append([]string(nil), seedZones...)
-	seenZone := map[string]bool{}
-	seenHost := map[string]bool{}
+	var pending []string
+	for _, apex := range seedZones {
+		if w.openZone(apex) != nil {
+			pending = append(pending, apex)
+		}
+	}
+	var seenZone, seenHost map[string]bool
+	var visited []*ZoneInfo
+	clean := true
 	for len(pending) > 0 {
 		apex := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		if seenZone[apex] || apex == "" {
+		if seenZone[apex] {
 			continue
 		}
-		seenZone[apex] = true
-		zi := w.zoneInfo(apex)
+		zi := w.openZone(apex)
 		if zi == nil {
 			continue
 		}
+		if seenZone == nil {
+			seenZone, seenHost = map[string]bool{}, map[string]bool{}
+		}
+		seenZone[apex] = true
+		visited = append(visited, zi)
 		for _, host := range zi.NSHosts {
 			if seenHost[host] {
 				continue
@@ -372,20 +399,40 @@ func (w *Walker) walkHosts(ctx context.Context, seedZones []string, wc *walkCtx)
 				// A lame nameserver host: record and continue. The zone is
 				// still served by its other servers.
 				w.storeHostErr(host, err)
+				clean = false
 				continue
 			}
 			pending = append(pending, chain...)
 		}
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if clean {
+		for _, zi := range visited {
+			zi.closed.Store(true)
+		}
+	}
+	return nil
+}
+
+// openZone returns the zone at apex if walkHosts still has to walk it:
+// known, not the root, and not closed.
+func (w *Walker) openZone(apex string) *ZoneInfo {
+	if apex == "" {
+		return nil
+	}
+	zi := w.zoneInfo(apex)
+	if zi == nil || zi.closed.Load() {
+		return nil
+	}
+	return zi
 }
 
 // visitSet tracks the hosts on the current recursion stack to detect
 // glue-less resolution cycles; it is per-walk, not global, so concurrent
 // walks do not interfere.
 type visitSet map[string]bool
-
-func newVisitSet() visitSet { return make(visitSet) }
 
 // chainOf returns the zone chain of name (TLD-first, root excluded),
 // walking the delegation tree under per-name single-flight: concurrent
@@ -532,18 +579,15 @@ func nsHosts(rrs []dnswire.RR) []string {
 }
 
 // deepestKnown returns the deepest cached zone that is an ancestor of
-// name along with its usable servers. The root is always known.
+// name along with its usable servers. The root is always known. The
+// servers are the cached slice itself, which callers only read.
 func (w *Walker) deepestKnown(name string) (string, []ServerAddr) {
 	apex := name
 	for {
-		if srv := w.cachedServers(apex); len(srv) > 0 {
-			return apex, append([]ServerAddr(nil), srv...)
+		if srv := w.cachedServers(apex); len(srv) > 0 || apex == "" {
+			return apex, srv
 		}
-		if apex == "" {
-			return "", append([]ServerAddr(nil), w.cachedServers("")...)
-		}
-		p, _ := dnsname.Parent(apex)
-		apex = p
+		apex, _ = dnsname.Parent(apex)
 	}
 }
 
@@ -702,6 +746,9 @@ func (w *Walker) resolveHostAddr(ctx context.Context, host string, wc *walkCtx) 
 func (w *Walker) computeHostAddr(ctx context.Context, host string, wc *walkCtx) ([]netip.Addr, error) {
 	if addrs, ok := w.cachedAddrs(host); ok {
 		return addrs, nil
+	}
+	if wc.visiting == nil {
+		wc.visiting = visitSet{}
 	}
 	wc.visiting[host] = true
 	defer delete(wc.visiting, host)

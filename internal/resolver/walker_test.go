@@ -412,3 +412,86 @@ func TestForgetFailuresReasksOnlyFailures(t *testing.T) {
 		t.Fatalf("re-walk: err %v, %d new queries; want 0", err, w.Queries()-healed)
 	}
 }
+
+// TestWalkReusesClosedZones: once a corpus is walked, re-walking any of
+// its names is answered from the walker's closed-zone marks — a constant
+// few allocations whatever the name's trust closure, including the
+// Ukraine worst case — instead of re-walking the closure.
+func TestWalkReusesClosedZones(t *testing.T) {
+	world, err := topology.Generate(topology.GenParams{Seed: 5, Names: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ukraine := topology.UkraineWorld()
+	for _, c := range []struct {
+		reg   *topology.Registry
+		names []string
+	}{
+		{world.Registry, world.Corpus},
+		{ukraine, []string{"www.rkc.lviv.ua"}},
+	} {
+		w := newWalker(t, c.reg)
+		ctx := context.Background()
+		for _, n := range c.names {
+			if _, err := w.WalkName(ctx, n); err != nil {
+				t.Fatalf("walk %s: %v", n, err)
+			}
+		}
+		asked := w.Queries()
+		for _, n := range c.names {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := w.WalkName(ctx, n); err != nil {
+					t.Fatalf("re-walk %s: %v", n, err)
+				}
+			})
+			if allocs > 2 {
+				t.Fatalf("re-walking %s allocates %.0f times, want <= 2: its closed zones were walked again", n, allocs)
+			}
+		}
+		if w.Queries() != asked {
+			t.Errorf("re-walks issued %d transport queries, want 0", w.Queries()-asked)
+		}
+	}
+}
+
+// TestWalkLameHostReaskedAfterHeal: a walk that met a lame host must not
+// close its zones, or the host would never be walked again once it heals
+// and ForgetFailures has evicted its failure. (In the FBI world no single
+// lame server fails a host chain — reston-ns3's chain resolves through
+// reston-ns1 — so the world here gives a host a zone of its own.)
+func TestWalkLameHostReaskedAfterHeal(t *testing.T) {
+	b := topology.NewWorld()
+	gtld := []string{"a.gtld-servers.net", "b.gtld-servers.net"}
+	b.Zone("com", gtld...)
+	b.Zone("net", gtld...)
+	b.Zone("gtld-servers.net", gtld...)
+	b.Zone("corp.com", "ns1.host.net", "ns2.flaky.net")
+	b.Zone("host.net", "ns1.host.net")
+	b.Zone("flaky.net", "ns.flaky.net")
+	b.Host("www.corp.com")
+	reg := b.Finalize()
+	// ns.flaky.net serves flaky.net alone: while it is dark, corp.com
+	// still answers from ns1.host.net but ns2.flaky.net's chain fails.
+	if err := reg.SetLame("ns.flaky.net", true); err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(t, reg)
+	rec := record(w)
+	ctx := context.Background()
+	if _, err := w.WalkName(ctx, "www.corp.com"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rec.chains["ns2.flaky.net"]; ok {
+		t.Fatal("ns2.flaky.net resolved while its zone was dark")
+	}
+	if err := reg.SetLame("ns.flaky.net", false); err != nil {
+		t.Fatal(err)
+	}
+	w.ForgetFailures()
+	if _, err := w.WalkName(ctx, "www.corp.com"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.chains["ns2.flaky.net"], []string{"net", "flaky.net"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("healed host ns2.flaky.net: chain %v, want %v", got, want)
+	}
+}
