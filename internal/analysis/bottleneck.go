@@ -75,10 +75,9 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 	// cuts, nameSlot[i] the same for names[i] (0: not in the survey).
 	slot := make([]int32, g.NumChains())
 	nameSlot := make([]int32, len(names))
-	var cids []int32
-	for i, n := range names {
-		cid, ok := g.NameChainID(n)
-		if !ok {
+	cids := make([]int32, 0, min(len(names), g.NumChains()))
+	for i, cid := range chainIDs(g, names) {
+		if cid < 0 {
 			continue
 		}
 		if slot[cid] == 0 {
@@ -145,11 +144,19 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 
 	stats := &BottleneckStats{}
 	for _, sl := range nameSlot {
+		if sl != 0 && cuts[sl-1].ok {
+			stats.Names++
+		}
+	}
+	if stats.Names > 0 {
+		stats.SafeCounts = make([]int, 0, stats.Names)
+		stats.CutSizes = make([]int, 0, stats.Names)
+	}
+	for _, sl := range nameSlot {
 		if sl == 0 || !cuts[sl-1].ok {
 			continue
 		}
 		c := cuts[sl-1]
-		stats.Names++
 		stats.SafeCounts = append(stats.SafeCounts, int(c.safe))
 		stats.CutSizes = append(stats.CutSizes, int(c.size))
 		if c.safe == 0 {
@@ -268,9 +275,8 @@ func ANDORHijackBound(s *crawler.Survey, names []string) []int64 {
 	res := mincut.SolveANDOR(in)
 
 	out := make([]int64, 0, len(names))
-	for _, n := range names {
-		cid, ok := g.NameChainID(n)
-		if !ok {
+	for _, cid := range chainIDs(g, names) {
+		if cid < 0 {
 			continue
 		}
 		chain := g.ChainZoneIDs(cid)

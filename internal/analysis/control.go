@@ -32,9 +32,8 @@ type ControlStats struct {
 func Control(s *crawler.Survey, names []string) *ControlStats {
 	perChain := make([]int, s.Graph.NumChains())
 	total := 0
-	for _, n := range names {
-		cid, ok := s.Graph.NameChainID(n)
-		if !ok {
+	for _, cid := range chainIDs(s.Graph, names) {
+		if cid < 0 {
 			continue
 		}
 		total++

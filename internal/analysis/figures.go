@@ -3,6 +3,7 @@ package analysis
 import (
 	"sort"
 
+	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnsname"
 )
@@ -10,13 +11,34 @@ import (
 // TCBSizes returns |TCB(name)| for each name (Figure 2's raw data).
 // Names missing from the survey are skipped.
 func TCBSizes(s *crawler.Survey, names []string) []int {
+	g := s.Graph
 	out := make([]int, 0, len(names))
-	for _, n := range names {
-		if sz := s.Graph.TCBSize(n); sz >= 0 {
-			out = append(out, sz)
+	for _, cid := range chainIDs(g, names) {
+		if cid >= 0 {
+			out = append(out, len(g.ChainTCBIDs(cid)))
 		}
 	}
 	return out
+}
+
+// chainIDs resolves a name list to interned chain ids, -1 for names not
+// in the survey: the one place a whole-survey pass turns names into ids.
+// The graph's own sorted list — every survey's Names — maps to its
+// chain-id column with no lookup; any other list, such as the popular
+// names, pays one lookup per name. The result is read-only.
+func chainIDs(g *core.Graph, names []string) []int32 {
+	if own := g.Names(); len(names) == len(own) && (len(own) == 0 || &names[0] == &own[0]) {
+		return g.NameChainIDs()
+	}
+	ids := make([]int32, len(names))
+	for i, n := range names {
+		cid, ok := g.NameChainID(n)
+		if !ok {
+			cid = -1
+		}
+		ids[i] = cid
+	}
+	return ids
 }
 
 // TLDAverage is one bar of Figure 3 or 4.
@@ -30,15 +52,15 @@ type TLDAverage struct {
 // TLDAverages computes the mean TCB size per top-level domain, sorted by
 // decreasing mean — the bars of Figures 3 (generic) and 4 (country-code).
 func TLDAverages(s *crawler.Survey, names []string) []TLDAverage {
+	g := s.Graph
 	sum := map[string]float64{}
 	cnt := map[string]int{}
-	for _, n := range names {
-		sz := s.Graph.TCBSize(n)
-		if sz < 0 {
+	for i, cid := range chainIDs(g, names) {
+		if cid < 0 {
 			continue
 		}
-		tld := dnsname.TLD(n)
-		sum[tld] += float64(sz)
+		tld := dnsname.TLD(names[i])
+		sum[tld] += float64(len(g.ChainTCBIDs(cid)))
 		cnt[tld]++
 	}
 	out := make([]TLDAverage, 0, len(sum))
@@ -91,7 +113,7 @@ func MacroAverage(avgs []TLDAverage) float64 {
 // generations: the per-call pass starts from the memo's counts and
 // writes fresh ones back.
 type chainVulnCounts struct {
-	s      *crawler.Survey
+	g      *core.Graph
 	memo   *ChainMemo
 	gen    int64
 	vulnID []bool
@@ -106,7 +128,7 @@ func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
 		sizes[i] = -1
 	}
 	return &chainVulnCounts{
-		s:      s,
+		g:      s.Graph,
 		memo:   memo,
 		gen:    s.Stats.Generation,
 		vulnID: vulnerableIDs(s),
@@ -115,19 +137,14 @@ func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
 	}
 }
 
-// of returns (TCB size, vulnerable count) for a name, or ok=false for
-// names missing from the survey.
-func (c *chainVulnCounts) of(name string) (size, vuln int, ok bool) {
-	cid, ok := c.s.Graph.NameChainID(name)
-	if !ok {
-		return 0, 0, false
-	}
+// of returns (TCB size, vulnerable count) for an interned chain.
+func (c *chainVulnCounts) of(cid int32) (size, vuln int) {
 	if c.sizes[cid] < 0 {
 		if size, vuln, ok := c.memo.count(cid, c.gen); ok {
 			c.sizes[cid], c.vulns[cid] = size, vuln
-			return size, vuln, true
+			return size, vuln
 		}
-		ids := c.s.Graph.ChainTCBIDs(cid)
+		ids := c.g.ChainTCBIDs(cid)
 		v := 0
 		for _, id := range ids {
 			if c.vulnID[id] {
@@ -138,7 +155,7 @@ func (c *chainVulnCounts) of(name string) (size, vuln int, ok bool) {
 		c.vulns[cid] = v
 		c.memo.storeCount(cid, c.gen, len(ids), v)
 	}
-	return c.sizes[cid], c.vulns[cid], true
+	return c.sizes[cid], c.vulns[cid]
 }
 
 // VulnInTCB returns, per name, the number of TCB members with known
@@ -152,11 +169,11 @@ func VulnInTCB(s *crawler.Survey, names []string) []int {
 func VulnInTCBMemo(s *crawler.Survey, names []string, memo *ChainMemo) []int {
 	counts := newChainVulnCounts(s, memo)
 	out := make([]int, 0, len(names))
-	for _, n := range names {
-		_, v, ok := counts.of(n)
-		if !ok {
+	for _, cid := range chainIDs(s.Graph, names) {
+		if cid < 0 {
 			continue
 		}
+		_, v := counts.of(cid)
 		out = append(out, v)
 	}
 	return out
@@ -173,11 +190,11 @@ func TCBSafety(s *crawler.Survey, names []string) []float64 {
 func TCBSafetyMemo(s *crawler.Survey, names []string, memo *ChainMemo) []float64 {
 	counts := newChainVulnCounts(s, memo)
 	out := make([]float64, 0, len(names))
-	for _, n := range names {
-		size, vuln, ok := counts.of(n)
-		if !ok {
+	for _, cid := range chainIDs(s.Graph, names) {
+		if cid < 0 {
 			continue
 		}
+		size, vuln := counts.of(cid)
 		if size == 0 {
 			out = append(out, 100)
 			continue
@@ -199,7 +216,8 @@ func AffectedNames(s *crawler.Survey, names []string) int {
 	return n
 }
 
-// vulnerableIDs builds a host-id-indexed vulnerability lookup.
+// vulnerableIDs builds a host-id-indexed vulnerability lookup, asking
+// the survey once per host.
 func vulnerableIDs(s *crawler.Survey) []bool {
 	hosts := s.Graph.Hosts()
 	out := make([]bool, len(hosts))

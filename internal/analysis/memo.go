@@ -23,8 +23,10 @@ import (
 // chain id means the same delegation chain forever, zone NS sets are
 // first-observation-wins immutable, and the only way an existing chain's
 // TCB or digraph can change between generations is a host whose address
-// chain attached late (crawler.CrawlStats.LateAttachedHosts). Advance
-// marks exactly the chains whose TCB intersects that set as touched;
+// chain attached late (crawler.CrawlStats.LateAttachedHosts). The only
+// way its vulnerability counts and cut weights can change is a host
+// rescored by a later banner (crawler.CrawlStats.RescoredHosts). Advance
+// marks exactly the chains whose TCB intersects either set as touched;
 // every entry records the generation it was computed at, and a lookup
 // from a generation-g view hits only when the chain was last touched at
 // or before both g and the entry's generation.
@@ -58,19 +60,22 @@ func NewChainMemo() *ChainMemo {
 
 // Advance moves the memo from one committed generation to the next:
 // chains whose TCB (in the previous generation) contains a late-attached
-// host are marked touched at the new generation and their entries
-// dropped; every other entry stays valid. With no late attachments — the
+// or rescored host are marked touched at the new generation and their
+// entries dropped; every other entry stays valid. With neither — the
 // overwhelmingly common batch — Advance is O(1).
 func (m *ChainMemo) Advance(prev, next *crawler.Survey) {
 	if m == nil || prev == nil || next == nil {
 		return
 	}
-	late := next.Stats.LateAttachedHosts
-	if len(late) == 0 {
+	late, rescored := next.Stats.LateAttachedHosts, next.Stats.RescoredHosts
+	if len(late)+len(rescored) == 0 {
 		return
 	}
-	lateSet := make(map[int32]bool, len(late))
+	lateSet := make(map[int32]bool, len(late)+len(rescored))
 	for _, h := range late {
+		lateSet[h] = true
+	}
+	for _, h := range rescored {
 		lateSet[h] = true
 	}
 	gen := next.Stats.Generation

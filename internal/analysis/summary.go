@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"slices"
+
+	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnsname"
 )
@@ -39,85 +42,96 @@ func Summarize(s *crawler.Survey, names []string) *Summary {
 // repeated summaries of a monitored survey touch each distinct chain's
 // TCB once across all generations that leave it untouched. memo may be
 // nil.
+//
+// The pass runs on interned ids: the names resolve to chain ids once
+// (the survey's own list through the graph's chain-id column, with no
+// lookup), per-host facts are read once into id-indexed tables, and each
+// name then costs a few slice reads plus its owned-server count.
 func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary {
-	sizes := TCBSizes(s, names)
-	vulns := VulnInTCBMemo(s, names, memo)
-
-	// Direct-NS counts depend only on the interned chain; owned counts on
-	// (chain, registered domain). Memoizing on those keys makes this pass
-	// touch each distinct chain's TCB once instead of once per name.
 	g := s.Graph
-	directByChain := map[int32]int{}
-	type ownKey struct {
-		cid int32
-		rd  string
-	}
-	ownedByChainRD := map[ownKey]int{}
-	// Each TCB member's registered domain is resolved once per pass, not
-	// once per (chain, registered-domain) pair it is compared under.
-	const unasked, none = "", "."
-	hostRD := make([]string, g.NumHosts())
+	counts := newChainVulnCounts(s, memo)
+	owners := newOwnerIndex(g)
 
-	var ownedSum, directSum float64
-	counted := 0
-	for _, n := range names {
-		cid, ok := g.NameChainID(n)
-		if !ok {
+	sizes := make([]int, 0, len(names))
+	vulns := make([]int, 0, len(names))
+	affected, counted, ownedSum, directSum := 0, 0, 0, 0
+	for i, cid := range chainIDs(g, names) {
+		if cid < 0 {
 			continue
+		}
+		tcb := g.ChainTCBIDs(cid)
+		_, vuln := counts.of(cid)
+		sizes = append(sizes, len(tcb))
+		vulns = append(vulns, vuln)
+		if vuln > 0 {
+			affected++
 		}
 		chain := g.ChainZoneIDs(cid)
 		if len(chain) == 0 {
 			continue
 		}
-		direct, ok := directByChain[cid]
-		if !ok {
-			direct = len(g.ZoneNSIDs(chain[len(chain)-1]))
-			directByChain[cid] = direct
-		}
-		owned := 0
-		if rd, err := dnsname.RegisteredDomain(n); err == nil {
-			key := ownKey{cid: cid, rd: rd}
-			owned, ok = ownedByChainRD[key]
-			if !ok {
-				for _, id := range g.ChainTCBIDs(cid) {
-					if hostRD[id] == unasked {
-						hostRD[id] = none
-						if hrd, err2 := dnsname.RegisteredDomain(g.Host(id)); err2 == nil {
-							hostRD[id] = hrd
-						}
-					}
-					if hostRD[id] == rd {
-						owned++
-					}
-				}
-				ownedByChainRD[key] = owned
-			}
-		}
-		ownedSum += float64(owned)
-		directSum += float64(direct)
+		directSum += len(g.ZoneNSIDs(chain[len(chain)-1]))
+		ownedSum += owners.count(names[i], tcb)
 		counted++
 	}
 	ownedMean, directMean := 0.0, 0.0
 	if counted > 0 {
-		ownedMean = ownedSum / float64(counted)
-		directMean = directSum / float64(counted)
+		ownedMean = float64(ownedSum) / float64(counted)
+		directMean = float64(directSum) / float64(counted)
 	}
-
-	affected := 0
-	for _, v := range vulns {
-		if v > 0 {
-			affected++
+	vulnerable := 0
+	for _, v := range counts.vulnID {
+		if v {
+			vulnerable++
 		}
 	}
 
 	return &Summary{
 		Names:             len(sizes),
-		Servers:           s.Graph.NumHosts(),
-		VulnerableServers: s.VulnerableHosts(),
+		Servers:           g.NumHosts(),
+		VulnerableServers: vulnerable,
 		AffectedNames:     affected,
 		TCB:               NewCDF(sizes),
 		VulnPerTCB:        NewCDF(vulns),
 		DirectMean:        directMean,
 		OwnedMean:         ownedMean,
 	}
+}
+
+// ownerIndex lists, per registered domain, the interned hosts inside it
+// in id order: a name's owned servers are exactly those of its own
+// registered domain's hosts that sit in its TCB.
+type ownerIndex map[string][]int32
+
+func newOwnerIndex(g *core.Graph) ownerIndex {
+	hosts := g.Hosts()
+	idx := make(ownerIndex, len(hosts))
+	for id, h := range hosts {
+		if rd, err := dnsname.RegisteredDomain(h); err == nil {
+			idx[rd] = append(idx[rd], int32(id))
+		}
+	}
+	return idx
+}
+
+// count returns how many members of tcb, a sorted host-id set, share
+// name's registered domain: each of the domain's few hosts is
+// binary-searched in the TCB (or the other way round when the TCB is
+// the smaller set).
+func (o ownerIndex) count(name string, tcb []int32) int {
+	rd, err := dnsname.RegisteredDomain(name)
+	if err != nil {
+		return 0
+	}
+	hosts := o[rd]
+	if len(hosts) > len(tcb) {
+		hosts, tcb = tcb, hosts
+	}
+	n := 0
+	for _, h := range hosts {
+		if _, ok := slices.BinarySearch(tcb, h); ok {
+			n++
+		}
+	}
+	return n
 }

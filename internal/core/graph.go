@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"dnstrust/internal/dnsname"
@@ -68,8 +69,11 @@ type Graph struct {
 	// unchanged, so retained generations share almost everything.
 	chainStamp []int64
 
+	// names is the sorted surveyed-name list and nameCIDs its aligned
+	// chain-id column, filled together once per graph.
 	namesOnce sync.Once
 	names     []string
+	nameCIDs  []int32
 }
 
 // Epoch reports the builder epoch this graph was finalized at (1 for the
@@ -208,71 +212,104 @@ func (g *Graph) HostChainZones(host string) []string {
 // computed once per graph and shared; do not modify.
 func (g *Graph) Names() []string { return g.NamesFrom(nil) }
 
+// NameChainIDs returns the chain-id column aligned with Names:
+// NameChainIDs()[i] is NameChainID(Names()[i]). It is filled with the
+// name list, so a whole-survey pass reads each name's chain without a
+// store lookup. The slice is shared; do not modify.
+func (g *Graph) NameChainIDs() []int32 {
+	g.NamesFrom(nil)
+	return g.nameCIDs
+}
+
 // NamesFrom is Names given an older epoch of the same store whose name
 // list is already known: instead of collecting and sorting the whole name
-// table it merges older's list with the change journal between the two
-// epochs — O(names) header copies plus the batch's touched names, and
-// older's own slice when nothing was touched. Without a usable older
-// epoch (nil, foreign store, pruned journal) it is exactly Names.
+// table it merges older's list and chain-id column with the change
+// journal between the two epochs — O(names) copies plus one lookup per
+// touched name, and older's own slices when nothing was touched. Without
+// a usable older epoch (nil, foreign store, pruned journal) it is exactly
+// Names.
 func (g *Graph) NamesFrom(older *Graph) []string {
 	g.namesOnce.Do(func() {
 		var base []string
+		var baseIDs []int32
 		if g.SharesStore(older) && older.epoch <= g.epoch {
-			base = older.Names()
+			base, baseIDs = older.Names(), older.NameChainIDs()
 		} else {
 			older = nil
 		}
 		g.st.mu.RLock()
 		defer g.st.mu.RUnlock()
 		if older != nil && older.epoch >= g.st.journalFloor {
-			g.names = g.mergeNamesLocked(base, older.epoch)
+			g.names, g.nameCIDs = g.mergeNamesLocked(base, baseIDs, older.epoch)
 			return
 		}
-		out := make([]string, 0, g.numNames)
-		for name := range g.st.base {
-			out = append(out, name)
-		}
-		for name, vs := range g.st.names {
-			if v, ok := vs.at(g.epoch); ok && v.present {
-				out = append(out, name)
-			}
-		}
-		sort.Strings(out)
-		g.names = out
+		g.names, g.nameCIDs = g.collectNamesLocked()
 	})
 	return g.names
 }
 
+// collectNamesLocked gathers every name present at g's epoch with its
+// chain id, sorted by name in one pass over (name, id) pairs. Callers
+// hold st.mu.
+func (g *Graph) collectNamesLocked() ([]string, []int32) {
+	type nameCID struct {
+		name string
+		cid  int32
+	}
+	pairs := make([]nameCID, 0, g.numNames)
+	for name, cid := range g.st.base {
+		pairs = append(pairs, nameCID{name, cid})
+	}
+	for name, vs := range g.st.names {
+		if v, ok := vs.at(g.epoch); ok && v.present {
+			pairs = append(pairs, nameCID{name, v.cid})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b nameCID) int { return strings.Compare(a.name, b.name) })
+	names := make([]string, len(pairs))
+	ids := make([]int32, len(pairs))
+	for i, p := range pairs {
+		names[i], ids[i] = p.name, p.cid
+	}
+	return names, ids
+}
+
 // mergeNamesLocked applies the journal of the epochs after since to
-// base, the sorted name list at since: a touched name is in the result
-// exactly when it is present at g's epoch. Callers hold st.mu.
-func (g *Graph) mergeNamesLocked(base []string, since int64) []string {
+// base, the sorted name list at since, and baseIDs, its chain-id column:
+// a touched name is in the result exactly when it is present at g's
+// epoch, with the chain it maps to there; every other name keeps its
+// entry. Callers hold st.mu.
+func (g *Graph) mergeNamesLocked(base []string, baseIDs []int32, since int64) ([]string, []int32) {
 	var touched []string
 	for e := since + 1; e <= g.epoch; e++ {
 		touched = append(touched, g.st.touched[e]...)
 	}
 	if len(touched) == 0 {
-		return base
+		return base, baseIDs
 	}
 	sort.Strings(touched)
 	out := make([]string, 0, g.numNames)
+	ids := make([]int32, 0, g.numNames)
 	i := 0
 	for j, n := range touched {
 		if j > 0 && n == touched[j-1] {
 			continue
 		}
+		k := i
 		for i < len(base) && base[i] < n {
-			out = append(out, base[i])
 			i++
 		}
+		out = append(out, base[k:i]...)
+		ids = append(ids, baseIDs[k:i]...)
 		if i < len(base) && base[i] == n {
 			i++
 		}
-		if _, ok := g.nameAtLocked(n); ok {
+		if cid, ok := g.nameAtLocked(n); ok {
 			out = append(out, n)
+			ids = append(ids, cid)
 		}
 	}
-	return append(out, base[i:]...)
+	return append(out, base[i:]...), append(ids, baseIDs[i:]...)
 }
 
 // NameChainID returns the interned chain id of a surveyed name and

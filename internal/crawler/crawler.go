@@ -74,6 +74,12 @@ type CrawlStats struct {
 	// can be invalidated (see core.Builder.TakeLateAttached). Nil for
 	// almost every batch.
 	LateAttachedHosts []int32
+	// RescoredHosts lists, sorted, the host ids whose vulnerability
+	// changed at this generation: a merged fleet view learning a host's
+	// banner from a second shard. Like a late attach it moves the
+	// analysis results of every chain whose TCB holds the host. Nil for
+	// an engine's batches, which probe each host once.
+	RescoredHosts []int32
 	// FailuresRetried counts the memoized failures evicted at this
 	// batch's generation boundary (resolver.Walker.ForgetFailures) — the
 	// questions this batch was allowed to re-ask so recovered

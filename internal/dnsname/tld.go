@@ -1,5 +1,7 @@
 package dnsname
 
+import "strings"
+
 // TLD classification tables for the July-2004 DNS snapshot the paper
 // surveyed. The survey spanned 196 distinct TLDs: the generic TLDs active
 // at the time plus the ISO 3166 country-code TLDs.
@@ -137,16 +139,21 @@ func setOf(labels ...string) map[string]bool {
 
 // EffectiveTLD returns the effective public suffix of a canonical name:
 // either its TLD, or a registered second-level zone such as "co.uk" or
-// "lviv.ua". The root returns "".
+// "lviv.ua". The root returns "". The result is a suffix of name, found
+// by scanning from its end: no allocation.
 func EffectiveTLD(name string) string {
 	if name == "" {
 		return ""
 	}
-	labels := Labels(name)
-	tld := labels[len(labels)-1]
-	if len(labels) >= 2 {
-		if sl, ok := ccSecondLevel[tld]; ok && sl[labels[len(labels)-2]] {
-			return labels[len(labels)-2] + "." + tld
+	i := strings.LastIndexByte(name, '.')
+	tld := name[i+1:]
+	if i < 0 {
+		return tld
+	}
+	if sl, ok := ccSecondLevel[tld]; ok {
+		j := strings.LastIndexByte(name[:i], '.')
+		if sl[name[j+1:i]] {
+			return name[j+1:]
 		}
 	}
 	return tld
@@ -154,7 +161,8 @@ func EffectiveTLD(name string) string {
 
 // RegisteredDomain returns the registered ("bailiwick") domain of a
 // canonical name: one label beneath its effective TLD. Names that are
-// themselves a TLD or public suffix have no registered domain.
+// themselves a TLD or public suffix have no registered domain. Like
+// EffectiveTLD it returns a suffix of name and allocates nothing.
 //
 //	RegisteredDomain("www.cs.cornell.edu") == "cornell.edu"
 //	RegisteredDomain("www.rkc.lviv.ua")    == "rkc.lviv.ua"
@@ -163,20 +171,17 @@ func RegisteredDomain(name string) (string, error) {
 		return "", ErrNoRegisteredD
 	}
 	etld := EffectiveTLD(name)
-	if name == etld {
+	if etld == "" {
+		// An empty last label (a trailing dot): the suffix is zero labels
+		// deep and the registered domain is that empty label.
+		return "", nil
+	}
+	if len(etld) == len(name) {
 		return "", ErrNoRegisteredD
 	}
-	labels := Labels(name)
-	suffixLabels := CountLabels(etld)
-	if len(labels) <= suffixLabels {
-		return "", ErrNoRegisteredD
-	}
-	keep := labels[len(labels)-suffixLabels-1:]
-	out := keep[0]
-	for _, l := range keep[1:] {
-		out += "." + l
-	}
-	return out, nil
+	// name[:len(name)-len(etld)] ends with the dot before the suffix.
+	head := name[:len(name)-len(etld)-1]
+	return name[strings.LastIndexByte(head, '.')+1:], nil
 }
 
 // SameBailiwick reports whether two canonical names share a registered

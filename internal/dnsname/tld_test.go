@@ -1,6 +1,9 @@
 package dnsname
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestKindOf(t *testing.T) {
 	cases := []struct {
@@ -143,4 +146,56 @@ func TestRegisteredDomainIsSubdomainOfEffectiveTLD(t *testing.T) {
 			t.Errorf("name %q not under its registered domain %q", n, rd)
 		}
 	}
+}
+
+// effectiveTLDByLabels and registeredDomainByLabels are the
+// label-splitting definitions EffectiveTLD and RegisteredDomain must
+// reproduce for every input.
+func effectiveTLDByLabels(name string) string {
+	if name == "" {
+		return ""
+	}
+	labels := Labels(name)
+	tld := labels[len(labels)-1]
+	if len(labels) >= 2 {
+		if sl, ok := ccSecondLevel[tld]; ok && sl[labels[len(labels)-2]] {
+			return labels[len(labels)-2] + "." + tld
+		}
+	}
+	return tld
+}
+
+func registeredDomainByLabels(name string) (string, error) {
+	if name == "" {
+		return "", ErrNoRegisteredD
+	}
+	etld := effectiveTLDByLabels(name)
+	if name == etld {
+		return "", ErrNoRegisteredD
+	}
+	labels := Labels(name)
+	suffixLabels := CountLabels(etld)
+	if len(labels) <= suffixLabels {
+		return "", ErrNoRegisteredD
+	}
+	return strings.Join(labels[len(labels)-suffixLabels-1:], "."), nil
+}
+
+func FuzzRegisteredDomain(f *testing.F) {
+	for _, seed := range []string{
+		"", ".", "..", "com", "co.uk", "x.co.uk", ".uk", "a..uk", "uk.",
+		"foo.", "www.rkc.lviv.ua", "www.cs.cornell.edu", "a.b.c.d.example.com",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		if got, want := EffectiveTLD(name), effectiveTLDByLabels(name); got != want {
+			t.Fatalf("EffectiveTLD(%q) = %q, want %q", name, got, want)
+		}
+		got, err := RegisteredDomain(name)
+		want, wantErr := registeredDomainByLabels(name)
+		if got != want || err != wantErr {
+			t.Fatalf("RegisteredDomain(%q) = %q, %v; want %q, %v", name, got, err, want, wantErr)
+		}
+	})
 }

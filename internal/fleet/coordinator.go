@@ -343,24 +343,34 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 
 	// Phase 2: merge, under the merge lock — pure in-memory work only.
 	c.mu.Lock()
+	var rescored []string
 	for i, st := range c.shards {
 		if eps[i] == nil {
 			continue
 		}
-		c.applyEpochLocked(st, eps[i])
+		rescored = c.applyEpochLocked(st, eps[i], rescored)
 		st.gen = eps[i].Generation
 	}
 	var prevSurvey *crawler.Survey
+	var prevGraph *core.Graph
 	if prev := c.tl.Current(); prev != nil {
 		prevSurvey = prev.Survey()
+		prevGraph = prevSurvey.Graph
 	}
 	g := c.b.FinishEpoch()
 	late := c.b.TakeLateAttached()
+	var rescoredIDs []int32
+	for _, h := range rescored {
+		if id, ok := g.HostID(h); ok {
+			rescoredIDs = append(rescoredIDs, id)
+		}
+	}
+	slices.Sort(rescoredIDs)
 	c.gen++
 	gen := c.gen
 	sv := &crawler.Survey{
 		Graph:  g,
-		Names:  g.Names(),
+		Names:  g.NamesFrom(prevGraph),
 		Failed: maps.Clone(c.b.Failed()),
 		Banner: maps.Clone(c.banner),
 		Vulns:  maps.Clone(c.vulns),
@@ -368,17 +378,15 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 		Stats: crawler.CrawlStats{
 			Generation:        gen,
 			LateAttachedHosts: late,
+			RescoredHosts:     rescoredIDs,
 		},
 	}
 	if prevSurvey != nil {
 		c.memo.Advance(prevSurvey, sv)
 	}
 	changed := sv.Names
-	if prevSurvey != nil {
-		pg := prevSurvey.Graph
-		if g.SharesStore(pg) && pg.Epoch() <= g.Epoch() && g.JournalComplete(pg.Epoch()) {
-			changed = g.NamesTouchedSince(pg.Epoch())
-		}
+	if g.SharesStore(prevGraph) && prevGraph.Epoch() <= g.Epoch() && g.JournalComplete(prevGraph.Epoch()) {
+		changed = g.NamesTouchedSince(prevGraph.Epoch())
 	}
 	fv := view.New(sv, c.memo, nil, view.Merge{
 		Stale:   staleNames,
@@ -413,8 +421,10 @@ func (c *Coordinator) publishStatus() {
 
 // applyEpochLocked merges one shard epoch into the union builder,
 // extending the shard's remap tables from their current length — the
-// already-translated prefix is reused untouched. Caller holds c.mu.
-func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch) {
+// already-translated prefix is reused untouched. It appends to rescored
+// every host whose vulnerability the epoch's banners changed. Caller
+// holds c.mu.
+func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []string) []string {
 	rm := &st.remap
 	if ep.Generation < st.gen ||
 		len(ep.Hosts) < len(rm.hosts) || len(ep.Zones) < len(rm.zones) || len(ep.Chains) < len(rm.chains) {
@@ -458,17 +468,26 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch) {
 	for _, fe := range ep.Failed {
 		c.b.Fail(fe.Name, errors.New(fe.Err))
 	}
+	// A host's first non-empty banner wins, as an engine probes each
+	// host once: "" is a failed or hidden probe, and a shard that saw
+	// nothing must not overwrite a shard that saw the version.
 	for i, h := range ep.BannerHosts {
-		if old, ok := c.banner[h]; ok && old == ep.Banners[i] {
+		if old, ok := c.banner[h]; ok && (old != "" || ep.Banners[i] == "") {
 			continue
 		}
 		c.banner[h] = ep.Banners[i]
-		if vs := c.db.VulnsForBanner(ep.Banners[i]); len(vs) > 0 {
+		was := len(c.vulns[h]) > 0
+		vs := c.db.VulnsForBanner(ep.Banners[i])
+		if len(vs) > 0 {
 			c.vulns[h] = vs
 		} else {
 			delete(c.vulns, h)
 		}
+		if was != (len(vs) > 0) {
+			rescored = append(rescored, h)
+		}
 	}
+	return rescored
 }
 
 // WriteSnapshot serializes the merged union state — the builder's

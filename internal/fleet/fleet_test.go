@@ -20,6 +20,7 @@ import (
 	"dnstrust/internal/snapshot"
 	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
+	"dnstrust/internal/vulndb"
 )
 
 func genWorld(t testing.TB, seed int64, names int) *topology.World {
@@ -408,6 +409,104 @@ func TestFleetIncremental(t *testing.T) {
 	}
 	if got := len(d.NamesAdded); got != len(extra) {
 		t.Fatalf("delta reports %d added names, want %d", got, len(extra))
+	}
+}
+
+// withBanner returns a copy of ep at generation gen whose banner for
+// host is banner.
+func withBanner(t *testing.T, ep *fleet.Epoch, gen int64, host, banner string) *fleet.Epoch {
+	t.Helper()
+	cp := *ep
+	cp.Generation = gen
+	cp.Banners = append([]string(nil), ep.Banners...)
+	i := sort.SearchStrings(cp.BannerHosts, host)
+	if i == len(cp.BannerHosts) || cp.BannerHosts[i] != host {
+		t.Fatalf("epoch of shard %s has no banner for %s", ep.Shard, host)
+	}
+	cp.Banners[i] = banner
+	return &cp
+}
+
+// TestFleetBannerFirstNonEmptyWins: two shards share a host; one
+// shard's probe of it failed (banner ""), the other's saw a vulnerable
+// version — but only from the second round on. Whichever shard changes
+// last, the merged view must keep the host vulnerable, and its
+// memo-served Summary and Bottlenecks must equal a fresh computation in
+// every round, including the one where the host turns vulnerable.
+func TestFleetBannerFirstNonEmptyWins(t *testing.T) {
+	ctx := context.Background()
+	world := genWorld(t, 38, 160)
+	ring := fleet.NewRing([]string{"s0", "s1"}, 0)
+	shards, _ := crawlShards(t, world, ring)
+	base := make([]*fleet.Epoch, 2)
+	for i, sh := range shards {
+		base[i] = sh.Source.(*fleet.FixedSource).Epoch
+	}
+
+	// The shared host: the first one both shards probed. The vulnerable
+	// banner: any banner of the world the matrix scores as exploitable.
+	db := vulndb.Default()
+	var host, vulnBanner string
+	for _, h := range base[0].BannerHosts {
+		if i := sort.SearchStrings(base[1].BannerHosts, h); i < len(base[1].BannerHosts) && base[1].BannerHosts[i] == h {
+			host = h
+			break
+		}
+	}
+	for _, b := range base[0].Banners {
+		if len(db.VulnsForBanner(b)) > 0 {
+			vulnBanner = b
+			break
+		}
+	}
+	if host == "" || vulnBanner == "" {
+		t.Fatalf("world has no shared host (%q) or no vulnerable banner (%q); pick another seed", host, vulnBanner)
+	}
+
+	sources := []*countingSource{
+		{ep: withBanner(t, base[0], 1, host, "")},
+		{ep: withBanner(t, base[1], 1, host, "")},
+	}
+	c, err := fleet.New([]fleet.Shard{{Name: "s0", Source: sources[0]}, {Name: "s1", Source: sources[1]}}, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 6; round++ {
+		if round > 1 {
+			// s1 changes on even rounds with the vulnerable banner, s0 on
+			// odd rounds with its failed probe.
+			shard, gen := (round+1)%2, int64(round/2+1)
+			banner := ""
+			if shard == 1 {
+				banner = vulnBanner
+			}
+			sources[shard].set(withBanner(t, base[shard], gen, host, banner))
+		}
+		fv, err := c.Commit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fv.Generation() != int64(round) {
+			t.Fatalf("round %d committed generation %d", round, fv.Generation())
+		}
+		s := fv.Survey()
+		if got, want := s.Vulnerable(host), round > 1; got != want {
+			t.Fatalf("round %d: Vulnerable(%s) = %v, want %v", round, host, got, want)
+		}
+		if got, want := fv.Summary(), analysis.Summarize(s, s.Names); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: memo-served summary %+v, fresh %+v", round, got, want)
+		}
+		got, err := fv.Bottlenecks(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := analysis.Bottlenecks(ctx, s, s.Names, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: memo-served bottlenecks differ from a fresh pass", round)
+		}
 	}
 }
 
