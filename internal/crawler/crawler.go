@@ -101,12 +101,19 @@ type Survey struct {
 	// answer ("" when hidden or unreachable).
 	Banner map[string]string
 	// Vulns maps hosts to their known exploits (absent = none known).
+	// Hosts with one banner may share one slice; nothing mutates the
+	// values, and callers must not either.
 	Vulns map[string][]vulndb.Vuln
 	// DB is the vulnerability matrix the survey was scored against.
 	DB *vulndb.DB
 	// Stats summarizes the crawl engine's work (zero for a FromGraph
 	// survey, which no engine crawled).
 	Stats CrawlStats
+	// Delegations is the zone-cut memory of the engine that published
+	// the survey (its walker), so a resolution can start at the cut the
+	// survey judged (resolver.Resolver.ResolveFrom). Nil, as on a
+	// FromGraph or fleet-merged survey, means the root.
+	Delegations resolver.Delegations
 }
 
 // Vulnerable reports whether a host has at least one known exploit.

@@ -86,6 +86,8 @@ func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string
 		Banner: map[string]string{},
 		Vulns:  map[string][]vulndb.Vuln{},
 		DB:     e.db,
+
+		Delegations: e.w,
 	})
 	return e
 }
@@ -261,6 +263,7 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 			LateAttachedHosts: late,
 			FailuresRetried:   retried,
 		},
+		Delegations: e.w,
 	}
 	e.view.Store(s)
 	return s, nil

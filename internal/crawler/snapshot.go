@@ -143,9 +143,17 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		probed:      int(probed),
 		pendingLate: pendingLate,
 	}
+	// Score each distinct banner once; hosts sharing a banner share its
+	// read-only exploit slice.
+	scored := make(map[string][]vulndb.Vuln)
 	for i, h := range hosts {
 		e.banner[h] = banners[i]
-		if vs := e.db.VulnsForBanner(banners[i]); len(vs) > 0 {
+		vs, ok := scored[banners[i]]
+		if !ok {
+			vs = e.db.VulnsForBanner(banners[i])
+			scored[banners[i]] = vs
+		}
+		if len(vs) > 0 {
 			e.vulns[h] = vs
 		}
 	}
@@ -166,6 +174,8 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		Vulns:  maps.Clone(e.vulns),
 		DB:     e.db,
 		Stats:  CrawlStats{Generation: gen},
+
+		Delegations: e.w,
 	})
 	return e, nil
 }

@@ -1,10 +1,11 @@
 // Package proxy implements the trust-aware resolving DNS proxy: a
-// dnsserver.Handler that resolves each query iteratively upstream and
-// applies the monitor's verdict first — allow serves silently, flag
-// serves and logs, refuse answers REFUSED without ever contacting
-// upstream. It is the enforcement point the paper's offline measurement
-// implies: the place a resolver turns "this chain is too trusting" into
-// an answer-path decision.
+// dnsserver.Handler that resolves each query iteratively upstream,
+// starting at the zone cut the monitor's survey judged, and applies the
+// monitor's verdict first — allow serves silently, flag serves and logs,
+// refuse answers REFUSED without ever contacting upstream. It is the
+// enforcement point the paper's offline measurement implies: the place a
+// resolver turns "this chain is too trusting" into an answer-path
+// decision.
 package proxy
 
 import (
@@ -112,9 +113,11 @@ func (p *Proxy) ServeDNS(ctx context.Context, req *dnswire.Message) *dnswire.Mes
 		}
 	}
 
+	// Resolve through what was judged: start at the deepest zone cut the
+	// verdict's survey walked, not at the root.
 	rctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
-	res, err := p.cfg.Resolver.Resolve(rctx, name, q.Type)
+	res, err := p.cfg.Resolver.ResolveFrom(rctx, p.cfg.Cache.Survey().Delegations, name, q.Type)
 	switch {
 	case err == nil:
 		resp.Answers = res.Records

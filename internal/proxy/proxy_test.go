@@ -3,10 +3,13 @@ package proxy_test
 import (
 	"context"
 	"log"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"dnstrust"
+	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnsclient"
 	"dnstrust/internal/dnsserver"
 	"dnstrust/internal/dnswire"
@@ -249,6 +252,148 @@ func TestProxyUnknownNameProvisional(t *testing.T) {
 	}
 	if st := p.Stats(); st.Flagged != 1 {
 		t.Errorf("post-crawl answer must not be flagged: %+v", st)
+	}
+}
+
+// countingProxy serves from cache through a resolver whose upstream
+// queries are counted.
+func countingProxy(t *testing.T, world *topology.World, cache *verdict.Cache) (*proxy.Proxy, *resolver.Resolver, *transport.Counter) {
+	t.Helper()
+	counter := transport.NewCounter()
+	src := transport.Chain(world.Registry.Source(), counter.Middleware())
+	t.Cleanup(func() { src.Close() })
+	r, err := resolver.New(src, resolver.Config{Roots: world.Registry.RootServers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{Resolver: r, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, r, counter
+}
+
+// TestProxyResolvesFromJudgedCut: once the monitor has walked a name, an
+// allowed query for it costs one upstream query — asked at the zone cut
+// the verdict judged — and answers exactly as a root-started resolve. A
+// survey whose cuts are unknown (nil Delegations, as a fleet-merged
+// survey has, or a freshly restored monitor's empty walker) still
+// answers, through the root.
+func TestProxyResolvesFromJudgedCut(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, world.Corpus...); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "monitor.snap")
+	if _, err := m.SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4, SnapshotFile: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+
+	judged := m.At().Survey()
+	unjudged := *judged
+	unjudged.Delegations = nil
+	for _, tc := range []struct {
+		name    string
+		survey  *crawler.Survey
+		fromCut bool
+	}{
+		{name: "judged", survey: judged, fromCut: true},
+		{name: "nil-delegations", survey: &unjudged},
+		{name: "restored", survey: restored.At().Survey()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := verdict.NewCache(tc.survey, verdict.Config{TTL: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cache.Close()
+			p, r, counter := countingProxy(t, world, cache)
+			for _, name := range []string{"www.example.com", "www.solo.com"} {
+				want, err := r.Resolve(ctx, name, dnswire.TypeA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := counter.Queries()
+				resp := p.ServeDNS(ctx, dnswire.NewQuery(1, name, dnswire.TypeA, dnswire.ClassINET))
+				cost := counter.Queries() - before
+				if resp.RCode != dnswire.RCodeSuccess || !reflect.DeepEqual(resp.Answers, want.Records) {
+					t.Fatalf("%s: %s, want NOERROR with %v", name, resp, want.Records)
+				}
+				if (tc.fromCut && cost != 1) || (!tc.fromCut && cost < 2) {
+					t.Errorf("%s cost %d upstream queries (from the judged cut: %v)", name, cost, tc.fromCut)
+				}
+			}
+		})
+	}
+}
+
+// TestProxyServesDuringAdd races allowed queries against a monitor
+// crawling new names into the walker they resolve through: every
+// answer must still come back, and the race detector must stay quiet.
+func TestProxyServesDuringAdd(t *testing.T) {
+	ctx := context.Background()
+	world, err := topology.Generate(topology.GenParams{Seed: 5, Names: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	half := len(world.Corpus) / 2
+	if _, err := m.Add(ctx, world.Corpus[:half]...); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour, Policy: verdict.Policy{FlagOnly: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	m.OnCommit(func(v *dnstrust.View) { cache.Advance(v.Survey()) })
+	p, _, _ := countingProxy(t, world, cache)
+
+	done := make(chan error, 1)
+	go func() {
+		rest := world.Corpus[half:]
+		for len(rest) > 0 {
+			n := min(len(rest), 50)
+			if _, err := m.Add(ctx, rest[:n]...); err != nil {
+				done <- err
+				return
+			}
+			rest = rest[n:]
+		}
+		done <- nil
+	}()
+	for i := 0; ; i++ {
+		name := world.Corpus[i%len(world.Corpus)]
+		resp := p.ServeDNS(ctx, dnswire.NewQuery(uint16(i), name, dnswire.TypeA, dnswire.ClassINET))
+		if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) == 0 {
+			t.Fatalf("%s: %s, want NOERROR with answers", name, resp)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Stats(); st.Failed != 0 {
+				t.Fatalf("%d upstream failures", st.Failed)
+			}
+			return
+		default:
+		}
 	}
 }
 

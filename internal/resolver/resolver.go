@@ -185,6 +185,17 @@ type Result struct {
 	Trace Trace
 }
 
+// Delegations is a memory of zone cuts a resolution may start at instead
+// of the root hints. *Walker implements it over its discovery caches, so
+// a resolve through a survey's walker begins at the cut the survey
+// judged.
+type Delegations interface {
+	// DeepestCut returns the deepest known zone cut at or above name and
+	// that zone's usable servers. The servers slice is shared and
+	// read-only. The root, "", means nothing is known.
+	DeepestCut(name string) (apex string, servers []ServerAddr)
+}
+
 // Resolver performs iterative resolution over a Transport. It is
 // stateless between calls except for configuration; the survey's caching
 // lives in Walker.
@@ -220,6 +231,15 @@ func New(tr Transport, cfg Config) (*Resolver, error) {
 
 // Resolve iteratively resolves (name, qtype) starting from the root.
 func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type) (*Result, error) {
+	return r.ResolveFrom(ctx, nil, name, qtype)
+}
+
+// ResolveFrom iteratively resolves (name, qtype), starting every lookup
+// — the name, each CNAME target, each glue-less nameserver — at the
+// deepest cut d knows instead of the root. When every server of that
+// starting cut fails, the lookup restarts once from the root hints, so
+// the answer is never worse than Resolve's. A nil d is Resolve.
+func (r *Resolver) ResolveFrom(ctx context.Context, d Delegations, name string, qtype dnswire.Type) (*Result, error) {
 	name = dnsname.Canonical(name)
 	res := &Result{Name: name, CanonicalName: name}
 	seen := map[string]bool{}
@@ -229,7 +249,7 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 			return res, ErrCNAMELoop
 		}
 		seen[target] = true
-		rrs, authZone, err := r.resolveOnce(ctx, target, qtype, &res.Trace, 0)
+		rrs, authZone, err := r.resolveOnce(ctx, d, target, qtype, &res.Trace, 0)
 		if err != nil {
 			return res, err
 		}
@@ -262,23 +282,36 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 	return res, ErrCNAMELoop
 }
 
-// resolveOnce walks one delegation chain root->auth zone for (name,qtype).
-// depth counts nested NS-address resolutions.
-func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.Type, trace *Trace, depth int) ([]dnswire.RR, string, error) {
+// resolveOnce walks one delegation chain for (name,qtype) down to the
+// authoritative zone, from d's deepest cut or the root. depth counts
+// nested NS-address resolutions.
+func (r *Resolver) resolveOnce(ctx context.Context, d Delegations, name string, qtype dnswire.Type, trace *Trace, depth int) ([]dnswire.RR, string, error) {
 	if depth > r.cfg.MaxDepth {
 		return nil, "", ErrDepthExceeded
 	}
-	zone := "" // current zone apex (root)
-	servers := append([]ServerAddr(nil), r.cfg.Roots...)
+	zone, servers := "", r.cfg.Roots
+	if d != nil {
+		if apex, srv := d.DeepestCut(name); apex != "" && len(srv) > 0 {
+			zone, servers = apex, srv
+		}
+	}
+	// fallback is set while the walk still sits at a remembered cut: if
+	// every server there fails, the memory is stale or the servers are
+	// down, and the walk starts over from the root hints once.
+	fallback := zone != ""
 	for hop := 0; hop < r.cfg.MaxChainLen; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
 		}
-		resp, used, err := r.queryAny(ctx, zone, servers, name, qtype, trace)
+		resp, err := r.queryAny(ctx, zone, servers, name, qtype, trace)
+		if err != nil && fallback {
+			zone, servers, fallback, hop = "", r.cfg.Roots, false, -1
+			continue
+		}
+		fallback = false
 		if err != nil {
 			return nil, zone, err
 		}
-		_ = used
 		switch {
 		case resp.RCode == dnswire.RCodeNXDomain:
 			return nil, zone, ErrNXDomain
@@ -291,7 +324,7 @@ func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.T
 			return nil, zone, ErrNoData
 		case len(resp.Authority) > 0:
 			// Referral: descend into the child zone.
-			child, next, err := r.followReferral(ctx, resp, trace, depth)
+			child, next, err := r.followReferral(ctx, d, resp, trace, depth)
 			if err != nil {
 				return nil, zone, err
 			}
@@ -308,7 +341,7 @@ func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.T
 }
 
 // queryAny tries the zone's servers in order until one responds usefully.
-func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type, trace *Trace) (*dnswire.Message, ServerAddr, error) {
+func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type, trace *Trace) (*dnswire.Message, error) {
 	qctx := transport.WithZone(ctx, zone)
 	var lastErr error = ErrNoServers
 	for _, srv := range servers {
@@ -331,23 +364,24 @@ func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAd
 			child = dnsname.Canonical(resp.Authority[0].Name)
 		}
 		*trace = append(*trace, Step{Zone: zone, Server: srv, Name: name, Type: qtype, Kind: kind, ChildZone: child})
-		return resp, srv, nil
+		return resp, nil
 	}
-	return nil, ServerAddr{}, lastErr
+	return nil, lastErr
 }
 
 // followReferral extracts the child zone and its servers from a referral,
-// resolving nameserver addresses (using glue when offered, recursing when
-// not) so the descent can continue.
-func (r *Resolver) followReferral(ctx context.Context, resp *dnswire.Message, trace *Trace, depth int) (string, []ServerAddr, error) {
+// resolving nameserver addresses (using glue when offered, recursing from
+// d's deepest cut when not) so the descent can continue.
+func (r *Resolver) followReferral(ctx context.Context, d Delegations, resp *dnswire.Message, trace *Trace, depth int) (string, []ServerAddr, error) {
 	child := dnsname.Canonical(resp.Authority[0].Name)
 	glue := map[string][]netip.Addr{}
 	for _, rr := range resp.Additional {
-		switch d := rr.Data.(type) {
+		owner := dnsname.Canonical(rr.Name)
+		switch a := rr.Data.(type) {
 		case dnswire.A:
-			glue[dnsname.Canonical(rr.Name)] = append(glue[rr.Name], d.Addr)
+			glue[owner] = append(glue[owner], a.Addr)
 		case dnswire.AAAA:
-			glue[dnsname.Canonical(rr.Name)] = append(glue[rr.Name], d.Addr)
+			glue[owner] = append(glue[owner], a.Addr)
 		}
 	}
 	var out []ServerAddr
@@ -363,7 +397,7 @@ func (r *Resolver) followReferral(ctx context.Context, resp *dnswire.Message, tr
 			continue
 		}
 		// No glue: resolve the server's address through its own chain.
-		sub, _, err := r.resolveOnce(ctx, host, dnswire.TypeA, trace, depth+1)
+		sub, _, err := r.resolveOnce(ctx, d, host, dnswire.TypeA, trace, depth+1)
 		if err != nil {
 			lastErr = err
 			continue

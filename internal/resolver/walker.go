@@ -591,6 +591,13 @@ func (w *Walker) deepestKnown(name string) (string, []ServerAddr) {
 	}
 }
 
+// DeepestCut implements Delegations over the walker's discovery caches:
+// a resolution started here begins at the deepest zone cut a walk has
+// already entered, with the servers the walk found for it.
+func (w *Walker) DeepestCut(name string) (string, []ServerAddr) {
+	return w.deepestKnown(dnsname.Canonical(name))
+}
+
 // enterZoneReferral enters a cut revealed by a referral: harvest glue,
 // resolve glue-less server addresses recursively.
 func (w *Walker) enterZoneReferral(ctx context.Context, parent, child string, resp *dnswire.Message, wc *walkCtx) ([]ServerAddr, error) {

@@ -61,13 +61,39 @@ func Open(path string) (*File, error) {
 
 // Read loads a snapshot from any io.Reader — the pure-portability path
 // (a network stream, a test buffer). The whole input is read into
-// memory and verified exactly like an opened file.
+// memory and verified exactly like an opened file. A reader that states
+// its length (Len() int, as *bytes.Buffer and *bytes.Reader do) is read
+// into one buffer of that size; any other reader grows its buffer as it
+// goes, so an untrusted length never sizes an allocation.
 func Read(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, err
 	}
 	return verify(data, false, nil)
+}
+
+// readAll reads r to EOF, sizing the buffer once when r states its
+// length.
+func readAll(r io.Reader) ([]byte, error) {
+	lr, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, lr.Len())
+	n, err := io.ReadFull(r, data)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return data[:n], nil
+	case err != nil:
+		return nil, err
+	}
+	// The stated length was a lower bound: drain whatever follows.
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, rest...), nil
 }
 
 // verify validates header, trailer, section table, and every section

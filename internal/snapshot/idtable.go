@@ -16,14 +16,17 @@ import "math"
 const nilOff = math.MaxUint32
 
 // WriteIDTable emits a table of id slices over one shared pool,
-// deduplicating by backing identity.
+// deduplicating by backing identity. The pool is never materialised:
+// offsets are assigned in order of first appearance, so a second pass
+// writes each entry whose offset is the pool's running end straight from
+// its own backing array.
 func WriteIDTable(w *Writer, table [][]int32) {
 	type sliceKey struct {
 		p *int32
 		n int
 	}
-	offs := make(map[sliceKey]uint32)
-	var pool []int32
+	offs := make(map[sliceKey]uint32, len(table))
+	var poolLen uint32
 	ents := make([]int32, 0, 2*len(table))
 	for _, s := range table {
 		switch {
@@ -35,17 +38,23 @@ func WriteIDTable(w *Writer, table [][]int32) {
 			k := sliceKey{&s[0], len(s)}
 			o, ok := offs[k]
 			if !ok {
-				o = uint32(len(pool))
+				o = poolLen
 				offs[k] = o
-				pool = append(pool, s...)
+				poolLen += uint32(len(s))
 			}
 			ents = append(ents, int32(o), int32(len(s)))
 		}
 	}
 	w.U64(uint64(len(table)))
-	w.U64(uint64(len(pool)))
+	w.U64(uint64(poolLen))
 	w.I32s(ents)
-	w.I32s(pool)
+	var end uint32
+	for i, s := range table {
+		if len(s) > 0 && uint32(ents[2*i]) == end {
+			w.I32s(s)
+			end += uint32(len(s))
+		}
+	}
 	w.Pad8()
 }
 

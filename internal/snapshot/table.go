@@ -22,7 +22,9 @@ func WriteStringTable(w *Writer, strs []string) error {
 	}
 	w.Pad8()
 	for _, s := range strs {
-		if _, err := w.Write([]byte(s)); err != nil {
+		// io.Writer may neither modify nor retain p, so the string's
+		// own bytes are written without a copy.
+		if _, err := w.Write(unsafe.Slice(unsafe.StringData(s), len(s))); err != nil {
 			return err
 		}
 	}

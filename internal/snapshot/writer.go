@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -19,20 +20,29 @@ import (
 //
 // Errors are sticky: any failed write poisons the Writer and Finish
 // reports the first one, so encoding code can stay assignment-shaped.
+// Writes reach the destination in blocks of bufSize (or larger, for a
+// large array); Finish flushes the last one.
 type Writer struct {
-	w   io.Writer
+	w   *bufio.Writer
 	off uint64
 	err error
 
 	secs []section
 	cur  int    // index into secs of the open section, -1 when none
 	crc  uint32 // running CRC of the open section
+
+	num [8]byte // encodes one fixed-width number without an allocation
 }
 
-// NewWriter starts a snapshot stream on w, writing the header
-// immediately.
+// bufSize is the block size a Writer hands its destination: a snapshot
+// is mostly short strings and offsets, and a write(2) per field would
+// cost more than encoding it.
+const bufSize = 32 << 10
+
+// NewWriter starts a snapshot stream on w, writing the header. Nothing
+// is guaranteed to reach w before Finish.
 func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w, cur: -1}
+	sw := &Writer{w: bufio.NewWriterSize(w, bufSize), cur: -1}
 	var hdr [headerSize]byte
 	copy(hdr[:], Magic)
 	le.PutUint32(hdr[8:], Version)
@@ -110,16 +120,14 @@ func (w *Writer) Pad8() {
 
 // U32 writes one little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	le.PutUint32(b[:], v)
-	w.Write(b[:])
+	le.PutUint32(w.num[:4], v)
+	w.Write(w.num[:4])
 }
 
 // U64 writes one little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	le.PutUint64(b[:], v)
-	w.Write(b[:])
+	le.PutUint64(w.num[:], v)
+	w.Write(w.num[:])
 }
 
 // I64 writes one little-endian int64.
@@ -190,5 +198,8 @@ func (w *Writer) Finish() error {
 	le.PutUint32(tr[20:], Version)
 	copy(tr[24:], Magic)
 	w.raw(tr[:])
+	if w.err == nil {
+		w.err = w.w.Flush()
+	}
 	return w.err
 }

@@ -79,6 +79,11 @@ func TestMonitorSnapshotColdStart(t *testing.T) {
 	if gotSum := summary(v2); gotSum != wantSum {
 		t.Fatalf("restored summary differs:\n got %s\nwant %s", gotSum, wantSum)
 	}
+	// The exploit table is rescored from the saved banners on load.
+	if want := v1.Survey().Vulns; len(want) == 0 || !reflect.DeepEqual(v2.Survey().Vulns, want) {
+		t.Fatalf("restored Vulns (%d hosts) differ from the saved survey's (%d hosts)",
+			len(v2.Survey().Vulns), len(want))
+	}
 	if got := m2.Queries(); got != 0 {
 		t.Fatalf("restored Summary touched the transport: %d queries", got)
 	}
@@ -119,6 +124,41 @@ func TestMonitorSnapshotColdStart(t *testing.T) {
 		neverAsked, m2.Queries()-(m0.Queries()-walkerBefore))
 	if got, want := summary(v3), summary(v0); got != want {
 		t.Fatalf("second-half summary differs after restart:\n got %s\nwant %s", got, want)
+	}
+}
+
+// writeCounter counts the Write calls and bytes that reach it.
+type writeCounter struct{ calls, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestMonitorSnapshotWritesInBlocks: a snapshot reaches its destination
+// in blocks, not one Write per string and offset — to a file each Write
+// is a system call.
+func TestMonitorSnapshotWritesInBlocks(t *testing.T) {
+	ctx := context.Background()
+	world, err := NewWorld(Options{Seed: 11, Names: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenWorld(ctx, world, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, world.Corpus...); err != nil {
+		t.Fatal(err)
+	}
+	var w writeCounter
+	if err := m.WriteSnapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	if limit := w.bytes/(32<<10) + 16; w.calls > limit {
+		t.Fatalf("a %d-byte snapshot took %d Write calls, want <= %d", w.bytes, w.calls, limit)
 	}
 }
 
