@@ -20,6 +20,7 @@ import (
 	"dnstrust/internal/dnswire"
 	"dnstrust/internal/hijack"
 	"dnstrust/internal/topology"
+	"dnstrust/internal/transport"
 )
 
 func main() {
@@ -29,7 +30,8 @@ func main() {
 
 	// Step 1: survey the dependency chain, exactly as the paper's crawler
 	// would.
-	r, err := reg.Resolver(nil)
+	contacts := transport.NewCounter()
+	r, err := reg.Resolver(transport.Chain(reg.Source(), contacts.Middleware()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,13 +62,14 @@ func main() {
 		}
 	}
 
-	// Step 2: honest resolution.
+	// Step 2: honest resolution, from the root.
+	before := contacts.Queries()
 	honest, err := r.Resolve(ctx, target, dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nhonest resolution: %s -> %v (%d server contacts)\n",
-		target, honest.Addrs, len(honest.Trace))
+		target, honest.Addrs, contacts.Queries()-before)
 
 	// Step 3: the attack. Crack reston-ns2 with its libbind exploit,
 	// saturate the links of its siblings so the resolver must use it.
@@ -79,7 +82,6 @@ func main() {
 		reg.Source(),
 		[]netip.Addr{compromised.Addr},
 		attacker,
-		"ns.attacker.example",
 	)
 	evil, err := reg.Resolver(forged)
 	if err != nil {

@@ -109,11 +109,11 @@ type Survey struct {
 	// Stats summarizes the crawl engine's work (zero for a FromGraph
 	// survey, which no engine crawled).
 	Stats CrawlStats
-	// Delegations is the zone-cut memory of the engine that published
-	// the survey (its walker), so a resolution can start at the cut the
-	// survey judged (resolver.Resolver.ResolveFrom). Nil, as on a
-	// FromGraph or fleet-merged survey, means the root.
-	Delegations resolver.Delegations
+	// Walker is the walker of the engine that published the survey, so
+	// a resolution can go through the cuts the survey judged
+	// (resolver.Resolver.ResolveFrom). Nil, as on a FromGraph or
+	// fleet-merged survey, means a fresh walk from the root.
+	Walker *resolver.Walker
 }
 
 // Vulnerable reports whether a host has at least one known exploit.
@@ -144,23 +144,19 @@ func (s *Survey) VulnerableHosts() int {
 	return n
 }
 
-// eventKind tags one entry of the crawl's unified event stream.
-type eventKind uint8
-
-const (
-	evZone eventKind = iota
-	evChain
-	evResult
-)
-
-// event is one unit of the crawl stream: a walker discovery (zone or
-// chain) or a finished per-name walk result. Everything flows through
-// one FIFO channel, so the assembler observes zones before the chains
-// that traverse them and chains before the results that depend on them.
-type event struct {
-	kind  eventKind
+// discovery is one walker event waiting in the engine's FIFO: a zone cut
+// (zone set, hosts its NS set) or the chain of a key (a nameserver host
+// or a walked name).
+type discovery struct {
 	key   string
+	zone  bool
 	hosts []string
+	chain []string
+}
+
+// walkResult is one finished per-name walk of a batch.
+type walkResult struct {
+	name  string
 	chain []string
 	err   error
 }

@@ -55,11 +55,14 @@ type Engine struct {
 	// the chains they touched.
 	pendingLate []int32
 
-	// events is the active Add's stream; walker observer callbacks
-	// forward into it. It is installed before the batch's workers start
-	// and fully drained before Add returns, so the observer never sends
-	// on a closed or stale channel.
-	events chan event
+	// disc is the walker's discovery FIFO. The observer callbacks append
+	// to it from any goroutine, during an Add or between Adds (a proxy
+	// resolving through the walker), under discMu; Add's assembler
+	// drains it into the builder. discSpare is the drained buffer kept
+	// for reuse (guarded by mu: only the assembler touches it).
+	discMu    sync.Mutex
+	disc      []discovery
+	discSpare []discovery
 
 	gen  atomic.Int64
 	view atomic.Pointer[Survey]
@@ -87,21 +90,43 @@ func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string
 		Vulns:  map[string][]vulndb.Vuln{},
 		DB:     e.db,
 
-		Delegations: e.w,
+		Walker: e.w,
 	})
 	return e
 }
 
-// ZoneDiscovered forwards a walker discovery into the active batch's
-// event stream (resolver.WalkObserver).
+// ZoneDiscovered appends a walker discovery to the engine's FIFO
+// (resolver.WalkObserver).
 func (e *Engine) ZoneDiscovered(apex, _ string, nsHosts []string) {
-	e.events <- event{kind: evZone, key: apex, hosts: nsHosts}
+	e.discMu.Lock()
+	e.disc = append(e.disc, discovery{key: apex, zone: true, hosts: nsHosts})
+	e.discMu.Unlock()
 }
 
-// ChainResolved forwards a walker discovery into the active batch's
-// event stream (resolver.WalkObserver).
+// ChainResolved appends a walker discovery to the engine's FIFO
+// (resolver.WalkObserver).
 func (e *Engine) ChainResolved(key string, chain []string) {
-	e.events <- event{kind: evChain, key: key, chain: chain}
+	e.discMu.Lock()
+	e.disc = append(e.disc, discovery{key: key, chain: chain})
+	e.discMu.Unlock()
+}
+
+// absorbDiscoveries drains the discovery FIFO into the builder, in the
+// order the walker made the discoveries. Call it with e.mu held.
+func (e *Engine) absorbDiscoveries() {
+	e.discMu.Lock()
+	ds := e.disc
+	e.disc = e.discSpare[:0]
+	e.discMu.Unlock()
+	for _, d := range ds {
+		if d.zone {
+			e.b.ObserveZone(d.key, d.hosts)
+		} else {
+			e.b.ObserveChain(d.key, d.chain)
+		}
+	}
+	clear(ds)
+	e.discSpare = ds
 }
 
 // Generation reports the latest committed generation (0 before the
@@ -150,13 +175,12 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	// crosses the transport zero times.
 	retried := e.w.ForgetFailures()
 
-	// One unified event stream per batch: walker discoveries and walk
-	// results share a FIFO channel, preserving the causal order the
-	// builder relies on. The walker only fires callbacks from this
-	// batch's workers, so installing the channel here is race-free.
-	events := make(chan event, workers*4)
-	e.events = events
-
+	// Workers send only results; their discoveries reach the FIFO under
+	// a walker shard lock before any walk can see them, so before the
+	// walk that needed them returns. Draining the FIFO before applying
+	// each result therefore gives the builder zones before the chains
+	// that traverse them and chains before the results that use them.
+	results := make(chan walkResult, workers*4)
 	in := make(chan string, workers*2)
 	workerErrs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -172,7 +196,7 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 					workerErrs[id] = fmt.Errorf("crawler: worker %d aborted: %w", id, err)
 					return
 				}
-				events <- event{kind: evResult, key: name, chain: chain, err: err}
+				results <- walkResult{name: name, chain: chain, err: err}
 			}
 		}(i)
 	}
@@ -188,32 +212,27 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	}()
 	go func() {
 		wg.Wait()
-		close(events)
+		close(results)
 	}()
 
 	// Incremental assembler: absorbs discoveries and results into the
 	// shared graph's intern tables as they stream in.
 	walkStart := time.Now()
 	done := 0
-	//lint:allow locksafety e.mu makes Add the single assembler; draining the bounded worker stream under it is the design (workers close events when done, so this terminates)
-	for ev := range events {
-		switch ev.kind {
-		case evZone:
-			e.b.ObserveZone(ev.key, ev.hosts)
-		case evChain:
-			e.b.ObserveChain(ev.key, ev.chain)
-		case evResult:
-			if ev.err != nil {
-				e.b.Fail(ev.key, ev.err)
-			} else {
-				e.b.Complete(ev.key, ev.chain)
-			}
-			done++
-			if e.cfg.Progress != nil && (done%1000 == 0 || done == len(names)) {
-				e.cfg.Progress(done, len(names))
-			}
+	//lint:allow locksafety e.mu makes Add the single assembler; draining the bounded worker stream under it is the design (workers close results when done, so this terminates)
+	for res := range results {
+		e.absorbDiscoveries()
+		if res.err != nil {
+			e.b.Fail(res.name, res.err)
+		} else {
+			e.b.Complete(res.name, res.chain)
+		}
+		done++
+		if e.cfg.Progress != nil && (done%1000 == 0 || done == len(names)) {
+			e.cfg.Progress(done, len(names))
 		}
 	}
+	e.absorbDiscoveries()
 	walkTime := time.Since(walkStart)
 
 	if err := ctx.Err(); err != nil {
@@ -263,7 +282,7 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 			LateAttachedHosts: late,
 			FailuresRetried:   retried,
 		},
-		Delegations: e.w,
+		Walker: e.w,
 	}
 	e.view.Store(s)
 	return s, nil

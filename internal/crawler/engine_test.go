@@ -3,6 +3,7 @@ package crawler_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -230,5 +231,91 @@ func TestEngineClosedRejectsAdd(t *testing.T) {
 	}
 	if s.Graph.TCBSize(s.Names[0]) <= 0 {
 		t.Error("closed engine's view must stay readable")
+	}
+}
+
+// TestEngineAbsorbsDiscoveriesBetweenAdds: a walker descent outside any
+// Add (a proxy asking Cut for a never-seen name) must not block or
+// panic, and what it discovers must reach the next generation. Cuts run
+// before the first Add, between Adds and concurrently with one; once
+// every name is added, the engine must hold the survey a one-shot Run
+// of the same corpus produces.
+func TestEngineAbsorbsDiscoveriesBetweenAdds(t *testing.T) {
+	world, err := topology.Generate(topology.GenParams{Seed: 31, Names: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := openEngine(t, world, crawler.Config{Workers: 4})
+	defer e.Close()
+	ctx := context.Background()
+	w := e.View().Walker
+	corpus := world.Corpus
+	cut := func(name string) string {
+		t.Helper()
+		apex, _, err := w.Cut(ctx, name)
+		if err != nil || apex == "" {
+			t.Fatalf("Cut(%s) = %q (%v)", name, apex, err)
+		}
+		return apex
+	}
+	holds := func(s *crawler.Survey, apex, when string) {
+		t.Helper()
+		if !slices.Contains(s.Graph.Zones(), apex) {
+			t.Errorf("zone %q discovered %s is missing from generation %d", apex, when, s.Stats.Generation)
+		}
+		if _, ok := s.Graph.NameChainID(corpus[0]); ok && s.Stats.Generation < 3 {
+			t.Errorf("a Cut made %s part of the survey", corpus[0])
+		}
+	}
+
+	first := cut(corpus[0])
+	s, err := e.Add(ctx, corpus[10:100]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds(s, first, "before the first Add")
+
+	second := cut(corpus[1])
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, n := range corpus[2:10] {
+			if _, _, err := w.Cut(ctx, n); err != nil {
+				t.Errorf("concurrent Cut(%s): %v", n, err)
+			}
+		}
+	}()
+	s, err = e.Add(ctx, corpus[100:200]...)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds(s, second, "between Adds")
+
+	all := append(append([]string{}, corpus[:10]...), corpus[200:]...)
+	if s, err = e.Add(ctx, all...); err != nil {
+		t.Fatal(err)
+	}
+	tr := world.Registry.Source()
+	r, err := world.Registry.Resolver(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := crawler.Run(ctx, r, corpus, world.Registry.ProbeFunc(tr), crawler.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Names, batch.Names) || s.Graph.NumHosts() != batch.Graph.NumHosts() || s.Graph.NumZones() != batch.Graph.NumZones() {
+		t.Fatalf("engine with Cuts: %d names, %d hosts, %d zones; one-shot Run: %d, %d, %d",
+			len(s.Names), s.Graph.NumHosts(), s.Graph.NumZones(),
+			len(batch.Names), batch.Graph.NumHosts(), batch.Graph.NumZones())
+	}
+	for _, n := range batch.Names {
+		got, _ := s.Graph.TCB(n)
+		want, _ := batch.Graph.TCB(n)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TCB(%s) differs from the one-shot Run", n)
+		}
 	}
 }

@@ -175,7 +175,7 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		DB:     e.db,
 		Stats:  CrawlStats{Generation: gen},
 
-		Delegations: e.w,
+		Walker: e.w,
 	})
 	return e, nil
 }

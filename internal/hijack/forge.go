@@ -11,18 +11,17 @@ import (
 
 // ForgingTransport wraps a resolver transport so that queries reaching a
 // compromised server return attacker-controlled answers: every address
-// question resolves to the attacker's address, and referrals hand
-// authority to the attacker's nameserver. It demonstrates, at the wire
-// level, the §3.2 scenario of a crack on reston-ns2.telemail.net
-// diverting www.fbi.gov.
+// question resolves to the attacker's address, and every other question
+// (an NS probe, say) gets an authoritative empty answer, so no zone cut
+// is seen below the compromised server and the descent keeps asking it. It
+// demonstrates, at the wire level, the §3.2 scenario of a crack on
+// reston-ns2.telemail.net diverting www.fbi.gov.
 type ForgingTransport struct {
 	inner resolver.Transport
 	// compromised server addresses.
 	compromised map[netip.Addr]bool
 	// AttackerAddr is where diverted names point.
 	AttackerAddr netip.Addr
-	// AttackerNS is the nameserver name forged referrals delegate to.
-	AttackerNS string
 
 	// Diverted counts forged responses, for assertions and demos.
 	diverted int
@@ -30,7 +29,7 @@ type ForgingTransport struct {
 
 // NewForgingTransport builds the attack transport. compromised lists the
 // addresses of servers under attacker control.
-func NewForgingTransport(inner resolver.Transport, compromised []netip.Addr, attackerAddr netip.Addr, attackerNS string) *ForgingTransport {
+func NewForgingTransport(inner resolver.Transport, compromised []netip.Addr, attackerAddr netip.Addr) *ForgingTransport {
 	m := make(map[netip.Addr]bool, len(compromised))
 	for _, a := range compromised {
 		m[a] = true
@@ -39,7 +38,6 @@ func NewForgingTransport(inner resolver.Transport, compromised []netip.Addr, att
 		inner:        inner,
 		compromised:  m,
 		AttackerAddr: attackerAddr,
-		AttackerNS:   dnsname.Canonical(attackerNS),
 	}
 }
 
@@ -48,8 +46,8 @@ func (t *ForgingTransport) Diverted() int { return t.diverted }
 
 // Query implements resolver.Transport.
 func (t *ForgingTransport) Query(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {
-	// The attacker's own nameserver answers too: once a forged referral
-	// or address points there, every subsequent query is the attacker's.
+	// The attacker's own server answers too: once a forged address points
+	// there, every subsequent query is the attacker's.
 	if !t.compromised[server] && server != t.AttackerAddr {
 		return t.inner.Query(ctx, server, name, qtype, class)
 	}
@@ -64,18 +62,10 @@ func (t *ForgingTransport) Query(ctx context.Context, server netip.Addr, name st
 			Name: name, Class: class, TTL: 3600,
 			Data: dnswire.A{Addr: t.AttackerAddr},
 		}}
-	case dnswire.TypeNS:
-		resp.Answers = []dnswire.RR{{
-			Name: name, Class: class, TTL: 3600,
-			Data: dnswire.NS{Host: t.AttackerNS},
-		}}
-		resp.Additional = []dnswire.RR{{
-			Name: t.AttackerNS, Class: class, TTL: 3600,
-			Data: dnswire.A{Addr: t.AttackerAddr},
-		}}
 	default:
-		// Anything else: claim the name exists with no data; keeps the
-		// resolver moving toward address queries the attacker answers.
+		// Anything else, NS probes included: claim the name exists with
+		// no data. To a resolver descending label by label that says "no
+		// cut here", so it keeps asking the attacker for addresses.
 	}
 	return resp, nil
 }

@@ -209,7 +209,6 @@ func TestForgingTransportDivertsResolution(t *testing.T) {
 		reg.Source(),
 		[]netip.Addr{comp.Addr},
 		attacker,
-		"evil.attacker.example",
 	)
 	r, err := reg.Resolver(forged)
 	if err != nil {
@@ -231,7 +230,7 @@ func TestForgingTransportHonestWithoutAttack(t *testing.T) {
 	reg := topology.FBIWorld()
 	forged := hijack.NewForgingTransport(
 		reg.Source(), nil,
-		netip.MustParseAddr("203.0.113.66"), "evil.attacker.example")
+		netip.MustParseAddr("203.0.113.66"))
 	r, err := reg.Resolver(forged)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package proxy implements the trust-aware resolving DNS proxy: a
-// dnsserver.Handler that resolves each query iteratively upstream,
-// starting at the zone cut the monitor's survey judged, and applies the
+// dnsserver.Handler that resolves each query upstream through the
+// monitor's walker, at the zone cut the survey judged, and applies the
 // monitor's verdict first — allow serves silently, flag serves and logs,
 // refuse answers REFUSED without ever contacting upstream. It is the
 // enforcement point the paper's offline measurement implies: the place a
@@ -23,7 +23,9 @@ import (
 
 // Config configures a Proxy.
 type Config struct {
-	// Resolver performs upstream iterative resolution. Required.
+	// Resolver asks each resolution's final question upstream, through
+	// its transport and within its retry budget; the descent to the cut
+	// is the walker of the survey Cache serves. Required.
 	Resolver *resolver.Resolver
 	// Cache serves per-name verdicts. Required; keep it advancing via
 	// Monitor.OnCommit.
@@ -76,6 +78,14 @@ func New(cfg Config) (*Proxy, error) {
 // attack the policy blocks is on the answer path, and the proxy never
 // walks into a chain the monitor already condemned.
 //
+// An allowed name resolves through the monitor's own walker: the final
+// question goes to the servers of the cut the survey judged, and a
+// referral in reply to it (a cut below the judged one) is not followed
+// but answered SERVFAIL. The verdict covers the queried name's chain,
+// not a CNAME target's, as the paper's TCB does: a target is resolved
+// through the walker's cuts like any name, but its own verdict is not
+// consulted.
+//
 // The refuse path is the serving-side hot loop under attack: every
 // blocked query pays one cache lookup and one reply header. Varargs box
 // their arguments at the call site — before logf's own nil check — so
@@ -113,11 +123,11 @@ func (p *Proxy) ServeDNS(ctx context.Context, req *dnswire.Message) *dnswire.Mes
 		}
 	}
 
-	// Resolve through what was judged: start at the deepest zone cut the
-	// verdict's survey walked, not at the root.
+	// Resolve through what was judged: the final question goes to the
+	// servers of the cut the verdict's survey walked, not from the root.
 	rctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
-	res, err := p.cfg.Resolver.ResolveFrom(rctx, p.cfg.Cache.Survey().Delegations, name, q.Type)
+	res, err := p.cfg.Resolver.ResolveFrom(rctx, p.cfg.Cache.Survey().Walker, name, q.Type)
 	switch {
 	case err == nil:
 		resp.Answers = res.Records

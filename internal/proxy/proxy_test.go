@@ -3,14 +3,18 @@ package proxy_test
 import (
 	"context"
 	"log"
+	"net/netip"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"dnstrust"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnsclient"
+	"dnstrust/internal/dnsname"
 	"dnstrust/internal/dnsserver"
 	"dnstrust/internal/dnswire"
 	"dnstrust/internal/proxy"
@@ -276,13 +280,19 @@ func countingProxy(t *testing.T, world *topology.World, cache *verdict.Cache) (*
 // TestProxyResolvesFromJudgedCut: once the monitor has walked a name, an
 // allowed query for it costs one upstream query — asked at the zone cut
 // the verdict judged — and answers exactly as a root-started resolve. A
-// survey whose cuts are unknown (nil Delegations, as a fleet-merged
-// survey has, or a freshly restored monitor's empty walker) still
-// answers, through the root.
+// survey with no walker (nil, as a fleet-merged survey has) answers from
+// the root every time. A freshly restored monitor's walker is empty: the
+// first query for a name descends from the root through it, and the
+// second costs one upstream query, counted on the monitor's source and
+// the proxy's together.
 func TestProxyResolvesFromJudgedCut(t *testing.T) {
 	ctx := context.Background()
 	world := policyWorld(t)
-	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	mon := transport.NewCounter()
+	monitorSource := func() transport.Source {
+		return transport.Chain(world.Registry.Source(), mon.Middleware())
+	}
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4, Source: monitorSource()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,23 +304,25 @@ func TestProxyResolvesFromJudgedCut(t *testing.T) {
 	if _, err := m.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4, SnapshotFile: snap})
+	restored, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4, SnapshotFile: snap, Source: monitorSource()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
 
+	// fromRoot stands for "two upstream queries or more".
+	const fromRoot = -1
 	judged := m.At().Survey()
 	unjudged := *judged
-	unjudged.Delegations = nil
+	unjudged.Walker = nil
 	for _, tc := range []struct {
-		name    string
-		survey  *crawler.Survey
-		fromCut bool
+		name   string
+		survey *crawler.Survey
+		costs  []int64 // of the first and the second query for a name
 	}{
-		{name: "judged", survey: judged, fromCut: true},
-		{name: "nil-delegations", survey: &unjudged},
-		{name: "restored", survey: restored.At().Survey()},
+		{name: "judged", survey: judged, costs: []int64{1, 1}},
+		{name: "nil-delegations", survey: &unjudged, costs: []int64{fromRoot, fromRoot}},
+		{name: "restored", survey: restored.At().Survey(), costs: []int64{fromRoot, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache, err := verdict.NewCache(tc.survey, verdict.Config{TTL: time.Hour})
@@ -324,17 +336,283 @@ func TestProxyResolvesFromJudgedCut(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := counter.Queries()
-				resp := p.ServeDNS(ctx, dnswire.NewQuery(1, name, dnswire.TypeA, dnswire.ClassINET))
-				cost := counter.Queries() - before
-				if resp.RCode != dnswire.RCodeSuccess || !reflect.DeepEqual(resp.Answers, want.Records) {
-					t.Fatalf("%s: %s, want NOERROR with %v", name, resp, want.Records)
-				}
-				if (tc.fromCut && cost != 1) || (!tc.fromCut && cost < 2) {
-					t.Errorf("%s cost %d upstream queries (from the judged cut: %v)", name, cost, tc.fromCut)
+				for i, wantCost := range tc.costs {
+					before := counter.Queries() + mon.Queries()
+					resp := p.ServeDNS(ctx, dnswire.NewQuery(1, name, dnswire.TypeA, dnswire.ClassINET))
+					cost := counter.Queries() + mon.Queries() - before
+					if resp.RCode != dnswire.RCodeSuccess || !reflect.DeepEqual(resp.Answers, want.Records) {
+						t.Fatalf("%s: %s, want NOERROR with %v", name, resp, want.Records)
+					}
+					if (wantCost == fromRoot && cost < 2) || (wantCost != fromRoot && cost != wantCost) {
+						t.Errorf("%s query %d cost %d upstream queries, want %d (-1: from the root)", name, i+1, cost, wantCost)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestProxyHonorsRetryBudget: the final question is bound by the proxy
+// resolver's retry budget like every walker question. With a budget of
+// one and every server of the judged cut down, an allowed query makes
+// exactly one upstream attempt and answers SERVFAIL.
+func TestProxyHonorsRetryBudget(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, world.Corpus...); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	for _, h := range []string{"ns1.example.com", "ns2.example.com"} {
+		if err := world.Registry.SetLame(h, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter := transport.NewCounter()
+	src := transport.Chain(world.Registry.Source(), counter.Middleware())
+	defer src.Close()
+	r, err := resolver.New(src, resolver.Config{Roots: world.Registry.RootServers(), RetryBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{Resolver: r, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := p.ServeDNS(ctx, dnswire.NewQuery(1, "www.example.com", dnswire.TypeA, dnswire.ClassINET))
+	if resp.RCode != dnswire.RCodeServFail {
+		t.Errorf("every judged server down: %s, want SERVFAIL", resp)
+	}
+	if n := counter.Queries(); n != 1 {
+		t.Errorf("a retry budget of 1 made %d upstream attempts", n)
+	}
+}
+
+// TestProxyNeverSeenNameOneDescent: a name the monitor has never seen is
+// answered (provisionally) by descending through the monitor's walker,
+// so the Add that then surveys it reuses every question the answer
+// asked. Across the monitor's source and the proxy's, each distinct
+// question crosses the transport once, and the Add commits the zones
+// the proxy's descent discovered.
+func TestProxyNeverSeenNameOneDescent(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	type question struct {
+		name  string
+		qtype dnswire.Type
+	}
+	var mu sync.Mutex
+	asked := map[question]int{}
+	ask := transport.Trace(func(_ netip.Addr, name string, qtype dnswire.Type) {
+		name = dnsname.Canonical(name)
+		if name == "version.bind" {
+			return // the banner probe asks every new server by design
+		}
+		mu.Lock()
+		asked[question{name, qtype}]++
+		mu.Unlock()
+	})
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{
+		Workers: 4, Source: transport.Chain(world.Registry.Source(), ask),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, "www.fbi.gov"); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	src := transport.Chain(world.Registry.Source(), ask)
+	defer src.Close()
+	r, err := resolver.New(src, resolver.Config{Roots: world.Registry.RootServers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{Resolver: r, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	clear(asked)
+	mu.Unlock()
+	resp := p.ServeDNS(ctx, dnswire.NewQuery(1, "www.example.com", dnswire.TypeA, dnswire.ClassINET))
+	if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) == 0 || p.Stats().Flagged != 1 {
+		t.Fatalf("never-seen name: %s (stats %+v), want a flagged NOERROR answer", resp, p.Stats())
+	}
+	v, err := m.Add(ctx, "www.example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.TCB("www.example.com"); err != nil {
+		t.Fatalf("the Add did not survey the name: %v", err)
+	}
+	if !slices.Contains(v.Survey().Graph.Zones(), "example.com") {
+		t.Error("the committed generation lacks the zone the proxy's descent discovered")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(asked) == 0 {
+		t.Fatal("no question crossed the transport")
+	}
+	for q, n := range asked {
+		if n != 1 {
+			t.Errorf("%s %v crossed the transport %d times, want once", q.name, q.qtype, n)
+		}
+	}
+}
+
+// forgeSource answers the queries its forge function claims and passes
+// the rest to the wrapped source.
+type forgeSource struct {
+	transport.Source
+	forge func(server netip.Addr, name string, qtype dnswire.Type) *dnswire.Message
+}
+
+func (f forgeSource) Query(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {
+	if m := f.forge(server, dnsname.Canonical(name), qtype); m != nil {
+		return m, nil
+	}
+	return f.Source.Query(ctx, server, name, qtype, class)
+}
+
+// TestProxyAnswersOnlyThroughJudgedPath: after the crawl, the gov
+// servers start re-delegating fbi.gov to a server nobody judged. An
+// allowed www.fbi.gov still goes to the judged fbi.gov servers and never
+// contacts the new one. When the judged servers themselves refer the
+// final question to that server, the proxy answers SERVFAIL without
+// following the referral.
+func TestProxyAnswersOnlyThroughJudgedPath(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, world.Corpus...); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour, Policy: verdict.Policy{FlagOnly: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	evil := netip.MustParseAddr("203.0.113.53")
+	referral := func(owner string) *dnswire.Message {
+		return &dnswire.Message{
+			Authority:  []dnswire.RR{{Name: owner, Class: dnswire.ClassINET, TTL: 60, Data: dnswire.NS{Host: "ns.evil.test"}}},
+			Additional: []dnswire.RR{{Name: "ns.evil.test", Class: dnswire.ClassINET, TTL: 60, Data: dnswire.A{Addr: evil}}},
+		}
+	}
+	gov := map[netip.Addr]bool{}
+	for _, h := range []string{"a.gov-servers.net", "b.gov-servers.net"} {
+		gov[world.Registry.Server(h).Addr] = true
+	}
+	judged := map[netip.Addr]bool{}
+	for _, h := range []string{"dns.sprintip.com", "dns2.sprintip.com"} {
+		judged[world.Registry.Server(h).Addr] = true
+	}
+	referBelow := false
+	var contacted []netip.Addr
+	src := transport.Chain(world.Registry.Source(),
+		transport.Trace(func(server netip.Addr, _ string, _ dnswire.Type) { contacted = append(contacted, server) }),
+		func(next transport.Source) transport.Source {
+			return forgeSource{Source: next, forge: func(server netip.Addr, name string, _ dnswire.Type) *dnswire.Message {
+				switch {
+				case gov[server] && dnsname.IsSubdomain(name, "fbi.gov"):
+					return referral("fbi.gov")
+				case referBelow && judged[server] && name == "www.fbi.gov":
+					return referral("www.fbi.gov")
+				}
+				return nil
+			}}
+		})
+	defer src.Close()
+	r, err := resolver.New(src, resolver.Config{Roots: world.Registry.RootServers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{Resolver: r, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp := p.ServeDNS(ctx, dnswire.NewQuery(1, "www.fbi.gov", dnswire.TypeA, dnswire.ClassINET))
+	if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 1 {
+		t.Fatalf("www.fbi.gov under a forged re-delegation: %s, want the judged servers' answer", resp)
+	}
+	for _, a := range contacted {
+		if !judged[a] {
+			t.Fatalf("an allowed www.fbi.gov contacted %v, outside the judged fbi.gov servers", a)
+		}
+	}
+
+	referBelow, contacted = true, nil
+	resp = p.ServeDNS(ctx, dnswire.NewQuery(2, "www.fbi.gov", dnswire.TypeA, dnswire.ClassINET))
+	if resp.RCode != dnswire.RCodeServFail {
+		t.Errorf("a referral in reply to the final question: %s, want SERVFAIL", resp)
+	}
+	for _, a := range contacted {
+		if !judged[a] {
+			t.Fatalf("the proxy followed a referral below the judged cut to %v", a)
+		}
+	}
+}
+
+// TestProxyServesCNAME: an alias inside the judged zone and one into
+// another zone both answer through the proxy exactly as a root-started
+// resolve does.
+func TestProxyServesCNAME(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	cname := func(zone, owner, target string) {
+		world.Registry.Zone(zone).MustAddRR(dnswire.RR{
+			Name: owner, Class: dnswire.ClassINET, TTL: 60, Data: dnswire.CNAME{Target: target},
+		})
+	}
+	cname("fbi.gov", "web.fbi.gov", "www.fbi.gov")
+	cname("example.com", "alias.example.com", "www.solo.com")
+	aliases := []string{"web.fbi.gov", "alias.example.com"}
+
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Add(ctx, append(aliases, world.Corpus...)...); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour, Policy: verdict.Policy{FlagOnly: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	p, r, _ := countingProxy(t, world, cache)
+	for _, name := range aliases {
+		want, err := r.Resolve(ctx, name, dnswire.TypeA)
+		if err != nil || len(want.Records) == 0 || want.CanonicalName == name {
+			t.Fatalf("root-started Resolve(%s) = %+v (%v), want an alias with records", name, want, err)
+		}
+		resp := p.ServeDNS(ctx, dnswire.NewQuery(1, name, dnswire.TypeA, dnswire.ClassINET))
+		if resp.RCode != dnswire.RCodeSuccess || !reflect.DeepEqual(resp.Answers, want.Records) {
+			t.Errorf("%s: %s, want NOERROR with %v", name, resp, want.Records)
+		}
 	}
 }
 

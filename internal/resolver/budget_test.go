@@ -30,12 +30,11 @@ func TestRetryBudgetPreservesErrorChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWalker(r)
 	servers := []ServerAddr{
 		{Host: "s1", Addr: netip.MustParseAddr("192.0.2.1")},
 		{Host: "s2", Addr: netip.MustParseAddr("192.0.2.2")},
 	}
-	_, err = w.dispatch(context.Background(), "test", servers, "example.test", dnswire.TypeA)
+	_, _, err = r.dispatch(context.Background(), "test", servers, "example.test", dnswire.TypeA)
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("dispatch error = %v, want ErrRetryBudget in chain", err)
 	}
@@ -45,7 +44,7 @@ func TestRetryBudgetPreservesErrorChain(t *testing.T) {
 }
 
 // TestRetryBudgetCapsAttempts verifies the budget actually bounds how
-// many servers one logical query tries.
+// many servers one logical query tries, as the walker counts them.
 func TestRetryBudgetCapsAttempts(t *testing.T) {
 	r, err := New(errTransport{err: errors.New("refused")}, Config{
 		Roots:       []ServerAddr{{Host: "a.root.test", Addr: netip.MustParseAddr("198.41.0.4")}},
@@ -59,10 +58,10 @@ func TestRetryBudgetCapsAttempts(t *testing.T) {
 	for i := range servers {
 		servers[i] = ServerAddr{Host: fmt.Sprintf("s%d", i), Addr: netip.MustParseAddr(fmt.Sprintf("192.0.2.%d", i+1))}
 	}
-	if _, err := w.dispatch(context.Background(), "test", servers, "example.test", dnswire.TypeA); !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("dispatch error = %v, want ErrRetryBudget", err)
+	if _, err := w.queryAny(context.Background(), "test", servers, "example.test", dnswire.TypeA); !errors.Is(err, ErrRetryBudget) {
+		t.Fatalf("queryAny error = %v, want ErrRetryBudget", err)
 	}
 	if got := w.Queries(); got != 2 {
-		t.Fatalf("dispatch issued %d queries, want the budget of 2", got)
+		t.Fatalf("queryAny issued %d queries, want the budget of 2", got)
 	}
 }

@@ -29,8 +29,8 @@ func (c *fakeClock) sleep(_ context.Context, d time.Duration) error {
 	return nil
 }
 
-// TestDispatchZoneRateOverride checks the walker wiring end to end: the
-// walker no longer paces itself — it tags each dispatch with the queried
+// TestDispatchZoneRateOverride checks the dispatch wiring end to end: the
+// server loop does not pace itself — it tags each dispatch with the queried
 // zone and the transport.RateLimit middleware (installed by New from the
 // rate config) paces at that zone's etiquette — so a dispatch addressed
 // to a zone with a high override waits at the override rate while the
@@ -47,7 +47,6 @@ func TestDispatchZoneRateOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWalker(r)
 	ctx := context.Background()
 	// Each case queries one box twice (two ServerAddr entries sharing an
 	// address drain one bucket); a fresh address per case keeps the
@@ -61,21 +60,21 @@ func TestDispatchZoneRateOverride(t *testing.T) {
 
 	// Zone "com" carries the 500 qps override: the second attempt waits
 	// ~2ms instead of ~1s.
-	w.dispatch(ctx, "com", serversAt("192.0.2.1"), "x.com", dnswire.TypeA)
+	r.dispatch(ctx, "com", serversAt("192.0.2.1"), "x.com", dnswire.TypeA)
 	if len(clk.sleeps) != 1 || clk.sleeps[0] > 3*time.Millisecond {
 		t.Fatalf("com-paced sleeps = %v, want one ~2ms wait", clk.sleeps)
 	}
 
 	// An unlisted zone falls back to the 1 qps default.
 	clk.sleeps = nil
-	w.dispatch(ctx, "example.net", serversAt("192.0.2.2"), "x.example.net", dnswire.TypeA)
+	r.dispatch(ctx, "example.net", serversAt("192.0.2.2"), "x.example.net", dnswire.TypeA)
 	if len(clk.sleeps) != 1 || clk.sleeps[0] < 500*time.Millisecond {
 		t.Fatalf("default-paced sleeps = %v, want one ~1s wait", clk.sleeps)
 	}
 
 	// A zone with a non-positive override is unpaced entirely.
 	clk.sleeps = nil
-	w.dispatch(ctx, "quiet.example", serversAt("192.0.2.3"), "x.quiet.example", dnswire.TypeA)
+	r.dispatch(ctx, "quiet.example", serversAt("192.0.2.3"), "x.quiet.example", dnswire.TypeA)
 	if len(clk.sleeps) != 0 {
 		t.Fatalf("disabled-zone dispatch slept: %v", clk.sleeps)
 	}

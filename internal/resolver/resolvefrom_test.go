@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dnstrust/internal/dnsname"
 	"dnstrust/internal/dnswire"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
@@ -29,11 +28,11 @@ var (
 	answerAddr = netip.MustParseAddr("203.0.113.7")
 )
 
-// TestFollowReferralMixedCaseGlue feeds a referral whose two A glue
-// records for one NS host spell the owner in different cases, one with a
-// trailing dot. Both belong to the same host, so the descent must go
-// through the first address, as the walker's glue harvest does.
-func TestFollowReferralMixedCaseGlue(t *testing.T) {
+// TestEnterZoneReferralMixedCaseGlue feeds the walker a referral whose
+// two A glue records for one NS host spell the owner in different cases,
+// one with a trailing dot. Both belong to the same host, so the zone's
+// server must be the first address, and the answer must come from it.
+func TestEnterZoneReferralMixedCaseGlue(t *testing.T) {
 	rr := func(name string, data dnswire.RData) dnswire.RR {
 		return dnswire.RR{Name: name, Class: dnswire.ClassINET, TTL: 60, Data: data}
 	}
@@ -48,8 +47,11 @@ func TestFollowReferralMixedCaseGlue(t *testing.T) {
 				},
 			}, nil
 		case glueFirst:
-			m := &dnswire.Message{Answers: []dnswire.RR{rr(name, dnswire.A{Addr: answerAddr})}}
+			m := &dnswire.Message{}
 			m.Authoritative = true
+			if qtype == dnswire.TypeA {
+				m.Answers = []dnswire.RR{rr(name, dnswire.A{Addr: answerAddr})}
+			}
 			return m, nil
 		}
 		return nil, errors.New("unexpected server " + server.String())
@@ -58,79 +60,62 @@ func TestFollowReferralMixedCaseGlue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Resolve(context.Background(), "www.example.test", dnswire.TypeA)
+	w := resolver.NewWalker(r)
+	apex, servers, err := w.Cut(context.Background(), "www.example.test")
+	want := []resolver.ServerAddr{{Host: "ns1.example.test", Addr: glueFirst}}
+	if err != nil || apex != "example.test" || !reflect.DeepEqual(servers, want) {
+		t.Fatalf("Cut = %q %v (%v), want example.test %v", apex, servers, err, want)
+	}
+	res, err := r.ResolveFrom(context.Background(), w, "www.example.test", dnswire.TypeA)
 	if err != nil {
-		t.Fatalf("Resolve: %v\ntrace: %+v", err, res.Trace)
+		t.Fatalf("ResolveFrom: %v", err)
 	}
 	if len(res.Addrs) != 1 || res.Addrs[0] != answerAddr {
 		t.Fatalf("addrs = %v, want [%v]", res.Addrs, answerAddr)
 	}
-	if last := res.Trace[len(res.Trace)-1]; last.Server.Addr != glueFirst {
-		t.Fatalf("answer came from %v, want the first glue address %v", last.Server.Addr, glueFirst)
-	}
-}
-
-// fixedCut is a Delegations that always names one cut.
-type fixedCut struct {
-	apex    string
-	servers []resolver.ServerAddr
-}
-
-func (c fixedCut) DeepestCut(string) (string, []resolver.ServerAddr) { return c.apex, c.servers }
-
-// hideCut forgets one zone of an underlying memory, so resolutions
-// below it start one cut higher and must follow a referral.
-type hideCut struct {
-	d    resolver.Delegations
-	hide string
-}
-
-func (h hideCut) DeepestCut(name string) (string, []resolver.ServerAddr) {
-	apex, srv := h.d.DeepestCut(name)
-	if apex == h.hide {
-		parent, _ := dnsname.Parent(apex)
-		return h.d.DeepestCut(parent)
-	}
-	return apex, srv
 }
 
 // countedFBI returns a resolver over the §3.2 world whose upstream
-// queries are counted, plus a walker that has walked www.fbi.gov.
-func countedFBI(t *testing.T) (*resolver.Resolver, *transport.Counter, *resolver.Walker) {
+// queries are counted and their zones logged, plus a walker over it that
+// has walked www.fbi.gov. ftp.fbi.gov exists but is never walked.
+func countedFBI(t *testing.T) (*topology.Registry, *resolver.Resolver, *transport.Counter, *zoneLog, *resolver.Walker) {
 	t.Helper()
 	reg := topology.FBIWorld()
+	reg.Zone("fbi.gov").MustAddRR(dnswire.RR{
+		Name: "ftp.fbi.gov", Class: dnswire.ClassINET, TTL: 60,
+		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")},
+	})
 	counter := transport.NewCounter()
-	src := transport.Chain(reg.Source(), counter.Middleware())
-	t.Cleanup(func() { src.Close() })
-	r, err := reg.Resolver(src)
+	zones := &zoneLog{inner: transport.Chain(reg.Source(), counter.Middleware())}
+	r, err := reg.Resolver(zones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := reg.Resolver(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := resolver.NewWalker(wr)
+	w := resolver.NewWalker(r)
 	if _, err := w.WalkName(context.Background(), "www.fbi.gov"); err != nil {
 		t.Fatal(err)
 	}
-	return r, counter, w
+	return reg, r, counter, zones, w
 }
 
 // TestResolveFromStartsAtCut checks where ResolveFrom's lookups begin:
-// the name at its deepest known cut (one query), and a glue-less
-// nameserver met on a referral at that host's own cut, so the root is
-// never asked while the memory covers the chain.
+// a walked name at its cut (one query, the final one), and a name the
+// walker never walked at the deepest cut above it, descending from there
+// through the query memo and never from the root. A nil walker is
+// Resolve.
 func TestResolveFromStartsAtCut(t *testing.T) {
 	ctx := context.Background()
-	r, counter, w := countedFBI(t)
+	_, r, counter, zones, w := countedFBI(t)
+	rec := record(w)
+	start := counter.Queries()
 	want, err := r.Resolve(ctx, "www.fbi.gov", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rootCost := counter.Queries() - start
 
-	if apex, _ := w.DeepestCut("WWW.FBI.GOV."); apex != "fbi.gov" {
-		t.Fatalf("DeepestCut(www.fbi.gov) = %q, want fbi.gov", apex)
+	if apex, _, err := w.Cut(ctx, "WWW.FBI.GOV."); apex != "fbi.gov" || err != nil {
+		t.Fatalf("Cut(www.fbi.gov) = %q (%v), want fbi.gov", apex, err)
 	}
 	before := counter.Queries()
 	got, err := r.ResolveFrom(ctx, w, "www.fbi.gov", dnswire.TypeA)
@@ -144,59 +129,102 @@ func TestResolveFromStartsAtCut(t *testing.T) {
 		t.Errorf("ResolveFrom = %v in %q, want %v in fbi.gov", got.Records, got.AuthZone, want.Records)
 	}
 
-	// Without the fbi.gov cut, the walk starts at gov and follows its
-	// referral to fbi.gov, whose servers have no glue: their addresses
-	// resolve from the sprintip.com cut, not from the root.
-	got, err = r.ResolveFrom(ctx, hideCut{d: w, hide: "fbi.gov"}, "www.fbi.gov", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Errorf("ResolveFrom via gov = %v, want %v", got.Records, want.Records)
-	}
-	for _, st := range got.Trace {
-		if st.Zone == "" {
-			t.Fatalf("ResolveFrom asked the root although every cut on the way was known: %+v", got.Trace)
+	// An unwalked name under the cut: one NS probe and the final
+	// question, both at fbi.gov; asked again, only the final question
+	// crosses the transport. Its chain is never announced.
+	zones.zones = nil
+	for i, wantCost := range []int64{2, 1} {
+		before := counter.Queries()
+		got, err := r.ResolveFrom(ctx, w, "ftp.fbi.gov", dnswire.TypeA)
+		if err != nil || len(got.Addrs) != 1 || got.AuthZone != "fbi.gov" {
+			t.Fatalf("ResolveFrom(ftp.fbi.gov) = %+v (%v)", got, err)
+		}
+		if n := counter.Queries() - before; n != wantCost {
+			t.Errorf("ResolveFrom(ftp.fbi.gov) #%d cost %d queries, want %d", i+1, n, wantCost)
 		}
 	}
+	for _, z := range zones.zones {
+		if z != "fbi.gov" {
+			t.Fatalf("an unwalked name under a known cut contacted zone %q: %v", z, zones.zones)
+		}
+	}
+	if _, ok := rec.chains["ftp.fbi.gov"]; ok {
+		t.Error("ResolveFrom announced the chain of a name no walk surveyed")
+	}
 
-	// A nil memory is Resolve.
+	// A nil walker is Resolve: the same records at the same cost.
+	before = counter.Queries()
 	got, err = r.ResolveFrom(ctx, nil, "www.fbi.gov", dnswire.TypeA)
-	if err != nil || !reflect.DeepEqual(got.Trace, want.Trace) {
-		t.Errorf("ResolveFrom(nil) trace %+v (%v), want Resolve's %+v", got.Trace, err, want.Trace)
+	if err != nil || !reflect.DeepEqual(got.Records, want.Records) || counter.Queries()-before != rootCost {
+		t.Errorf("ResolveFrom(nil) = %v (%v) in %d queries, want Resolve's %v in %d",
+			got.Records, err, counter.Queries()-before, want.Records, rootCost)
 	}
 }
 
-// TestResolveFromFallsBackToRoot: when every server of the starting cut
-// fails, the lookup restarts once from the root hints and answers as
-// Resolve does; a denial from a live cut is final.
-func TestResolveFromFallsBackToRoot(t *testing.T) {
+// TestResolveFromDeadCutFails: when every server of the judged cut is
+// down, the resolution fails after asking only those servers; nothing
+// restarts it at the root or anywhere else. A denial from a live cut is
+// final.
+func TestResolveFromDeadCutFails(t *testing.T) {
 	ctx := context.Background()
-	r, counter, w := countedFBI(t)
-	want, err := r.Resolve(ctx, "www.fbi.gov", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
+	reg, r, _, zones, w := countedFBI(t)
+	for _, h := range []string{"dns.sprintip.com", "dns2.sprintip.com"} {
+		if err := reg.SetLame(h, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zones.zones = nil
+	if got, err := r.ResolveFrom(ctx, w, "www.fbi.gov", dnswire.TypeA); err == nil {
+		t.Fatalf("ResolveFrom over a dead cut answered %v", got.Records)
+	}
+	if len(zones.zones) != 2 || zones.zones[0] != "fbi.gov" || zones.zones[1] != "fbi.gov" {
+		t.Errorf("a dead cut's resolution contacted zones %v, want fbi.gov's two servers only", zones.zones)
 	}
 
-	// A cut whose only server does not exist on this Internet.
-	dead := fixedCut{apex: "fbi.gov", servers: []resolver.ServerAddr{{Host: "gone.test", Addr: netip.MustParseAddr("192.0.2.99")}}}
-	got, err := r.ResolveFrom(ctx, dead, "www.fbi.gov", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("ResolveFrom over a dead cut: %v\ntrace: %+v", err, got.Trace)
+	for _, h := range []string{"dns.sprintip.com", "dns2.sprintip.com"} {
+		if err := reg.SetLame(h, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Errorf("ResolveFrom over a dead cut = %v, want %v", got.Records, want.Records)
-	}
-	if got.Trace[0].Kind != resolver.StepFailure || got.Trace[1].Zone != "" {
-		t.Errorf("want one failed cut query, then the root: %+v", got.Trace)
-	}
-
-	// NXDOMAIN from the judged cut is final: one query, no restart.
-	before := counter.Queries()
+	zones.zones = nil
 	if _, err := r.ResolveFrom(ctx, w, "nonexistent.fbi.gov", dnswire.TypeA); !errors.Is(err, resolver.ErrNXDomain) {
 		t.Errorf("ResolveFrom(nonexistent.fbi.gov) = %v, want ErrNXDomain", err)
 	}
-	if n := counter.Queries() - before; n != 1 {
-		t.Errorf("NXDOMAIN from the cut cost %d queries, want 1", n)
+	for _, z := range zones.zones {
+		if z != "fbi.gov" {
+			t.Fatalf("NXDOMAIN under the cut contacted zone %q: %v", z, zones.zones)
+		}
+	}
+}
+
+// TestResolveFromDoesNotFollowReferral: a referral in reply to the final
+// question names a cut below the one the walker found. It is not
+// followed: the resolution fails as a lame delegation.
+func TestResolveFromDoesNotFollowReferral(t *testing.T) {
+	reg := topology.FBIWorld()
+	sprint := map[netip.Addr]bool{reg.Server("dns.sprintip.com").Addr: true, reg.Server("dns2.sprintip.com").Addr: true}
+	inner := reg.Source()
+	defer inner.Close()
+	referrals := 0
+	tr := scriptTransport(func(server netip.Addr, name string, qtype dnswire.Type) (*dnswire.Message, error) {
+		if sprint[server] && name == "www.fbi.gov" && qtype == dnswire.TypeA {
+			referrals++
+			return &dnswire.Message{Authority: []dnswire.RR{{
+				Name: "www.fbi.gov", Class: dnswire.ClassINET, TTL: 60,
+				Data: dnswire.NS{Host: "ns.elsewhere.test"},
+			}}}, nil
+		}
+		return inner.Query(context.Background(), server, name, qtype, dnswire.ClassINET)
+	})
+	r, err := reg.Resolver(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Resolve(context.Background(), "www.fbi.gov", dnswire.TypeA)
+	if !errors.Is(err, resolver.ErrLameDelegation) {
+		t.Fatalf("Resolve past a referral to the final question = %v, want ErrLameDelegation", err)
+	}
+	if referrals != 1 {
+		t.Errorf("the final question was asked %d times, want 1", referrals)
 	}
 }

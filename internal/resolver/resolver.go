@@ -1,9 +1,11 @@
-// Package resolver implements an iterative DNS resolver that follows
-// delegation chains from the root, records complete resolution traces, and
-// — for the survey — walks the full transitive dependency structure of a
-// name: every zone and nameserver that could participate in its
-// resolution. It speaks through a pluggable Transport so the same code
-// runs against real sockets or an in-memory synthetic Internet.
+// Package resolver implements the survey's Walker, which descends the
+// delegation tree from the root and walks the full transitive dependency
+// structure of a name: every zone and nameserver that could participate
+// in its resolution. Resolver answers questions on top of it: the
+// walker finds the authoritative zone, and the Resolver asks that zone's
+// servers the final question. It speaks through a pluggable Transport so
+// the same code runs against real sockets or an in-memory synthetic
+// Internet.
 package resolver
 
 import (
@@ -36,10 +38,8 @@ type ServerAddr struct {
 var (
 	// ErrNoServers means a zone had no reachable, non-lame nameserver.
 	ErrNoServers = errors.New("resolver: no usable nameservers")
-	// ErrDepthExceeded guards against delegation chains and NS-address
-	// recursions deeper than any legitimate deployment.
-	ErrDepthExceeded = errors.New("resolver: resolution depth exceeded")
-	// ErrCNAMELoop guards against circular CNAME chains.
+	// ErrCNAMELoop is returned when an alias chain outruns MaxCNAME hops,
+	// which in practice means it is circular.
 	ErrCNAMELoop = errors.New("resolver: CNAME loop")
 	// ErrNXDomain is returned when the authoritative server denies the name.
 	ErrNXDomain = errors.New("resolver: no such domain")
@@ -57,10 +57,6 @@ var (
 type Config struct {
 	// Roots are the root nameserver hints (host + address). Required.
 	Roots []ServerAddr
-	// MaxDepth bounds the NS-address recursion depth; default 16.
-	MaxDepth int
-	// MaxChainLen bounds one delegation chain's length; default 16.
-	MaxChainLen int
 	// MaxCNAME bounds CNAME chases; default 8.
 	MaxCNAME int
 	// QueriesPerSec, when positive, paces the survey walker's transport
@@ -108,64 +104,10 @@ func (c *Config) paced() bool {
 }
 
 func (c *Config) applyDefaults() {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 16
-	}
-	if c.MaxChainLen == 0 {
-		c.MaxChainLen = 16
-	}
 	if c.MaxCNAME == 0 {
 		c.MaxCNAME = 8
 	}
 }
-
-// StepKind classifies one step of a resolution trace.
-type StepKind int
-
-const (
-	// StepReferral means the server handed back a delegation.
-	StepReferral StepKind = iota
-	// StepAnswer means the server answered authoritatively.
-	StepAnswer
-	// StepCNAME means the answer was an alias that was then chased.
-	StepCNAME
-	// StepFailure means the server could not be used (error, refusal).
-	StepFailure
-)
-
-func (k StepKind) String() string {
-	switch k {
-	case StepReferral:
-		return "referral"
-	case StepAnswer:
-		return "answer"
-	case StepCNAME:
-		return "cname"
-	default:
-		return "failure"
-	}
-}
-
-// Step records one server contact during resolution.
-type Step struct {
-	// Zone is the apex of the zone the contacted server was serving
-	// ("" for the root).
-	Zone string
-	// Server is the contacted nameserver.
-	Server ServerAddr
-	// Name and Type are the question asked.
-	Name string
-	Type dnswire.Type
-	// Kind classifies the outcome.
-	Kind StepKind
-	// ChildZone is the delegated apex for StepReferral.
-	ChildZone string
-	// Err carries the failure for StepFailure.
-	Err error
-}
-
-// Trace is the ordered list of server contacts one resolution performed.
-type Trace []Step
 
 // Result is a completed iterative resolution.
 type Result struct {
@@ -180,25 +122,11 @@ type Result struct {
 	Records []dnswire.RR
 	// AuthZone is the apex of the zone that answered authoritatively.
 	AuthZone string
-	// Trace lists every server contact made, including for intermediate
-	// nameserver-address resolutions.
-	Trace Trace
-}
-
-// Delegations is a memory of zone cuts a resolution may start at instead
-// of the root hints. *Walker implements it over its discovery caches, so
-// a resolve through a survey's walker begins at the cut the survey
-// judged.
-type Delegations interface {
-	// DeepestCut returns the deepest known zone cut at or above name and
-	// that zone's usable servers. The servers slice is shared and
-	// read-only. The root, "", means nothing is known.
-	DeepestCut(name string) (apex string, servers []ServerAddr)
 }
 
 // Resolver performs iterative resolution over a Transport. It is
-// stateless between calls except for configuration; the survey's caching
-// lives in Walker.
+// stateless between calls except for configuration; the descent and its
+// caches live in Walker.
 type Resolver struct {
 	cfg Config
 	tr  Transport
@@ -234,39 +162,53 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 	return r.ResolveFrom(ctx, nil, name, qtype)
 }
 
-// ResolveFrom iteratively resolves (name, qtype), starting every lookup
-// — the name, each CNAME target, each glue-less nameserver — at the
-// deepest cut d knows instead of the root. When every server of that
-// starting cut fails, the lookup restarts once from the root hints, so
-// the answer is never worse than Resolve's. A nil d is Resolve.
-func (r *Resolver) ResolveFrom(ctx context.Context, d Delegations, name string, qtype dnswire.Type) (*Result, error) {
+// ResolveFrom resolves (name, qtype) through w: the walker's descent
+// finds the zone authoritative for the name (Walker.Cut, O(1) for a name
+// the walker has walked), and only the final question, which bypasses
+// the walker's query memo, is asked here, of that zone's servers through
+// r's transport. Each CNAME target goes through the same two steps, up
+// to MaxCNAME hops. A reply to the final question that is neither an
+// answer nor an authoritative denial is an ErrLameDelegation failure: a
+// referral there names a cut below the one the walker found, and is not
+// followed. A nil w is a fresh private walker over r, so the resolution
+// starts at the root hints.
+func (r *Resolver) ResolveFrom(ctx context.Context, w *Walker, name string, qtype dnswire.Type) (*Result, error) {
+	if w == nil {
+		w = NewWalker(r)
+	}
 	name = dnsname.Canonical(name)
 	res := &Result{Name: name, CanonicalName: name}
-	seen := map[string]bool{}
-	target := name
 	for hop := 0; hop <= r.cfg.MaxCNAME; hop++ {
-		if seen[target] {
-			return res, ErrCNAMELoop
-		}
-		seen[target] = true
-		rrs, authZone, err := r.resolveOnce(ctx, d, target, qtype, &res.Trace, 0)
+		apex, servers, err := w.Cut(ctx, res.CanonicalName)
 		if err != nil {
 			return res, err
 		}
-		res.AuthZone = authZone
+		resp, _, err := r.dispatch(ctx, apex, servers, res.CanonicalName, qtype)
+		if err != nil {
+			return res, err
+		}
+		res.AuthZone = apex
+		switch {
+		case resp.RCode == dnswire.RCodeNXDomain:
+			return res, ErrNXDomain
+		case resp.RCode != dnswire.RCodeSuccess:
+			return res, fmt.Errorf("resolver: server returned %v", resp.RCode)
+		case len(resp.Answers) == 0 && resp.Authoritative:
+			return res, ErrNoData
+		case len(resp.Answers) == 0:
+			return res, fmt.Errorf("%w: zone %q gave no authoritative reply for %q", ErrLameDelegation, apex, res.CanonicalName)
+		}
 		// Split CNAMEs from the payload records.
 		var cname string
-		res.Records = res.Records[:0]
-		for _, rr := range rrs {
+		for _, rr := range resp.Answers {
 			if c, ok := rr.Data.(dnswire.CNAME); ok && qtype != dnswire.TypeCNAME {
-				cname = c.Target
+				cname = dnsname.Canonical(c.Target)
 				continue
 			}
 			res.Records = append(res.Records, rr)
 		}
 		if cname != "" && len(res.Records) == 0 {
 			res.CanonicalName = cname
-			target = cname
 			continue
 		}
 		for _, rr := range res.Records {
@@ -282,138 +224,40 @@ func (r *Resolver) ResolveFrom(ctx context.Context, d Delegations, name string, 
 	return res, ErrCNAMELoop
 }
 
-// resolveOnce walks one delegation chain for (name,qtype) down to the
-// authoritative zone, from d's deepest cut or the root. depth counts
-// nested NS-address resolutions.
-func (r *Resolver) resolveOnce(ctx context.Context, d Delegations, name string, qtype dnswire.Type, trace *Trace, depth int) ([]dnswire.RR, string, error) {
-	if depth > r.cfg.MaxDepth {
-		return nil, "", ErrDepthExceeded
+// dispatch tries servers in order until one gives a usable response,
+// stopping once the retry budget is spent. It is the one loop that sends
+// questions to nameservers, for the walker's memoized descent and for
+// ResolveFrom's final question alike, and it reports how many attempts
+// it made. Pacing is not its concern: each attempt carries the queried
+// zone as a context tag, and the transport.RateLimit middleware
+// (installed by New when the config enables pacing, or composed into any
+// custom source chain) paces the attempt at that zone's etiquette.
+func (r *Resolver) dispatch(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type) (*dnswire.Message, int, error) {
+	if len(servers) == 0 {
+		return nil, 0, ErrNoServers
 	}
-	zone, servers := "", r.cfg.Roots
-	if d != nil {
-		if apex, srv := d.DeepestCut(name); apex != "" && len(srv) > 0 {
-			zone, servers = apex, srv
-		}
-	}
-	// fallback is set while the walk still sits at a remembered cut: if
-	// every server there fails, the memory is stale or the servers are
-	// down, and the walk starts over from the root hints once.
-	fallback := zone != ""
-	for hop := 0; hop < r.cfg.MaxChainLen; hop++ {
-		if err := ctx.Err(); err != nil {
-			return nil, "", err
-		}
-		resp, err := r.queryAny(ctx, zone, servers, name, qtype, trace)
-		if err != nil && fallback {
-			zone, servers, fallback, hop = "", r.cfg.Roots, false, -1
-			continue
-		}
-		fallback = false
-		if err != nil {
-			return nil, zone, err
-		}
-		switch {
-		case resp.RCode == dnswire.RCodeNXDomain:
-			return nil, zone, ErrNXDomain
-		case resp.RCode != dnswire.RCodeSuccess:
-			return nil, zone, fmt.Errorf("resolver: server returned %v", resp.RCode)
-		case len(resp.Answers) > 0:
-			return resp.Answers, zone, nil
-		case resp.Authoritative:
-			// Authoritative empty answer: NODATA.
-			return nil, zone, ErrNoData
-		case len(resp.Authority) > 0:
-			// Referral: descend into the child zone.
-			child, next, err := r.followReferral(ctx, d, resp, trace, depth)
-			if err != nil {
-				return nil, zone, err
-			}
-			if !dnsname.IsSubdomain(child, zone) || child == zone {
-				return nil, zone, fmt.Errorf("resolver: bogus referral from %q to %q", zone, child)
-			}
-			zone = child
-			servers = next
-		default:
-			return nil, zone, ErrLameDelegation
-		}
-	}
-	return nil, zone, ErrDepthExceeded
-}
-
-// queryAny tries the zone's servers in order until one responds usefully.
-func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type, trace *Trace) (*dnswire.Message, error) {
 	qctx := transport.WithZone(ctx, zone)
 	var lastErr error = ErrNoServers
-	for _, srv := range servers {
+	for attempt, srv := range servers {
+		if err := ctx.Err(); err != nil {
+			return nil, attempt, err
+		}
+		if r.cfg.RetryBudget > 0 && attempt >= r.cfg.RetryBudget {
+			// Double-%w keeps lastErr in the chain: a wrapped context
+			// cancellation must stay visible to isCtxErr so it is never
+			// memoized as a permanent failure.
+			return nil, attempt, fmt.Errorf("%w after %d attempts: %w", ErrRetryBudget, attempt, lastErr)
+		}
 		resp, err := r.tr.Query(qctx, srv.Addr, name, qtype, dnswire.ClassINET)
 		if err != nil {
-			*trace = append(*trace, Step{Zone: zone, Server: srv, Name: name, Type: qtype, Kind: StepFailure, Err: err})
 			lastErr = err
 			continue
 		}
 		if resp.RCode == dnswire.RCodeRefused || resp.RCode == dnswire.RCodeServFail {
-			err := fmt.Errorf("resolver: %v from %s", resp.RCode, srv.Host)
-			*trace = append(*trace, Step{Zone: zone, Server: srv, Name: name, Type: qtype, Kind: StepFailure, Err: err})
-			lastErr = err
+			lastErr = fmt.Errorf("resolver: %v from %s", resp.RCode, srv.Host)
 			continue
 		}
-		kind := StepAnswer
-		child := ""
-		if len(resp.Answers) == 0 && !resp.Authoritative && len(resp.Authority) > 0 {
-			kind = StepReferral
-			child = dnsname.Canonical(resp.Authority[0].Name)
-		}
-		*trace = append(*trace, Step{Zone: zone, Server: srv, Name: name, Type: qtype, Kind: kind, ChildZone: child})
-		return resp, nil
+		return resp, attempt + 1, nil
 	}
-	return nil, lastErr
-}
-
-// followReferral extracts the child zone and its servers from a referral,
-// resolving nameserver addresses (using glue when offered, recursing from
-// d's deepest cut when not) so the descent can continue.
-func (r *Resolver) followReferral(ctx context.Context, d Delegations, resp *dnswire.Message, trace *Trace, depth int) (string, []ServerAddr, error) {
-	child := dnsname.Canonical(resp.Authority[0].Name)
-	glue := map[string][]netip.Addr{}
-	for _, rr := range resp.Additional {
-		owner := dnsname.Canonical(rr.Name)
-		switch a := rr.Data.(type) {
-		case dnswire.A:
-			glue[owner] = append(glue[owner], a.Addr)
-		case dnswire.AAAA:
-			glue[owner] = append(glue[owner], a.Addr)
-		}
-	}
-	var out []ServerAddr
-	var lastErr error
-	for _, rr := range resp.Authority {
-		ns, ok := rr.Data.(dnswire.NS)
-		if !ok {
-			continue
-		}
-		host := dnsname.Canonical(ns.Host)
-		if addrs, ok := glue[host]; ok && len(addrs) > 0 {
-			out = append(out, ServerAddr{Host: host, Addr: addrs[0]})
-			continue
-		}
-		// No glue: resolve the server's address through its own chain.
-		sub, _, err := r.resolveOnce(ctx, d, host, dnswire.TypeA, trace, depth+1)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		for _, srr := range sub {
-			if a, ok := srr.Data.(dnswire.A); ok {
-				out = append(out, ServerAddr{Host: host, Addr: a.Addr})
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		if lastErr != nil {
-			return child, nil, fmt.Errorf("%w: %w", ErrLameDelegation, lastErr)
-		}
-		return child, nil, ErrLameDelegation
-	}
-	return child, out, nil
+	return nil, len(servers), lastErr
 }

@@ -10,7 +10,6 @@ import (
 
 	"dnstrust/internal/dnsname"
 	"dnstrust/internal/dnswire"
-	"dnstrust/internal/transport"
 )
 
 // ZoneInfo is what the walker learns about one zone from the delegation
@@ -52,17 +51,19 @@ type Stats struct {
 // WalkObserver receives walker discovery events as they stream in, so a
 // consumer (the crawl's graph assembler) can absorb the dependency
 // structure incrementally; it is the only way discoveries leave the
-// walker. Callbacks fire exactly once per zone/chain, from whichever walk
-// goroutine made the discovery, and crucially *before* the discovery
-// becomes visible to any other walk goroutine: an implementation that
-// forwards events into one FIFO channel therefore observes every zone
-// before any chain that traverses it, and every chain before any walk
-// result that depends on it.
+// walker. Callbacks fire exactly once per zone/chain, from whichever
+// goroutine made the discovery — a crawl's walk, or a Cut descending for
+// a resolution between crawls — and crucially *before* the discovery
+// becomes visible to any other goroutine: an implementation that appends
+// events to one FIFO therefore holds every zone before any chain that
+// traverses it, and every chain before the return of any walk that
+// depends on it.
 //
-// Callbacks run while a cache shard lock is held; they must not call back
-// into the Walker and should hand off quickly (a channel send to a
-// dedicated consumer is the intended shape). The slices passed are shared
-// with the walker's caches and must not be modified.
+// Callbacks run while a cache shard lock is held, at any time, not only
+// during a crawl; they must not call back into the Walker and must not
+// block (appending under a short mutex is the intended shape). The
+// slices passed are shared with the walker's caches and must not be
+// modified.
 type WalkObserver interface {
 	// ZoneDiscovered reports a newly discovered zone cut.
 	ZoneDiscovered(apex, parent string, nsHosts []string)
@@ -591,11 +592,36 @@ func (w *Walker) deepestKnown(name string) (string, []ServerAddr) {
 	}
 }
 
-// DeepestCut implements Delegations over the walker's discovery caches:
-// a resolution started here begins at the deepest zone cut a walk has
-// already entered, with the servers the walk found for it.
-func (w *Walker) DeepestCut(name string) (string, []ServerAddr) {
-	return w.deepestKnown(dnsname.Canonical(name))
+// Cut returns the zone authoritative for name as the walker's descent
+// finds it, and that zone's usable servers (a cached slice, read-only).
+// A name the walker has walked answers from its cached chain in O(1).
+// Any other name is descended label by label through the query memo,
+// recording the zones and nameserver chains it meets (they reach the
+// WalkObserver like any walk's) but not the name's own chain: only a
+// walk makes a name part of the survey. If that descent fails, the
+// answer is the deepest zone already known above the name, so a
+// question asked there still answers as soon as its servers do. Only a
+// context error fails Cut.
+func (w *Walker) Cut(ctx context.Context, name string) (string, []ServerAddr, error) {
+	name = dnsname.Canonical(name)
+	if chain, ok := w.cachedChain(name); ok {
+		apex := ""
+		if len(chain) > 0 {
+			apex = chain[len(chain)-1]
+		}
+		if srv := w.cachedServers(apex); len(srv) > 0 {
+			return apex, srv, nil
+		}
+	}
+	apex, servers, err := w.descendToZone(ctx, name, w.newWalkCtx())
+	if err == nil {
+		return apex, servers, nil
+	}
+	if isCtxErr(err) {
+		return "", nil, err
+	}
+	apex, servers = w.deepestKnown(name)
+	return apex, servers, nil
 }
 
 // enterZoneReferral enters a cut revealed by a referral: harvest glue,
@@ -803,7 +829,9 @@ func (w *Walker) queryAny(ctx context.Context, zone string, servers []ServerAddr
 	qs.m[key] = e
 	qs.mu.Unlock()
 
-	e.resp, e.err = w.dispatch(ctx, zone, servers, name, qtype)
+	var sent int
+	e.resp, sent, e.err = w.r.dispatch(ctx, zone, servers, name, qtype)
+	w.queries.Add(int64(sent))
 	if e.err != nil {
 		qs.mu.Lock()
 		if isCtxErr(e.err) {
@@ -817,41 +845,4 @@ func (w *Walker) queryAny(ctx context.Context, zone string, servers []ServerAddr
 	}
 	close(e.done)
 	return e.resp, e.err
-}
-
-// dispatch tries servers in order until one gives a usable response,
-// stopping once the retry budget is spent. Pacing is no longer its
-// concern: each attempt carries the queried zone as a context tag, and
-// the transport.RateLimit middleware (installed by resolver.New when the
-// config enables pacing, or composed into any custom source chain)
-// paces the attempt at that zone's etiquette.
-func (w *Walker) dispatch(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type) (*dnswire.Message, error) {
-	if len(servers) == 0 {
-		return nil, ErrNoServers
-	}
-	qctx := transport.WithZone(ctx, zone)
-	var lastErr error = ErrNoServers
-	for attempt, srv := range servers {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if w.r.cfg.RetryBudget > 0 && attempt >= w.r.cfg.RetryBudget {
-			// Double-%w keeps lastErr in the chain: a wrapped context
-			// cancellation must stay visible to isCtxErr so it is never
-			// memoized as a permanent failure.
-			return nil, fmt.Errorf("%w after %d attempts: %w", ErrRetryBudget, attempt, lastErr)
-		}
-		w.queries.Add(1)
-		resp, err := w.r.tr.Query(qctx, srv.Addr, name, qtype, dnswire.ClassINET)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.RCode == dnswire.RCodeRefused || resp.RCode == dnswire.RCodeServFail {
-			lastErr = fmt.Errorf("resolver: %v from %s", resp.RCode, srv.Host)
-			continue
-		}
-		return resp, nil
-	}
-	return nil, lastErr
 }

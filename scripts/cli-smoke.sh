@@ -43,6 +43,7 @@ for ex in quickstart cornell-graph fbi-hijack live-crawl; do
 	fi
 done
 grep -q "wire crawl matches in-memory crawl" "$work/live-crawl.out" || fail "examples/live-crawl: wire and in-memory crawls disagree"
+grep -q "HIJACKED" "$work/fbi-hijack.out" || fail "examples/fbi-hijack: the forged answers did not divert www.fbi.gov"
 
 # A -memo-file survey resumes to the same report, and its memo file is a
 # recording that strict -replay serves. At 300 names some shape claims
