@@ -8,6 +8,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -111,6 +112,11 @@ type shardState struct {
 	src   Source
 	gen   int64 // last applied shard generation, -1 before the first
 	remap remapTable
+	// mark is the shard store epoch (Epoch.StoreEpoch) applied last, -1
+	// before the first; replayed counts the names the last apply
+	// replayed.
+	mark     int64
+	replayed int
 
 	stale    bool
 	lastErr  string
@@ -185,7 +191,7 @@ func New(shards []Shard, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("fleet: duplicate shard name %s", s.Name)
 		}
 		seen[s.Name] = true
-		c.shards = append(c.shards, &shardState{name: s.Name, src: s.Source, gen: -1})
+		c.shards = append(c.shards, &shardState{name: s.Name, src: s.Source, gen: -1, mark: -1})
 	}
 	sort.Slice(c.shards, func(i, j int) bool { return c.shards[i].name < c.shards[j].name })
 	c.status = c.statusSnapshot()
@@ -344,12 +350,14 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 	// Phase 2: merge, under the merge lock — pure in-memory work only.
 	c.mu.Lock()
 	var rescored []string
+	replayed := 0
 	for i, st := range c.shards {
 		if eps[i] == nil {
 			continue
 		}
 		rescored = c.applyEpochLocked(st, eps[i], rescored)
 		st.gen = eps[i].Generation
+		replayed += st.replayed
 	}
 	var prevSurvey *crawler.Survey
 	var prevGraph *core.Graph
@@ -399,8 +407,8 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 	c.mu.Unlock()
 
 	c.publishStatus()
-	c.logf("fleet: committed generation %d: %d/%d shards changed, %d stale, %d names",
-		gen, changedShards, len(c.shards), len(staleNames), len(sv.Names))
+	c.logf("fleet: committed generation %d: %d/%d shards changed, %d names replayed, %d stale, %d names",
+		gen, changedShards, len(c.shards), replayed, len(staleNames), len(sv.Names))
 
 	// Phase 3: durability, outside the merge lock (the commit semaphore
 	// keeps the builder quiescent while the sections stream out).
@@ -419,23 +427,40 @@ func (c *Coordinator) publishStatus() {
 	c.stMu.Unlock()
 }
 
-// applyEpochLocked merges one shard epoch into the union builder,
-// extending the shard's remap tables from their current length — the
-// already-translated prefix is reused untouched. It appends to rescored
-// every host whose vulnerability the epoch's banners changed. Caller
-// holds c.mu.
+// applyEpochLocked merges one shard epoch into the union builder and
+// appends to rescored every host whose vulnerability the epoch's
+// banners changed. Caller holds c.mu.
+//
+// A round costs the shard's tail, not its corpus. The remap tables
+// extend from their current length, so only hosts, zones and chains the
+// shard interned since are translated; host chains and names are
+// applied only when stamped past st.mark, the shard store epoch applied
+// last. Failures and banners carry no epoch and are replayed whole. A
+// shard that restarted (generation, store epoch or a table regressed)
+// is re-translated and replayed in full.
+//
+// A name held by two shards takes the mapping of the shard that changed
+// it last: a shard asserts a name only in the round its mapping changes,
+// and within one round shards apply in name order. A failed name is
+// re-asserted on every round its shard changes, since failures have no
+// epoch to tell new from old.
+//
+// Every string the union keeps is cloned: nothing merged refers to the
+// fetched snapshot, which is garbage once the round drops the Epoch.
 func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []string) []string {
 	rm := &st.remap
-	if ep.Generation < st.gen ||
+	if ep.Generation < st.gen || ep.StoreEpoch < st.mark ||
 		len(ep.Hosts) < len(rm.hosts) || len(ep.Zones) < len(rm.zones) || len(ep.Chains) < len(rm.chains) {
 		// The shard restarted from scratch: its intern tables no longer
-		// extend the ones we translated. Drop the remap and re-translate
-		// fully — re-interning is idempotent against the union store.
+		// extend the ones we translated. Drop the remap and replay fully
+		// — re-interning and re-completing are idempotent against the
+		// union store.
 		st.remap = remapTable{}
+		st.mark = -1
 		rm = &st.remap
 	}
 	for i := len(rm.hosts); i < len(ep.Hosts); i++ {
-		rm.hosts = append(rm.hosts, c.b.InternHost(ep.Hosts[i]))
+		rm.hosts = append(rm.hosts, c.b.InternHost(strings.Clone(ep.Hosts[i])))
 	}
 	for i := len(rm.zones); i < len(ep.Zones); i++ {
 		ns := ep.ZoneNS[i]
@@ -443,7 +468,7 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []str
 		for j, h := range ns {
 			mapped[j] = rm.hosts[h]
 		}
-		rm.zones = append(rm.zones, c.b.InternZone(ep.Zones[i], mapped))
+		rm.zones = append(rm.zones, c.b.InternZone(strings.Clone(ep.Zones[i]), mapped))
 	}
 	for i := len(rm.chains); i < len(ep.Chains); i++ {
 		ids := ep.Chains[i]
@@ -454,30 +479,38 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []str
 		rm.chains = append(rm.chains, c.b.InternChain(mapped))
 	}
 	for h, cid := range ep.HostChain {
-		switch cid {
-		case chainNone:
-		case chainEmpty:
+		if cid == chainNone || ep.HostAttached[h] <= st.mark {
+			continue
+		}
+		if cid == chainEmpty {
 			c.b.AttachHostChain(rm.hosts[h], c.b.InternChain(nil))
-		default:
+		} else {
 			c.b.AttachHostChain(rm.hosts[h], rm.chains[cid])
 		}
 	}
+	st.replayed = 0
 	for _, nc := range ep.Names {
-		c.b.CompleteChain(nc.Name, rm.chains[nc.Chain])
+		if nc.Epoch <= st.mark {
+			continue
+		}
+		c.b.CompleteChain(strings.Clone(nc.Name), rm.chains[nc.Chain])
+		st.replayed++
 	}
 	for _, fe := range ep.Failed {
-		c.b.Fail(fe.Name, errors.New(fe.Err))
+		c.b.Fail(strings.Clone(fe.Name), errors.New(strings.Clone(fe.Err)))
 	}
 	// A host's first non-empty banner wins, as an engine probes each
 	// host once: "" is a failed or hidden probe, and a shard that saw
 	// nothing must not overwrite a shard that saw the version.
 	for i, h := range ep.BannerHosts {
-		if old, ok := c.banner[h]; ok && (old != "" || ep.Banners[i] == "") {
+		banner := ep.Banners[i]
+		if old, ok := c.banner[h]; ok && (old != "" || banner == "") {
 			continue
 		}
-		c.banner[h] = ep.Banners[i]
+		h, banner = strings.Clone(h), strings.Clone(banner)
+		c.banner[h] = banner
 		was := len(c.vulns[h]) > 0
-		vs := c.db.VulnsForBanner(ep.Banners[i])
+		vs := c.db.VulnsForBanner(banner)
 		if len(vs) > 0 {
 			c.vulns[h] = vs
 		} else {
@@ -487,6 +520,7 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []str
 			rescored = append(rescored, h)
 		}
 	}
+	st.mark = ep.StoreEpoch
 	return rescored
 }
 

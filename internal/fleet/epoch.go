@@ -13,7 +13,6 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"dnstrust/internal/snapshot"
 )
@@ -24,11 +23,13 @@ const (
 	chainEmpty = -2 // attached chain is the empty chain
 )
 
-// NameChain is one surveyed name and its delegation chain id in the
-// shard's intern space.
+// NameChain is one surveyed name, its delegation chain id in the
+// shard's intern space, and the shard store epoch its mapping became
+// visible at.
 type NameChain struct {
 	Name  string
 	Chain int32
+	Epoch int64
 }
 
 // NameError is one failed name and its error text.
@@ -41,8 +42,10 @@ type NameError struct {
 // snapshot into the raw id tables a merge needs — no store, no graph,
 // no hash indexes. All ids are in the shard's own intern space; the
 // Coordinator translates them through per-shard remap tables. An Epoch
-// is immutable once decoded; its strings are zero-copy views pinned by
-// the retained snapshot file.
+// is immutable once decoded. Its strings and arrays are zero-copy views
+// into the snapshot file's buffer; the Coordinator copies out whatever
+// it keeps, so an Epoch that has been committed holds nothing the merge
+// needs and is freed with its buffer once the caller drops it.
 type Epoch struct {
 	// Generation is the shard engine's committed generation.
 	Generation int64
@@ -52,6 +55,12 @@ type Epoch struct {
 	CorpusHash uint64
 	HasMeta    bool
 
+	// StoreEpoch is the shard store's epoch counter (core/meta). Every
+	// host chain attachment and name mapping below is stamped with the
+	// store epoch it became visible at, so the ones past the StoreEpoch
+	// a coordinator last applied are exactly the shard's tail since.
+	StoreEpoch int64
+
 	// Intern tables, indexed by shard-local id.
 	Hosts  []string
 	Zones  []string
@@ -59,8 +68,10 @@ type Epoch struct {
 	ZoneNS [][]int32 // per-zone NS host ids, sorted
 
 	// HostChain maps each host id to its address chain id, or the
-	// chainNone/chainEmpty sentinels.
-	HostChain []int32
+	// chainNone/chainEmpty sentinels; HostAttached is the store epoch
+	// that chain was attached at (0 when none is).
+	HostChain    []int32
+	HostAttached []int64
 
 	// Names lists the resolved names with their chain ids, sorted by
 	// name; Failed lists the failed names, sorted.
@@ -71,12 +82,13 @@ type Epoch struct {
 	BannerHosts []string
 	Banners     []string
 
-	file *snapshot.File // pins the zero-copy string views
+	file *snapshot.File // backs the views above for the Epoch's lifetime
 }
 
 // DecodeEpoch decodes a shard engine snapshot into its raw tables. The
-// returned Epoch keeps a reference to f; callers must not Close f
-// while the Epoch (or anything remapped from its strings) is live.
+// returned Epoch's strings and arrays are views into f: callers must
+// not Close f while the Epoch is live. Nothing merged from it by a
+// Coordinator refers back to f.
 func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 	ep := &Epoch{file: f}
 
@@ -92,6 +104,14 @@ func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 	}
 	if ok {
 		ep.Shard, ep.CorpusHash, ep.HasMeta = meta.Shard, meta.CorpusHash, true
+	}
+
+	// core/meta opens with the store epoch and the base epoch.
+	cm := snapshot.NewSectionReader(f, "core/meta")
+	ep.StoreEpoch = cm.I64()
+	baseEpoch := cm.I64()
+	if err := cm.Err(); err != nil {
+		return nil, fmt.Errorf("fleet: decode shard epoch: %w", err)
 	}
 
 	hd := snapshot.NewSectionReader(f, "core/hosts")
@@ -125,7 +145,7 @@ func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 
 	hc := snapshot.NewSectionReader(f, "core/hostchain")
 	nHosts := hc.Count(12)
-	hc.I64s(nHosts) // attach epochs: merge-irrelevant, skipped
+	ep.HostAttached = hc.I64s(nHosts)
 	ep.HostChain = hc.I32s(nHosts)
 	if err := hc.Err(); err != nil {
 		return nil, fmt.Errorf("fleet: decode shard epoch: %w", err)
@@ -152,13 +172,6 @@ func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 	if len(baseNames) != nBase {
 		return nil, corruptf("core/base", "%d names for %d ids", len(baseNames), nBase)
 	}
-	ep.Names = make([]NameChain, 0, nBase)
-	for i, n := range baseNames {
-		if int(baseCids[i]) >= len(ep.Chains) || baseCids[i] < 0 {
-			return nil, corruptf("core/base", "name %q references chain %d of %d", n, baseCids[i], len(ep.Chains))
-		}
-		ep.Names = append(ep.Names, NameChain{Name: n, Chain: baseCids[i]})
-	}
 
 	vd := snapshot.NewSectionReader(f, "core/names")
 	nVer := vd.Count(4)
@@ -173,27 +186,52 @@ func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 	if len(verNames) != nVer {
 		return nil, corruptf("core/names", "%d names for %d histories", len(verNames), nVer)
 	}
-	vp := 0
-	for i, n := range verNames {
-		cnt := int(verCounts[i])
+
+	// Both tables are written in name order and hold disjoint names, so
+	// one merge pass lists Names sorted; any input that breaks either
+	// property is corrupt.
+	ep.Names = make([]NameChain, 0, nBase+nVer)
+	bi, vi, vp := 0, 0, 0
+	for bi < nBase || vi < nVer {
+		if vi == nVer || (bi < nBase && baseNames[bi] < verNames[vi]) {
+			n, cid := baseNames[bi], baseCids[bi]
+			if bi > 0 && baseNames[bi-1] >= n {
+				return nil, corruptf("core/base", "name %q out of order", n)
+			}
+			if int(cid) >= len(ep.Chains) || cid < 0 {
+				return nil, corruptf("core/base", "name %q references chain %d of %d", n, cid, len(ep.Chains))
+			}
+			ep.Names = append(ep.Names, NameChain{Name: n, Chain: cid, Epoch: baseEpoch})
+			bi++
+			continue
+		}
+		n := verNames[vi]
+		if bi < nBase && baseNames[bi] == n {
+			return nil, corruptf("core/names", "name %q is also a base name", n)
+		}
+		if vi > 0 && verNames[vi-1] >= n {
+			return nil, corruptf("core/names", "name %q out of order", n)
+		}
+		cnt := int(verCounts[vi])
 		if cnt < 1 || vp+cnt > verTotal {
 			return nil, corruptf("core/names", "history of %q overruns the version pool", n)
 		}
 		// Only the newest version matters for a merge: the shard's
 		// history is already linearized in its own store.
 		rec := verPool[16*(vp+cnt-1):]
+		at := int64(binary.LittleEndian.Uint64(rec))
 		cid := int32(binary.LittleEndian.Uint32(rec[8:]))
 		present := binary.LittleEndian.Uint32(rec[12:]) != 0
 		vp += cnt
+		vi++
 		if !present {
 			continue
 		}
 		if int(cid) >= len(ep.Chains) || cid < 0 {
 			return nil, corruptf("core/names", "name %q references chain %d of %d", n, cid, len(ep.Chains))
 		}
-		ep.Names = append(ep.Names, NameChain{Name: n, Chain: cid})
+		ep.Names = append(ep.Names, NameChain{Name: n, Chain: cid, Epoch: at})
 	}
-	sort.Slice(ep.Names, func(i, j int) bool { return ep.Names[i].Name < ep.Names[j].Name })
 
 	fd := snapshot.NewSectionReader(f, "core/failed")
 	failedNames := fd.Strings()

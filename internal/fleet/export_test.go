@@ -1,0 +1,13 @@
+package fleet
+
+// Replayed reports, per shard in name order, how many names the
+// shard's last applied epoch replayed into the union.
+func (c *Coordinator) Replayed() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]int, len(c.shards))
+	for i, st := range c.shards {
+		out[i] = st.replayed
+	}
+	return out
+}

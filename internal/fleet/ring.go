@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"dnstrust/internal/dnsname"
 )
@@ -25,7 +24,9 @@ type ringPoint struct {
 }
 
 // DefaultReplicas is the virtual-node count per shard when NewRing is
-// given zero: enough for <10% load spread at small fleet sizes.
+// given zero. Over the seed-1 20k corpus every shard's share of a fair
+// load is 0.92–1.07 for 2 to 5 shards and 0.83–1.10 for 8;
+// TestRingBalance holds it to ±20%.
 const DefaultReplicas = 64
 
 // NewRing builds a ring over the given shard names (order does not
@@ -39,9 +40,7 @@ func NewRing(shards []string, replicas int) *Ring {
 	r := &Ring{shards: sorted, points: make([]ringPoint, 0, len(sorted)*replicas)}
 	for si, s := range sorted {
 		for i := 0; i < replicas; i++ {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%s#%d", s, i)
-			r.points = append(r.points, ringPoint{hash: h.Sum64(), shard: int32(si)})
+			r.points = append(r.points, ringPoint{hash: ringHash(s + "#" + strconv.Itoa(i)), shard: int32(si)})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -63,9 +62,7 @@ func (r *Ring) OwnerIndex(name string) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	h := fnv.New64a()
-	h.Write([]byte(dnsname.Canonical(name)))
-	hv := h.Sum64()
+	hv := ringHash(dnsname.Canonical(name))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hv })
 	if i == len(r.points) {
 		i = 0 // wrap around the circle
@@ -95,4 +92,24 @@ func (r *Ring) Assign(names []string) [][]string {
 		}
 	}
 	return out
+}
+
+// ringHash places a key on the circle: FNV-1a, then splitmix64's
+// finalizer. FNV-1a alone leaves short keys that differ in their last
+// bytes ("s0#0" … "s2#63") clustered on the circle, which gave one of
+// three shards two thirds of the corpus; the finalizer spreads them.
+// Both halves are fixed functions, so every process agrees on every
+// owner (a seeded hash such as hash/maphash would not).
+func ringHash(key string) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211 // FNV-1a 64 prime
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
