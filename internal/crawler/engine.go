@@ -301,8 +301,10 @@ func (e *Engine) PruneJournal(epoch int64) {
 	}
 }
 
-// Close releases the memoized responses, closes the engine-owned
-// transport chain (when Config.Source is set), and rejects further Adds.
+// Close releases the walker's query memo (the fact kept for every
+// answered question; see resolver.Walker.ReleaseQueryMemo), closes the
+// engine-owned transport chain (when Config.Source is set), and rejects
+// further Adds.
 // Committed views remain fully readable — Close only ends the engine's
 // write side. It returns the source-close failure, if any.
 func (e *Engine) Close() error {

@@ -20,6 +20,8 @@ var (
 	// ErrBadLabelType indicates a label type other than literal (00) or
 	// pointer (11); the obsolete 01/10 types are rejected.
 	ErrBadLabelType = errors.New("dnswire: unsupported label type")
+	// ErrBadEscape indicates a name to pack that ends in a lone '\'.
+	ErrBadEscape = errors.New("dnswire: name ends in a lone backslash")
 	// ErrTrailingBytes indicates bytes remaining after the counted records.
 	ErrTrailingBytes = errors.New("dnswire: trailing bytes after message")
 	// ErrBadRDLength indicates an RDLENGTH inconsistent with its RDATA.

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -10,7 +11,7 @@ import (
 	"testing/quick"
 )
 
-func mustAddr(t *testing.T, s string) netip.Addr {
+func mustAddr(t testing.TB, s string) netip.Addr {
 	t.Helper()
 	a, err := netip.ParseAddr(s)
 	if err != nil {
@@ -19,7 +20,7 @@ func mustAddr(t *testing.T, s string) netip.Addr {
 	return a
 }
 
-func sampleMessage(t *testing.T) *Message {
+func sampleMessage(t testing.TB) *Message {
 	m := NewQuery(0x1234, "www.cs.cornell.edu", TypeA, ClassINET)
 	m.Response = true
 	m.Authoritative = true
@@ -67,7 +68,9 @@ func TestMessageCompressionShrinks(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllRDataTypes(t *testing.T) {
+// allTypesMessage carries one record of every RDATA type the package
+// models, plus an opaque one.
+func allTypesMessage(t testing.TB) *Message {
 	m := &Message{Header: Header{ID: 7, Response: true}}
 	m.Questions = []Question{{Name: "example.com", Type: TypeANY, Class: ClassINET}}
 	m.Answers = []RR{
@@ -83,6 +86,11 @@ func TestRoundTripAllRDataTypes(t *testing.T) {
 		{Name: "version.bind", Class: ClassCHAOS, TTL: 0, Data: TXT{Text: []string{"BIND 8.2.4"}}},
 		{Name: "example.com", Class: ClassINET, TTL: 9, Data: Raw{Type: Type(99), Data: []byte{1, 2, 3}}},
 	}
+	return m
+}
+
+func TestRoundTripAllRDataTypes(t *testing.T) {
+	m := allTypesMessage(t)
 	buf, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +230,57 @@ func TestADataValidation(t *testing.T) {
 	m = &Message{Answers: []RR{rr}}
 	if _, err := m.Pack(); err == nil {
 		t.Error("packing AAAA record with IPv4 address should fail")
+	}
+}
+
+// TestUnpackDottedMailbox: an NXDOMAIN reply whose SOA RNAME has the
+// label "first.last" decodes, and packs back to the same bytes.
+func TestUnpackDottedMailbox(t *testing.T) {
+	m := NewQuery(9, "nope.example.com", TypeNS, ClassINET)
+	m.Response, m.Authoritative, m.RCode = true, true, RCodeNXDomain
+	m.Authority = []RR{{Name: "example.com", Class: ClassINET, TTL: 300, Data: SOA{
+		MName: "ns1.example.com", RName: "hostmaster.example.com",
+		Serial: 1, Refresh: 7200, Retry: 1800, Expire: 604800, Minimum: 300}}}
+	buf, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "first.last" is as long as "hostmaster", so only the label's octets change.
+	wire := bytes.Replace(buf, []byte("\x0ahostmaster"), []byte("\x0afirst.last"), 1)
+	if bytes.Equal(wire, buf) {
+		t.Fatal("RNAME label not found in the packed reply")
+	}
+	got, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	if rname := got.Authority[0].Data.(SOA).RName; rname != `first\.last.example.com` {
+		t.Errorf("RName = %q, want %q", rname, `first\.last.example.com`)
+	}
+	again, err := got.Pack()
+	if err != nil || !bytes.Equal(again, wire) {
+		t.Errorf("Pack(Unpack(wire)) = %q, %v; want %q", again, err, wire)
+	}
+}
+
+// TestUnpackEmptyTXT: zero-length TXT RDATA reads as the one empty string
+// Pack writes for an empty TXT, so a banner probe answering with it
+// decodes.
+func TestUnpackEmptyTXT(t *testing.T) {
+	m := &Message{Header: Header{ID: 3, Response: true},
+		Answers: []RR{{Name: "version.bind", Class: ClassCHAOS, Data: TXT{}}}}
+	buf, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the one character-string and set RDLENGTH to 0.
+	wire := append(buf[:len(buf)-3:len(buf)-3], 0, 0)
+	got, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	if txt := got.Answers[0].Data.(TXT); !reflect.DeepEqual(txt, TXT{Text: []string{""}}) {
+		t.Errorf("got %#v, want one empty string", txt)
 	}
 }
 

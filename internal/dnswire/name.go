@@ -22,7 +22,8 @@ func NewCompressor() *Compressor {
 // AppendName appends the wire encoding of the canonical name to buf,
 // compressing against previously packed names when c is non-nil and was
 // created by NewCompressor. The name must already be canonical (lower-case,
-// no trailing dot); the root is "".
+// no trailing dot); the root is "". Within a label, "\." and "\\" stand
+// for the octets '.' and '\', as UnpackName writes them.
 func AppendName(buf []byte, name string, c *Compressor) ([]byte, error) {
 	if name == "" {
 		return append(buf, 0), nil
@@ -41,35 +42,67 @@ func AppendName(buf []byte, name string, c *Compressor) ([]byte, error) {
 				c.offsets[rest] = len(buf)
 			}
 		}
-		label := rest
-		if i := strings.IndexByte(rest, '.'); i >= 0 {
-			label, rest = rest[:i], rest[i+1:]
+		start := len(buf)
+		buf = append(buf, 0)
+		i := strings.IndexByte(rest, '.')
+		if j := strings.IndexByte(rest, '\\'); j >= 0 && (i < 0 || j < i) {
+			buf = append(buf, rest[:j]...)
+			for i = j; i < len(rest) && rest[i] != '.'; i++ {
+				if rest[i] == '\\' {
+					if i++; i == len(rest) {
+						return nil, ErrBadEscape
+					}
+				}
+				buf = append(buf, rest[i])
+			}
+		} else {
+			if i < 0 {
+				i = len(rest)
+			}
+			buf = append(buf, rest[:i]...)
+		}
+		if i < len(rest) {
+			rest = rest[i+1:]
 		} else {
 			rest = ""
 		}
-		if len(label) == 0 {
+		n := len(buf) - start - 1
+		if n == 0 {
 			return nil, ErrShortMessage // empty label: malformed canonical name
 		}
-		if len(label) > 63 {
+		if n > 63 {
 			return nil, ErrLabelTooLong
 		}
-		buf = append(buf, byte(len(label)))
-		buf = append(buf, label...)
+		buf[start] = byte(n)
 	}
 	return append(buf, 0), nil
 }
 
+// wireNameLen is the encoded length of a name, each escape pair counting
+// as the one octet it stands for.
 func wireNameLen(name string) int {
 	if name == "" {
 		return 1
 	}
-	return len(name) + 2
+	n := len(name) + 2
+	for i := strings.IndexByte(name, '\\'); i >= 0 && i < len(name); i++ {
+		if name[i] == '\\' {
+			n--
+			i++
+		}
+	}
+	return n
 }
 
 // UnpackName decodes a (possibly compressed) domain name starting at off in
 // msg. It returns the canonical name and the offset just past the name's
 // representation at its original location (pointers are followed for
 // content but do not advance the caller's offset past the pointer itself).
+//
+// A label octet '.' or '\' is written escaped, as "\." or "\\", so every
+// unescaped dot in the result is a label boundary: the label "www.fbi"
+// under gov reads as www\.fbi.gov, never as www.fbi.gov. Such labels are
+// legal on the wire; SOA mailboxes (first\.last.example.com) carry them.
 //
 // Decompression is loop-safe: each pointer must target an offset strictly
 // below the position where the pointer occurred, which both matches how
@@ -106,6 +139,9 @@ func UnpackName(msg []byte, off int) (name string, next int, err error) {
 				sb.WriteByte('.')
 			}
 			for _, c := range msg[off+1 : off+1+b] {
+				if c == '.' || c == '\\' {
+					sb.WriteByte('\\')
+				}
 				if c >= 'A' && c <= 'Z' {
 					c += 'a' - 'A'
 				}

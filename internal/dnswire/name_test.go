@@ -183,6 +183,49 @@ func TestUnpackNameBadLabelType(t *testing.T) {
 	}
 }
 
+// TestUnpackNameEscapesDotInLabel: a label holding '.' or '\\' decodes
+// escaped, so it never reads as more labels than the wire carries, and
+// packs back to the same octets.
+func TestUnpackNameEscapesDotInLabel(t *testing.T) {
+	for _, tc := range []struct {
+		wire []byte
+		want string
+	}{
+		{[]byte{0x07, 'w', 'w', 'w', '.', 'f', 'b', 'i', 0x03, 'g', 'o', 'v', 0x00}, `www\.fbi.gov`},
+		{[]byte{0x02, 'a', '.', 0x00}, `a\.`},
+		{[]byte{0x02, 'a', '\\', 0x01, 'b', 0x00}, `a\\.b`},
+		{[]byte{0x04, 'a', '\\', '.', 'b', 0x00}, `a\\\.b`},
+		{[]byte{0x01, '.', 0x00}, `\.`},
+	} {
+		got, next, err := UnpackName(tc.wire, 0)
+		if err != nil || got != tc.want || next != len(tc.wire) {
+			t.Errorf("UnpackName(%q) = %q, %d, %v; want %q", tc.wire, got, next, err, tc.want)
+			continue
+		}
+		buf, err := AppendName(nil, got, nil)
+		if err != nil || !bytes.Equal(buf, tc.wire) {
+			t.Errorf("AppendName(%q) = %q, %v; want %q", got, buf, err, tc.wire)
+		}
+	}
+	if _, err := AppendName(nil, `a\`, nil); !errors.Is(err, ErrBadEscape) {
+		t.Errorf("AppendName(a\\): got %v, want ErrBadEscape", err)
+	}
+}
+
+// TestAppendNameEscapedLength: a name of 255 wire octets packs even
+// when escapes make its text longer than 253 bytes.
+func TestAppendNameEscapedLength(t *testing.T) {
+	label := strings.Repeat(`\.`, 63)
+	name := label + "." + label + "." + label + "." + strings.Repeat("x", 61)
+	buf, err := AppendName(nil, name, nil)
+	if err != nil || len(buf) != maxWireName {
+		t.Fatalf("AppendName: %d octets, %v; want %d", len(buf), err, maxWireName)
+	}
+	if _, err := AppendName(nil, name+"x", nil); !errors.Is(err, ErrNameTooLong) {
+		t.Errorf("one octet over: got %v, want ErrNameTooLong", err)
+	}
+}
+
 func TestUnpackNameNeverPanics(t *testing.T) {
 	f := func(raw []byte, off uint8) bool {
 		// Must return cleanly (error or not) on arbitrary input.

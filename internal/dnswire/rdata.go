@@ -277,6 +277,11 @@ func unpackRData(msg []byte, off, rdlen int, typ Type) (RData, error) {
 		}
 		return s, nil
 	case TypeTXT:
+		if rdlen == 0 {
+			// RFC 1035 §3.3.14 asks for one or more character-strings;
+			// read none as the one empty string Pack writes for it.
+			return TXT{Text: []string{""}}, nil
+		}
 		var texts []string
 		p := off
 		for p < end {

@@ -24,6 +24,9 @@ import (
 // server treats such data.
 func Parse(r io.Reader, origin string) (*Zone, error) {
 	origin = dnsname.Canonical(origin)
+	if err := dnsname.Check(origin); err != nil {
+		return nil, fmt.Errorf("dnszone: bad origin %q: %w", origin, err)
+	}
 	p := &parser{origin: origin, ttl: DefaultTTL}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -98,7 +101,11 @@ func (p *parser) line(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("$ORIGIN wants one argument")
 		}
-		p.origin = dnsname.Canonical(fields[1])
+		origin := dnsname.Canonical(fields[1])
+		if err := dnsname.Check(origin); err != nil {
+			return fmt.Errorf("bad $ORIGIN %q: %w", fields[1], err)
+		}
+		p.origin = origin
 		return nil
 	case "$TTL":
 		if len(fields) != 2 {
@@ -115,7 +122,10 @@ func (p *parser) line(line string) error {
 	// Owner is present unless the line started with whitespace.
 	owner := p.lastOwner
 	if !strings.HasPrefix(line, " ") && !strings.HasPrefix(line, "\t") {
-		owner = p.absName(fields[0])
+		var err error
+		if owner, err = p.absName(fields[0]); err != nil {
+			return err
+		}
 		fields = fields[1:]
 	}
 	if owner == "" && p.origin != "" && p.lastOwner == "" {
@@ -189,14 +199,22 @@ func tokenize(line string) []string {
 	return out
 }
 
-func (p *parser) absName(token string) string {
-	if token == "@" {
-		return p.origin
+// absName resolves a name token against the origin. It rejects a name
+// that is not a valid host name (dnsname.Check): one holding a space, a
+// quote or a ';' could not be written back by WriteMaster.
+func (p *parser) absName(token string) (string, error) {
+	name := p.origin
+	switch {
+	case token == "@":
+	case strings.HasSuffix(token, "."):
+		name = dnsname.Canonical(token)
+	default:
+		name = dnsname.Join(token, p.origin)
 	}
-	if strings.HasSuffix(token, ".") {
-		return dnsname.Canonical(token)
+	if err := dnsname.Check(name); err != nil {
+		return "", fmt.Errorf("bad name %q: %w", token, err)
 	}
-	return dnsname.Join(token, p.origin)
+	return name, nil
 }
 
 func (p *parser) rdata(typ string, fields []string) (dnswire.RData, error) {
@@ -225,21 +243,21 @@ func (p *parser) rdata(typ string, fields []string) (dnswire.RData, error) {
 			return nil, fmt.Errorf("bad AAAA address %q", fields[0])
 		}
 		return dnswire.AAAA{Addr: addr}, nil
-	case "NS":
+	case "NS", "CNAME", "PTR":
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		return dnswire.NS{Host: p.absName(fields[0])}, nil
-	case "CNAME":
-		if err := need(1); err != nil {
+		name, err := p.absName(fields[0])
+		if err != nil {
 			return nil, err
 		}
-		return dnswire.CNAME{Target: p.absName(fields[0])}, nil
-	case "PTR":
-		if err := need(1); err != nil {
-			return nil, err
+		switch typ {
+		case "NS":
+			return dnswire.NS{Host: name}, nil
+		case "CNAME":
+			return dnswire.CNAME{Target: name}, nil
 		}
-		return dnswire.PTR{Target: p.absName(fields[0])}, nil
+		return dnswire.PTR{Target: name}, nil
 	case "MX":
 		if err := need(2); err != nil {
 			return nil, err
@@ -248,7 +266,11 @@ func (p *parser) rdata(typ string, fields []string) (dnswire.RData, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad MX preference %q", fields[0])
 		}
-		return dnswire.MX{Preference: uint16(pref), Host: p.absName(fields[1])}, nil
+		host, err := p.absName(fields[1])
+		if err != nil {
+			return nil, err
+		}
+		return dnswire.MX{Preference: uint16(pref), Host: host}, nil
 	case "TXT":
 		if len(fields) == 0 {
 			return nil, fmt.Errorf("TXT record wants at least one string")
@@ -266,8 +288,16 @@ func (p *parser) rdata(typ string, fields []string) (dnswire.RData, error) {
 			}
 			nums[i] = uint32(n)
 		}
+		mname, err := p.absName(fields[0])
+		if err != nil {
+			return nil, err
+		}
+		rname, err := p.absName(fields[1])
+		if err != nil {
+			return nil, err
+		}
 		return dnswire.SOA{
-			MName: p.absName(fields[0]), RName: p.absName(fields[1]),
+			MName: mname, RName: rname,
 			Serial: nums[0], Refresh: nums[1], Retry: nums[2],
 			Expire: nums[3], Minimum: nums[4],
 		}, nil
@@ -378,6 +408,12 @@ func (z *Zone) WriteMaster(w io.Writer) error {
 }
 
 func writeRR(w io.Writer, rr dnswire.RR) {
+	data := rr.Data.String()
+	if txt, ok := rr.Data.(dnswire.TXT); ok {
+		// Parse reads quoted strings verbatim, with no escapes, so write
+		// them that way rather than in TXT's Go-quoted String form.
+		data = `"` + strings.Join(txt.Text, `" "`) + `"`
+	}
 	fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\n",
-		presentOrigin(rr.Name), rr.TTL, rr.Class, rr.Type(), rr.Data)
+		presentOrigin(rr.Name), rr.TTL, rr.Class, rr.Type(), data)
 }

@@ -9,7 +9,7 @@ import (
 	"dnstrust/internal/dnswire"
 )
 
-func addr(t *testing.T, s string) netip.Addr {
+func addr(t testing.TB, s string) netip.Addr {
 	t.Helper()
 	a, err := netip.ParseAddr(s)
 	if err != nil {
@@ -19,7 +19,7 @@ func addr(t *testing.T, s string) netip.Addr {
 }
 
 // cornellZone builds a zone resembling cornell.edu from Figure 1.
-func cornellZone(t *testing.T) *Zone {
+func cornellZone(t testing.TB) *Zone {
 	t.Helper()
 	z := New("cornell.edu")
 	z.AddNS("cudns.cit.cornell.edu")
@@ -220,8 +220,9 @@ func TestRootZone(t *testing.T) {
 	}
 }
 
-func TestParseMaster(t *testing.T) {
-	const text = `
+// cornellMaster is a master file exercising every directive and record
+// type Parse models.
+const cornellMaster = `
 $ORIGIN cornell.edu.
 $TTL 86400
 @	IN	SOA	ns1.cornell.edu. hostmaster.cornell.edu. (
@@ -239,7 +240,9 @@ cs	IN	NS	penguin.cs.cornell.edu.
 cs	IN	NS	dns.cs.wisc.edu.
 penguin.cs	IN	A	128.84.96.10
 `
-	z, err := Parse(strings.NewReader(text), "cornell.edu")
+
+func TestParseMaster(t *testing.T) {
+	z, err := Parse(strings.NewReader(cornellMaster), "cornell.edu")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,23 +60,77 @@ type queryKey struct {
 	qtype dnswire.Type
 }
 
-// queryEntry is a memoized (possibly still in-flight) query result.
-// Waiters block on done; resp/err are immutable once done is closed.
-type queryEntry struct {
-	done chan struct{}
-	resp *dnswire.Message
-	err  error
+// nsKind classifies a successful reply to an NS question by what the
+// descent does with it.
+type nsKind uint8
+
+const (
+	// nsLame: no answer, no authority, not authoritative.
+	nsLame nsKind = iota
+	// nsNoCut: authoritative NODATA, so the label is interior to the zone.
+	nsNoCut
+	// nsAnswer: an answer; its NS hosts (none for, say, a CNAME) reveal a
+	// cut on servers shared with the parent.
+	nsAnswer
+	// nsReferral: a referral to child, with hosts and glue.
+	nsReferral
+)
+
+// queryFact is all the query memo keeps of one answered question: what
+// the walker reads from the reply, taken out once when the reply
+// arrives. The reply itself is dropped. Slices are shared with the
+// discovery caches (hosts with recordZone, addrs with storeAddrs, a
+// fully glued referral's glue with storeServers) and never modified.
+type queryFact struct {
+	// hosts are the sorted NS hosts of an nsAnswer or nsReferral.
+	hosts []string
+	// more is nil unless the fact is a failure, a referral or an address
+	// answer. NODATA alone is over half of a crawl's questions, so most
+	// facts are just a map slot.
+	more  *factMore
+	rcode dnswire.RCode
+	kind  nsKind
 }
 
-// queryShard is one shard of the walker's query memo table. The memo
-// gives the engine its strongest guarantee: each logical query crosses
-// the transport exactly once per walker lifetime, no matter how many
-// workers race to ask it, which makes total transport work invariant
-// across worker counts.
+// factMore is what only some facts carry, kept behind a pointer so a
+// fact without it costs 40 bytes.
+type factMore struct {
+	// err is the transport failure; the fact is otherwise zero.
+	err error
+	// child is the apex an nsReferral delegates to, and glue the first
+	// glue address of each of its hosts that has one, in host order.
+	child string
+	glue  []ServerAddr
+	// addrs are the A records answering an address question.
+	addrs []netip.Addr
+}
+
+// err returns the transport failure the fact records, if any.
+func (f queryFact) err() error {
+	if f.more == nil {
+		return nil
+	}
+	return f.more.err
+}
+
+// pendingQuery is a question still crossing the transport. Concurrent
+// askers wait on done; fact is written before done closes.
+type pendingQuery struct {
+	done chan struct{}
+	fact queryFact
+}
+
+// queryShard is one shard of the walker's query memo table: the fact
+// of every answered question, by value, and a small table of the
+// questions in flight. The memo gives the engine its strongest
+// guarantee: each logical query crosses the transport exactly once per
+// walker lifetime, no matter how many workers race to ask it, which
+// makes total transport work invariant across worker counts.
 type queryShard struct {
-	mu sync.Mutex
-	m  map[queryKey]*queryEntry
-	// errored lists the keys whose entry completed with a memoized error
-	// since the last ForgetFailures, so evicting them does not scan m.
+	mu      sync.Mutex
+	facts   map[queryKey]queryFact
+	pending map[queryKey]*pendingQuery
+	// errored lists the keys whose fact is a memoized error since the
+	// last ForgetFailures, so evicting them does not scan facts.
 	errored []queryKey
 }

@@ -2,19 +2,23 @@ package resolver_test
 
 import (
 	"context"
+	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"dnstrust/internal/dnswire"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
 )
 
-func newWalker(t *testing.T, reg *topology.Registry) *resolver.Walker {
+func newWalker(t testing.TB, reg *topology.Registry) *resolver.Walker {
 	t.Helper()
 	r, err := reg.Resolver(nil)
 	if err != nil {
@@ -494,4 +498,90 @@ func TestWalkLameHostReaskedAfterHeal(t *testing.T) {
 	if got, want := rec.chains["ns2.flaky.net"], []string{"net", "flaky.net"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("healed host ns2.flaky.net: chain %v, want %v", got, want)
 	}
+}
+
+// weakReplies passes queries on and takes a weak pointer to every reply
+// it returns, so a test can tell whether anything still holds one.
+type weakReplies struct {
+	inner resolver.Transport
+	mu    sync.Mutex
+	refs  []weak.Pointer[dnswire.Message]
+}
+
+func (t *weakReplies) Query(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {
+	resp, err := t.inner.Query(ctx, server, name, qtype, class)
+	if resp != nil {
+		t.mu.Lock()
+		t.refs = append(t.refs, weak.Make(resp))
+		t.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestWalkerKeepsNoReplies crawls a world and collects garbage while the
+// walker and its query memo are still live: the memo keeps the facts it
+// read from each reply, never the reply, so every reply is collected.
+func TestWalkerKeepsNoReplies(t *testing.T) {
+	world, err := topology.Generate(topology.GenParams{Seed: 7, Names: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &weakReplies{inner: world.Registry.Source()}
+	r, err := world.Registry.Resolver(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := resolver.NewWalker(r)
+	for _, name := range world.Corpus {
+		if _, err := w.WalkName(context.Background(), name); err != nil {
+			t.Fatalf("walk %s: %v", name, err)
+		}
+	}
+	if w.MemoLen() == 0 || len(tr.refs) == 0 {
+		t.Fatalf("crawl left %d memo entries from %d replies", w.MemoLen(), len(tr.refs))
+	}
+	runtime.GC()
+	held := 0
+	for _, ref := range tr.refs {
+		if ref.Value() != nil {
+			held++
+		}
+	}
+	if held > 0 {
+		t.Errorf("%d of %d replies still reachable after the crawl", held, len(tr.refs))
+	}
+	runtime.KeepAlive(w)
+}
+
+// BenchmarkWalkerMemoBytes crawls a 2000-name world and reports what
+// the query memo costs per answered question: the live heap that
+// ReleaseQueryMemo frees, after a settled GC, over the memo's entries.
+func BenchmarkWalkerMemoBytes(b *testing.B) {
+	world, err := topology.Generate(topology.GenParams{Seed: 1, Names: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var perEntry float64
+	for i := 0; i < b.N; i++ {
+		w := newWalker(b, world.Registry)
+		for _, name := range world.Corpus {
+			// A name whose walk fails still leaves its questions memoized.
+			_, _ = w.WalkName(context.Background(), name)
+		}
+		b.StopTimer()
+		entries := w.MemoLen()
+		before := liveHeap()
+		w.ReleaseQueryMemo()
+		perEntry += (before - liveHeap()) / float64(entries)
+		runtime.KeepAlive(w)
+		b.StartTimer()
+	}
+	b.ReportMetric(perEntry/float64(b.N), "B/memo-entry")
 }
