@@ -9,6 +9,7 @@
 package dnstrust
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -25,6 +26,7 @@ import (
 	"dnstrust/internal/dnsclient"
 	"dnstrust/internal/dnsserver"
 	"dnstrust/internal/dnswire"
+	"dnstrust/internal/fleet"
 	"dnstrust/internal/mincut"
 	"dnstrust/internal/proxy"
 	"dnstrust/internal/resolver"
@@ -542,6 +544,61 @@ func BenchmarkSnapshotColdStart(b *testing.B) {
 	b.Run(fmt.Sprintf("replay/names=%d", scale), func(b *testing.B) {
 		coldStart(b, Options{ReplayLog: qlog}, true)
 	})
+}
+
+// BenchmarkMonitorWriteSnapshot measures what one fleet shard's
+// snapshot write costs after a commit: the shard monitor owns a third
+// of a 6000-name corpus (ring partition), crawled as one batch and then
+// moved on by 50-name commits, each followed by a write as a fleet
+// round asks of every changed shard. Each op commits the next 50 names
+// (untimed; once the reserve is spent the commit re-adds names already
+// surveyed) and times the write. bytes is the file size.
+func BenchmarkMonitorWriteSnapshot(b *testing.B) {
+	const batch, warmCommits = 50, 4
+	world, err := topology.Generate(topology.GenParams{Seed: 1, Names: 6000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := fleet.NewRing([]string{"s0", "s1", "s2"}, 0)
+	part := ring.Assign(world.Corpus)[0]
+	ctx := context.Background()
+	m, err := OpenWorld(ctx, world, Options{Workers: 4, ShardName: ring.Shards()[0], Retain: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	first := len(part) / 2
+	if _, err := m.Add(ctx, part[:first]...); err != nil {
+		b.Fatal(err)
+	}
+	next := first
+	var buf bytes.Buffer
+	commitAndWrite := func() {
+		names := part[next-batch : next]
+		if next+batch <= len(part) {
+			names = part[next : next+batch]
+			next += batch
+		}
+		b.StopTimer()
+		if _, err := m.Add(ctx, names...); err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		b.StartTimer()
+		if err := m.WriteSnapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < warmCommits; i++ {
+		commitAndWrite()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commitAndWrite()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(buf.Len()), "bytes")
 }
 
 // BenchmarkAblationMinCutDinic vs ...ANDORBound compare the paper's

@@ -80,6 +80,21 @@ type Builder struct {
 	// per-chain analysis memos precisely.
 	lateAttached map[int32]struct{}
 
+	// baseNames/baseCids are the store's base table in sorted name
+	// order, kept for snapshot writes (nil until the first one). Once a
+	// graph is published base entries are never added or rewritten, only
+	// deleted, so a write drops the names deleted since the last one
+	// instead of sorting the map again. Before that the order is not kept.
+	baseNames []string
+	baseCids  []int32
+	// verNames is the store's versioned name table in sorted order, kept
+	// for snapshot writes (nil until the first one). A name joins that
+	// table only through the change journal and never leaves it, so each
+	// FinishEpoch hands its journal to verTouched and a write merges in
+	// the names it lacks instead of sorting the table again.
+	verNames   []string
+	verTouched []string
+
 	// Scratch buffers reused across interning calls.
 	idBuf  []int32
 	keyBuf []byte
@@ -343,6 +358,7 @@ func (b *Builder) internHostLocked(host string) (int32, bool) {
 	st.hostID[host] = id
 	st.hostChain = append(st.hostChain, nil)
 	st.hostChainAt = append(st.hostChainAt, 0)
+	st.hostChainID = append(st.hostChainID, hostChainNone)
 	return id, true
 }
 
@@ -353,6 +369,10 @@ func (b *Builder) attachChainLocked(hid, cid int32) {
 	st := b.st
 	st.hostChain[hid] = b.chainSliceLocked(cid)
 	st.hostChainAt[hid] = b.epoch + 1
+	if len(st.hostChain[hid]) == 0 {
+		cid = hostChainEmpty
+	}
+	st.hostChainID[hid] = cid
 }
 
 // internChainIDLocked interns chain into the store's chain table,
@@ -478,6 +498,14 @@ func (b *Builder) FinishEpoch() *Graph {
 		numNames: b.numNames(),
 	}
 	g.computeTables(b.prev, st.hostChain, b.lateAttached)
+	if b.verNames != nil {
+		b.verTouched = append(b.verTouched, b.touched...)
+		if len(b.verTouched) > len(st.names) {
+			// Unwritten for a while: sorting the table again costs no
+			// more than the merge would, and nothing grows meanwhile.
+			b.verNames, b.verTouched = nil, nil
+		}
+	}
 	if len(b.touched) > 0 {
 		b.lock()
 		st.touched[b.epoch] = b.touched

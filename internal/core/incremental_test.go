@@ -115,6 +115,12 @@ func (w *randomWorld) resolveHost(home int, deferProb float64) {
 // chains, some failures and recoveries — and finishes it against the
 // oracle. It returns the finished graph.
 func (w *randomWorld) epoch(t testing.TB, names int, deferProb, resolveShare float64) *Graph {
+	w.feed(names, deferProb, resolveShare)
+	return w.finish(t)
+}
+
+// feed feeds one batch without finishing it.
+func (w *randomWorld) feed(names int, deferProb, resolveShare float64) {
 	for i := 0; i < names; i++ {
 		d := w.rng.Intn(w.doms)
 		w.observeDomain(d, deferProb)
@@ -143,7 +149,10 @@ func (w *randomWorld) epoch(t testing.TB, names int, deferProb, resolveShare flo
 			w.deferred = append(w.deferred, home)
 		}
 	}
+}
 
+// finish finishes the fed batch against the oracle.
+func (w *randomWorld) finish(t testing.TB) *Graph {
 	if len(w.b.lateAttached) > 0 {
 		w.lateEpochs++
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dnstrust/internal/snapshot"
@@ -57,9 +58,10 @@ const (
 
 // WriteSnapshot serializes the builder and its epoch store as one
 // complete snapshot file on w. The caller must ensure the builder is
-// quiescent (no concurrent event feeding) — the crawl engine holds its
-// commit lock, exactly like between Adds. Concurrent Graph readers are
-// unaffected.
+// quiescent (no concurrent event feeding, and no other write: a write
+// updates the sorted orders the builder keeps for the next one) — the
+// crawl engine holds its commit lock, exactly like between Adds.
+// Concurrent Graph readers are unaffected.
 func (b *Builder) WriteSnapshot(w io.Writer) error {
 	sw := snapshot.NewWriter(w)
 	if err := b.WriteSections(sw); err != nil {
@@ -110,44 +112,26 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	if err := snapshot.WriteStringTable(w, st.zones); err != nil {
 		return err
 	}
+	// The append-only intern tables and the copy-on-write zoneadj and
+	// chaintcb build every entry on its own backing array; only an SCC's
+	// members share one closure.
 	w.Begin("core/chains")
-	writeIDTable(w, st.chains)
+	snapshot.WriteDistinctIDTable(w, st.chains)
 	w.Begin("core/zonens")
-	writeIDTable(w, st.zoneNS)
+	snapshot.WriteDistinctIDTable(w, st.zoneNS)
 
 	w.Begin("core/hostchain")
 	w.U64(uint64(len(st.hostChain)))
 	w.I64s(st.hostChainAt)
-	rev := make(map[*int32]int32, len(st.chains))
-	for cid, s := range st.chains {
-		if len(s) > 0 {
-			rev[&s[0]] = int32(cid)
-		}
-	}
-	cids := make([]int32, len(st.hostChain))
-	for h, s := range st.hostChain {
-		switch {
-		case s == nil:
-			cids[h] = hostChainNone
-		case len(s) == 0:
-			cids[h] = hostChainEmpty
-		default:
-			cid, ok := rev[&s[0]]
-			if !ok {
-				return errors.New("core: snapshot: host chain does not alias the chain table")
-			}
-			cids[h] = cid
-		}
-	}
-	w.I32s(cids)
+	w.I32s(st.hostChainID)
 	w.Pad8()
 
 	w.Begin("core/closure")
-	writeIDTable(w, closure)
+	snapshot.WriteIDTable(w, closure)
 	w.Begin("core/zoneadj")
-	writeIDTable(w, zoneAdj)
+	snapshot.WriteDistinctIDTable(w, zoneAdj)
 	w.Begin("core/chaintcb")
-	writeIDTable(w, chainTCB)
+	snapshot.WriteDistinctIDTable(w, chainTCB)
 	w.Begin("core/chainstamp")
 	w.U64(uint64(len(chainStamp)))
 	w.I64s(chainStamp)
@@ -155,18 +139,16 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	// Map-backed sections are written in sorted key order so identical
 	// state always serializes to identical bytes.
 	w.Begin("core/base")
-	baseNames := sortedKeys(st.base)
+	baseNames, baseCids := b.sortedBase()
 	w.U64(uint64(len(baseNames)))
-	for _, n := range baseNames {
-		w.I32(st.base[n])
-	}
+	w.I32s(baseCids)
 	w.Pad8()
 	if err := snapshot.WriteStringTable(w, baseNames); err != nil {
 		return err
 	}
 
 	w.Begin("core/names")
-	verNames := sortedKeys(st.names)
+	verNames := b.sortedVersioned()
 	var verTotal uint64
 	for _, n := range verNames {
 		vs := st.names[n]
@@ -213,7 +195,7 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	for e := range st.touched {
 		epochs = append(epochs, e)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	slices.Sort(epochs)
 	w.U64(uint64(len(epochs)))
 	w.I64s(epochs)
 	var jnames []string
@@ -282,6 +264,80 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	w.Pad8()
 
 	return w.Err()
+}
+
+// sortedBase returns the base table in sorted name order with its chain
+// ids. The order is kept between writes once the first graph has been
+// published (Builder.baseNames), and a base that has shrunk since is
+// filtered rather than sorted again.
+func (b *Builder) sortedBase() ([]string, []int32) {
+	base := b.st.base
+	names, cids := b.baseNames, b.baseCids
+	switch {
+	case names == nil || !b.shared:
+		names = sortedKeys(base)
+		cids = make([]int32, len(names))
+		for i, n := range names {
+			cids[i] = base[n]
+		}
+	case len(names) != len(base):
+		k := 0
+		for i, n := range names {
+			if _, ok := base[n]; ok {
+				names[k], cids[k] = n, cids[i]
+				k++
+			}
+		}
+		clear(names[k:])
+		names, cids = names[:k], cids[:k]
+	}
+	if b.shared {
+		b.baseNames, b.baseCids = names, cids
+	}
+	return names, cids
+}
+
+// sortedVersioned returns the versioned name table's names in sorted
+// order: the order kept since the last write (Builder.verNames) with the
+// names journaled since merged in, or, on the first write, a sort.
+func (b *Builder) sortedVersioned() []string {
+	st := b.st
+	names := b.verNames
+	if names != nil && len(names) != len(st.names) {
+		add := make([]string, 0, max(len(st.names)-len(names), 0))
+		for _, touched := range [][]string{b.verTouched, b.touched} {
+			for _, n := range touched {
+				if _, found := slices.BinarySearch(names, n); !found {
+					add = append(add, n)
+				}
+			}
+		}
+		slices.Sort(add)
+		names = mergeSorted(names, slices.Compact(add))
+	}
+	if names == nil || len(names) != len(st.names) {
+		names = sortedKeys(st.names)
+	}
+	clear(b.verTouched)
+	b.verNames, b.verTouched = names, b.verTouched[:0]
+	return names
+}
+
+// mergeSorted merges add, sorted and disjoint from s, into sorted s in
+// place from the back.
+func mergeSorted(s, add []string) []string {
+	i, j := len(s)-1, len(add)-1
+	s = slices.Grow(s, len(add))[:len(s)+len(add)]
+	for k := len(s) - 1; j >= 0; k-- {
+		if i >= 0 && s[i] > add[j] {
+			s[k] = s[i]
+			i--
+		} else {
+			s[k] = add[j]
+			j--
+		}
+	}
+	return s
 }
 
 // OpenSnapshot opens a snapshot file (memory-mapped where possible) and
@@ -361,6 +417,8 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	if nHosts != len(hosts) {
 		return nil, corruptf("core/hostchain", "%d entries for %d hosts", nHosts, len(hosts))
 	}
+	// hostChainID is written in place too, as chains attach.
+	hostChainID := append([]int32(nil), hcCids...)
 	hostChain := make([][]int32, nHosts)
 	for h, cid := range hcCids {
 		switch {
@@ -472,6 +530,7 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		zoneNS:       zoneNS,
 		hostChain:    hostChain,
 		hostChainAt:  hostChainAt,
+		hostChainID:  hostChainID,
 		base:         make(map[string]int32, nBase),
 		baseEpoch:    baseEpoch,
 		names:        make(map[string]nameVers, nVer),
@@ -630,10 +689,8 @@ func (b *Builder) Epoch() int64 { return b.epoch }
 
 // The id-table codec lives in package snapshot (WriteIDTable /
 // ReadIDTable) so remapping readers — the fleet coordinator — can decode
-// these sections without reconstructing a store; thin wrappers keep the
-// call sites here short.
-func writeIDTable(w *snapshot.Writer, table [][]int32) { snapshot.WriteIDTable(w, table) }
-
+// these sections without reconstructing a store; a thin wrapper keeps
+// the call sites here short.
 func readIDTable(d *snapshot.SectionReader) [][]int32 { return snapshot.ReadIDTable(d) }
 
 // corruptf wraps snapshot.ErrCorrupt with section context: the file's

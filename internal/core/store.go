@@ -50,9 +50,14 @@ type store struct {
 
 	// hostChain[h] is host h's address chain (aliasing the interned
 	// chain table); hostChainAt[h] is the epoch that attached it, 0 when
-	// no chain is known yet. Entries are assigned at most once.
+	// no chain is known yet; hostChainID[h] is the attached chain's id
+	// as core/hostchain stores it (hostChainNone, hostChainEmpty or the
+	// chain id), so a snapshot write copies the column instead of
+	// recovering ids from slice addresses. Entries are assigned at most
+	// once. A detached store (Graph.Detach) keeps no hostChainID.
 	hostChain   [][]int32
 	hostChainAt []int64
+	hostChainID []int32
 
 	// base maps names completed in the first live epoch — and never
 	// touched since — straight to their chain id: the compact common

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -54,6 +55,14 @@ type Engine struct {
 	// generation's stats or the analysis memo would never invalidate
 	// the chains they touched.
 	pendingLate []int32
+
+	// bannerHosts is the banner table's hosts in sorted order, kept for
+	// snapshot writes (nil until the first one): those of the host
+	// table's first bannerMark hosts that have a banner. Hosts below
+	// probed are never probed again, so a write merges in only those
+	// probed since the last one instead of sorting every host again.
+	bannerHosts []string
+	bannerMark  int
 
 	// disc is the walker's discovery FIFO. The observer callbacks append
 	// to it from any goroutine, during an Add or between Adds (a proxy
@@ -321,18 +330,18 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// mergeSorted merges two sorted id slices, deduplicating.
-func mergeSorted(a, b []int32) []int32 {
+// mergeSorted merges two sorted slices, deduplicating.
+func mergeSorted[T cmp.Ordered](a, b []T) []T {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]int32, 0, len(a)+len(b))
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
-		var v int32
+		var v T
 		switch {
 		case j >= len(b) || (i < len(a) && a[i] < b[j]):
 			v = a[i]

@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"maps"
-	"sort"
+	"slices"
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/resolver"
@@ -48,15 +47,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	sw.Pad8()
 
 	sw.Begin("crawler/banner")
-	hosts := make([]string, 0, len(e.banner))
-	for h := range e.banner {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	banners := make([]string, len(hosts))
-	for i, h := range hosts {
-		banners[i] = e.banner[h]
-	}
+	hosts, banners := e.sortedBanners()
 	if err := snapshot.WriteStringTable(sw, hosts); err != nil {
 		return err
 	}
@@ -84,16 +75,62 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return sw.Finish()
 }
 
+// sortedBanners returns the banner table in sorted host order. Every
+// banner belongs to a host of the last graph's host table: the kept
+// order (Engine.bannerHosts) covers hosts below bannerMark, the hosts
+// probed since the last write are merged into it, and hosts above
+// probed with a banner — left by an Add whose probe was cancelled, and
+// probed again by the next one — are merged into this write only.
+// Banners are read from the table itself, so a host probed again
+// writes its latest. Call it with e.mu held.
+func (e *Engine) sortedBanners() (hosts, banners []string) {
+	var table []string
+	if g := e.b.LastGraph(); g != nil {
+		table = g.Hosts()
+	}
+	probed := min(e.probed, len(table))
+	if e.bannerMark < probed {
+		e.bannerHosts = mergeSorted(e.bannerHosts, e.hostsWithBanner(table[e.bannerMark:probed]))
+		e.bannerMark = probed
+	}
+	hosts = e.bannerHosts
+	if tail := e.hostsWithBanner(table[probed:]); len(tail) > 0 {
+		hosts = mergeSorted(hosts, tail)
+	}
+	banners = make([]string, len(hosts))
+	for i, h := range hosts {
+		banners[i] = e.banner[h]
+	}
+	return hosts, banners
+}
+
+// hostsWithBanner returns the hosts that have a banner, sorted.
+func (e *Engine) hostsWithBanner(hosts []string) []string {
+	var out []string
+	for _, h := range hosts {
+		if _, ok := e.banner[h]; ok {
+			out = append(out, h)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // hashNames fingerprints a sorted name list with FNV-1a, the corpus
 // hash carried in shard/meta so a coordinator can tell two shards
-// serving the same name partition apart from a repartition.
+// serving the same name partition apart from a repartition. Each name
+// is followed by a zero byte.
 func hashNames(names []string) uint64 {
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, n := range names {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
+		for i := 0; i < len(n); i++ {
+			h ^= uint64(n[i])
+			h *= prime64
+		}
+		h *= prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // NewEngineFromSnapshot opens a resident survey engine whose graph,

@@ -220,101 +220,6 @@ func TestRootZone(t *testing.T) {
 	}
 }
 
-// cornellMaster is a master file exercising every directive and record
-// type Parse models.
-const cornellMaster = `
-$ORIGIN cornell.edu.
-$TTL 86400
-@	IN	SOA	ns1.cornell.edu. hostmaster.cornell.edu. (
-		2004072200 ; serial, survey snapshot day
-		7200 1800 604800 300 )
-@	IN	NS	cudns.cit.cornell.edu.
-@	IN	NS	bigred.cit.cornell.edu.
-www	3600	IN	A	132.236.56.9
-web	IN	CNAME	www
-@	IN	MX	10 mail.cornell.edu.
-info	IN	TXT	"Cornell University" "Ithaca; NY"
-cudns.cit	IN	A	192.35.82.50
-; a delegation with one in-zone (glued) server and one remote
-cs	IN	NS	penguin.cs.cornell.edu.
-cs	IN	NS	dns.cs.wisc.edu.
-penguin.cs	IN	A	128.84.96.10
-`
-
-func TestParseMaster(t *testing.T) {
-	z, err := Parse(strings.NewReader(cornellMaster), "cornell.edu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.SOA().Serial != 2004072200 {
-		t.Errorf("SOA serial = %d", z.SOA().Serial)
-	}
-	if res := z.Lookup("www.cornell.edu", dnswire.TypeA); res.Kind != KindAnswer {
-		t.Errorf("www lookup: %v", res.Kind)
-	}
-	if res := z.Lookup("x.cs.cornell.edu", dnswire.TypeA); res.Kind != KindDelegation {
-		t.Errorf("cs lookup: %v", res.Kind)
-	} else if len(res.Additional) != 1 {
-		t.Errorf("cs referral glue = %d records, want 1", len(res.Additional))
-	}
-	res := z.Lookup("info.cornell.edu", dnswire.TypeTXT)
-	if res.Kind != KindAnswer {
-		t.Fatalf("TXT lookup: %v", res.Kind)
-	}
-	txt := res.Answer[0].Data.(dnswire.TXT)
-	if !reflect.DeepEqual(txt.Text, []string{"Cornell University", "Ithaca; NY"}) {
-		t.Errorf("TXT = %q", txt.Text)
-	}
-	if res := z.Lookup("cornell.edu", dnswire.TypeMX); res.Kind != KindAnswer {
-		t.Errorf("MX lookup: %v", res.Kind)
-	}
-}
-
-func TestMasterRoundTrip(t *testing.T) {
-	z := cornellZone(t)
-	var sb strings.Builder
-	if err := z.WriteMaster(&sb); err != nil {
-		t.Fatal(err)
-	}
-	z2, err := Parse(strings.NewReader(sb.String()), "cornell.edu")
-	if err != nil {
-		t.Fatalf("re-parse: %v\nzone text:\n%s", err, sb.String())
-	}
-	if !reflect.DeepEqual(z.NSHosts(), z2.NSHosts()) {
-		t.Errorf("NS hosts differ: %v vs %v", z.NSHosts(), z2.NSHosts())
-	}
-	if !reflect.DeepEqual(z.Cuts(), z2.Cuts()) {
-		t.Errorf("cuts differ: %v vs %v", z.Cuts(), z2.Cuts())
-	}
-	if !reflect.DeepEqual(z.Names(), z2.Names()) {
-		t.Errorf("names differ: %v vs %v", z.Names(), z2.Names())
-	}
-	r1 := z.Lookup("www.cs.cornell.edu", dnswire.TypeA)
-	r2 := z2.Lookup("www.cs.cornell.edu", dnswire.TypeA)
-	if r1.Kind != r2.Kind || len(r1.Additional) != len(r2.Additional) {
-		t.Errorf("lookup results differ after round trip")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"@ IN SOA bad",                    // malformed SOA
-		"www IN A not-an-ip",              // bad A
-		"www IN AAAA 10.0.0.1",            // v4 in AAAA
-		"www IN MX ten mail.example.com.", // bad preference
-		"www IN UNKNOWNTYPE data",         // unsupported type
-		"$TTL abc",                        // bad TTL
-		"$ORIGIN",                         // missing arg
-		"www IN SOA ns. rn. 1 2 3 4 5",    // SOA not at origin
-		"www IN A 10.0.0.1 (",             // unclosed paren
-	}
-	for _, text := range cases {
-		if _, err := Parse(strings.NewReader(text), "example.com"); err == nil {
-			t.Errorf("Parse(%q) should fail", text)
-		}
-	}
-}
-
 func TestZoneString(t *testing.T) {
 	z := cornellZone(t)
 	s := z.String()

@@ -58,6 +58,16 @@ func TestWriteIDTableByteIdentical(t *testing.T) {
 		"scc":     {scc, nil, scc, scc[:3], scc[2:], scc, {}},
 		"mixed":   {nil, scc[:1], odd, {}, scc[:1], scc, odd[1:], nil},
 	}
+	// WriteDistinctIDTable must write the same bytes for every table in
+	// which no two non-empty entries share a backing array: not the
+	// aliased ones above, but these, one of them longer than a block.
+	big := make([][]int32, 3*bufSize/8)
+	for i := range big {
+		big[i] = make([]int32, i%5)
+	}
+	distinct := map[string]bool{"none": true, "nil": true, "empty": true, "distinct": true, "big": true}
+	tables["distinct"] = [][]int32{{1}, nil, {2, 3}, {}, {4, 5, 6}}
+	tables["big"] = big
 	for name, table := range tables {
 		t.Run(name, func(t *testing.T) {
 			encode := func(f func(*Writer, [][]int32)) []byte {
@@ -76,6 +86,11 @@ func TestWriteIDTableByteIdentical(t *testing.T) {
 			want, got := encode(writeIDTablePooled), encode(WriteIDTable)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("WriteIDTable wrote %d bytes differing from the pooled encoder's %d", len(got), len(want))
+			}
+			if distinct[name] {
+				if got := encode(WriteDistinctIDTable); !bytes.Equal(got, want) {
+					t.Fatalf("WriteDistinctIDTable wrote %d bytes differing from the pooled encoder's %d", len(got), len(want))
+				}
 			}
 		})
 	}

@@ -12,20 +12,30 @@ import (
 // loads it back as zero-copy views into the section.
 func WriteStringTable(w *Writer, strs []string) error {
 	w.U64(uint64(len(strs)))
+	// The offsets go out as one array, filled a block at a time.
 	var end uint64
-	for _, s := range strs {
-		end += uint64(len(s))
-		if end > math.MaxUint32 {
-			return errors.New("snapshot: string table exceeds 4 GiB")
+	for rest := strs; len(rest) > 0; {
+		chunk := rest[:min(len(rest), bufSize/4)]
+		rest = rest[len(chunk):]
+		p := w.grow(4 * len(chunk))
+		if p == nil {
+			return w.Err()
 		}
-		w.U32(uint32(end))
+		for i, s := range chunk {
+			end += uint64(len(s))
+			if end > math.MaxUint32 {
+				return errors.New("snapshot: string table exceeds 4 GiB")
+			}
+			le.PutUint32(p[4*i:], uint32(end))
+		}
 	}
 	w.Pad8()
-	for _, s := range strs {
-		// io.Writer may neither modify nor retain p, so the string's
-		// own bytes are written without a copy.
-		if _, err := w.Write(unsafe.Slice(unsafe.StringData(s), len(s))); err != nil {
-			return err
+	if w.Err() == nil {
+		for _, s := range strs {
+			// The string's own bytes, without a conversion copy: put
+			// buffers them or hands them to a destination that may
+			// neither modify nor retain them.
+			w.put(unsafe.Slice(unsafe.StringData(s), len(s)))
 		}
 	}
 	w.Pad8()
