@@ -115,7 +115,7 @@ func printPlan(s *crawler.Survey, target string) {
 
 func vulnNames(s *crawler.Survey, host string) string {
 	var names []string
-	for _, v := range s.Vulns[host] {
+	for _, v := range s.Vulns(host) {
 		names = append(names, v.Name)
 	}
 	return strings.Join(names, ", ")

@@ -47,11 +47,11 @@ func main() {
 	hosts := append([]string(nil), survey.Graph.Hosts()...)
 	sort.Strings(hosts)
 	for _, h := range hosts {
-		shown := survey.Banner[h]
+		shown := survey.Banner(h)
 		if shown == "" {
 			shown = "(hidden)"
 		}
-		if vulns := survey.Vulns[h]; len(vulns) > 0 {
+		if vulns := survey.Vulns(h); len(vulns) > 0 {
 			var names []string
 			for _, v := range vulns {
 				names = append(names, v.Name)

@@ -52,8 +52,8 @@ func main() {
 	hosts := append([]string(nil), survey.Graph.Hosts()...)
 	sort.Strings(hosts)
 	for _, h := range hosts {
-		if vulns := survey.Vulns[h]; len(vulns) > 0 {
-			fmt.Printf("  %-24s %-14s %d known exploits\n", h, survey.Banner[h], len(vulns))
+		if vulns := survey.Vulns(h); len(vulns) > 0 {
+			fmt.Printf("  %-24s %-14s %d known exploits\n", h, survey.Banner(h), len(vulns))
 		}
 	}
 

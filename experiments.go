@@ -481,11 +481,12 @@ func runTableC(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) 
 		return nil, err
 	}
 	g := survey.Graph
-	vulnNames := map[string][]string{}
-	for h, vulns := range survey.Vulns {
-		for _, v := range vulns {
-			vulnNames[h] = append(vulnNames[h], v.Name)
+	vulnNames := func(h string) []string {
+		var names []string
+		for _, v := range survey.Vulns(h) {
+			names = append(names, v.Name)
 		}
+		return names
 	}
 
 	// Servers are listed by the first zone (in apex order) they serve,
@@ -507,7 +508,7 @@ func runTableC(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) 
 	})
 	tb := report.NewTable("T-C: the fbi.gov dependency chain", "server", "version.bind", "known exploits")
 	for _, h := range hosts {
-		tb.AddRow(h, orHidden(survey.Banner[h]), fmt.Sprintf("%v", vulnNames[h]))
+		tb.AddRow(h, orHidden(survey.Banner(h)), fmt.Sprintf("%v", vulnNames(h)))
 	}
 	if err := tb.Write(w); err != nil {
 		return nil, err
@@ -527,11 +528,11 @@ func runTableC(ctx context.Context, _ *View, w io.Writer) ([]Comparison, error) 
 	}
 	fmt.Fprintf(w, "attack: compromise reston-ns2 + DoS reston-ns1/ns3 -> %v hijack of www.fbi.gov\n", verdict)
 
-	four := len(vulnNames["reston-ns2.telemail.net"]) == 4
+	four := len(vulnNames("reston-ns2.telemail.net")) == 4
 	return []Comparison{
 		{Experiment: "T-C", Quantity: "reston-ns2 (BIND 8.2.4) exploit count",
 			Paper:    "4 (libbind, negcache, sigrec, DoS multi)",
-			Measured: fmt.Sprintf("%d %v", len(vulnNames["reston-ns2.telemail.net"]), vulnNames["reston-ns2.telemail.net"]),
+			Measured: fmt.Sprintf("%d %v", len(vulnNames("reston-ns2.telemail.net")), vulnNames("reston-ns2.telemail.net")),
 			Holds:    four},
 		{Experiment: "T-C", Quantity: "www.fbi.gov hijack via telemail.net",
 			Paper: "complete (transitive)", Measured: verdict.String(),

@@ -100,7 +100,7 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 
 	var solveErr error
 	if len(misses) > 0 {
-		vulnerable := newHostVuln(s).of
+		vulnerable := func(h int32) bool { return len(s.HostVulns(h)) > 0 }
 		workers = min(workers, (len(misses)+missRange-1)/missRange)
 		errs := make([]error, workers) // each worker's first
 		var cursor atomic.Int64
@@ -170,30 +170,6 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 		return nil, solveErr
 	}
 	return stats, nil
-}
-
-// hostVuln answers Survey.Vulnerable by interned host id for one pass,
-// asking the survey once per host: the same server sits in thousands of
-// TCBs. Workers share it; two racing first lookups store the same answer.
-type hostVuln struct {
-	s     *crawler.Survey
-	known []atomic.Uint32 // 0 unasked, 1 safe, 2 vulnerable
-}
-
-func newHostVuln(s *crawler.Survey) *hostVuln {
-	return &hostVuln{s: s, known: make([]atomic.Uint32, s.Graph.NumHosts())}
-}
-
-func (v *hostVuln) of(host int32) bool {
-	k := v.known[host].Load()
-	if k == 0 {
-		k = 1
-		if v.s.Vulnerable(v.s.Graph.Host(host)) {
-			k = 2
-		}
-		v.known[host].Store(k)
-	}
-	return k == 2
 }
 
 // cutScratch is everything one chain's min-cut needs, reused from chain

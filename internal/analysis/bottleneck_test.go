@@ -171,9 +171,9 @@ func TestSolveZeroAllocs(t *testing.T) {
 		s   *crawler.Survey
 		cid int32
 	}{{big, largest}, {small, twoHosts}} {
-		g := tc.s.Graph
-		vulnerable := newHostVuln(tc.s).of
-		if _, err := sc.solve(g, tc.cid, vulnerable); err != nil { // grows the scratch, asks the survey
+		g, s := tc.s.Graph, tc.s
+		vulnerable := func(h int32) bool { return len(s.HostVulns(h)) > 0 }
+		if _, err := sc.solve(g, tc.cid, vulnerable); err != nil { // grows the scratch
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {

@@ -54,7 +54,7 @@ func Control(s *crawler.Survey, names []string) *ControlStats {
 		ranked = append(ranked, ControlEntry{
 			Host:       host,
 			Names:      counts[id],
-			Vulnerable: s.Vulnerable(host),
+			Vulnerable: len(s.HostVulns(int32(id))) > 0,
 		})
 	}
 	sort.Slice(ranked, func(i, j int) bool {

@@ -113,12 +113,11 @@ func MacroAverage(avgs []TLDAverage) float64 {
 // generations: the per-call pass starts from the memo's counts and
 // writes fresh ones back.
 type chainVulnCounts struct {
-	g      *core.Graph
-	memo   *ChainMemo
-	gen    int64
-	vulnID []bool
-	sizes  []int
-	vulns  []int
+	s     *crawler.Survey
+	memo  *ChainMemo
+	gen   int64
+	sizes []int
+	vulns []int
 }
 
 func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
@@ -128,12 +127,11 @@ func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
 		sizes[i] = -1
 	}
 	return &chainVulnCounts{
-		g:      s.Graph,
-		memo:   memo,
-		gen:    s.Stats.Generation,
-		vulnID: vulnerableIDs(s),
-		sizes:  sizes,
-		vulns:  make([]int, n),
+		s:     s,
+		memo:  memo,
+		gen:   s.Stats.Generation,
+		sizes: sizes,
+		vulns: make([]int, n),
 	}
 }
 
@@ -144,10 +142,10 @@ func (c *chainVulnCounts) of(cid int32) (size, vuln int) {
 			c.sizes[cid], c.vulns[cid] = size, vuln
 			return size, vuln
 		}
-		ids := c.g.ChainTCBIDs(cid)
+		ids := c.s.Graph.ChainTCBIDs(cid)
 		v := 0
 		for _, id := range ids {
-			if c.vulnID[id] {
+			if len(c.s.HostVulns(id)) > 0 {
 				v++
 			}
 		}
@@ -214,17 +212,6 @@ func AffectedNames(s *crawler.Survey, names []string) int {
 		}
 	}
 	return n
-}
-
-// vulnerableIDs builds a host-id-indexed vulnerability lookup, asking
-// the survey once per host.
-func vulnerableIDs(s *crawler.Survey) []bool {
-	hosts := s.Graph.Hosts()
-	out := make([]bool, len(hosts))
-	for id, h := range hosts {
-		out[id] = s.Vulnerable(h)
-	}
-	return out
 }
 
 // SafetyCurve renders Figure 6: names sorted by TCB safety percentage,

@@ -185,7 +185,7 @@ func BottleneckOfMemo(s *crawler.Survey, name string, memo *ChainMemo) (*mincut.
 	}
 	sc := scratchPool.Get().(*cutScratch)
 	defer scratchPool.Put(sc)
-	c, err := sc.solve(g, cid, func(host int32) bool { return s.Vulnerable(g.Host(host)) })
+	c, err := sc.solve(g, cid, func(host int32) bool { return len(s.HostVulns(host)) > 0 })
 	if err != nil {
 		return nil, fmt.Errorf("analysis: min-cut of %q: %w", name, err)
 	}

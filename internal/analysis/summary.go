@@ -45,8 +45,9 @@ func Summarize(s *crawler.Survey, names []string) *Summary {
 //
 // The pass runs on interned ids: the names resolve to chain ids once
 // (the survey's own list through the graph's chain-id column, with no
-// lookup), per-host facts are read once into id-indexed tables, and each
-// name then costs a few slice reads plus its owned-server count.
+// lookup), per-host facts are read from the survey's id-indexed
+// column, and each name then costs a few slice reads plus its
+// owned-server count.
 func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary {
 	g := s.Graph
 	counts := newChainVulnCounts(s, memo)
@@ -79,17 +80,10 @@ func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary 
 		ownedMean = float64(ownedSum) / float64(counted)
 		directMean = float64(directSum) / float64(counted)
 	}
-	vulnerable := 0
-	for _, v := range counts.vulnID {
-		if v {
-			vulnerable++
-		}
-	}
-
 	return &Summary{
 		Names:             len(sizes),
 		Servers:           g.NumHosts(),
-		VulnerableServers: vulnerable,
+		VulnerableServers: s.VulnerableHosts(),
 		AffectedNames:     affected,
 		TCB:               NewCDF(sizes),
 		VulnPerTCB:        NewCDF(vulns),

@@ -153,11 +153,11 @@ func Name(s *crawler.Survey, name string, policy Policy) ([]Finding, error) {
 	}
 	for _, h := range vulnerable {
 		var names []string
-		for _, v := range s.Vulns[h] {
+		for _, v := range s.Vulns(h) {
 			names = append(names, v.Name)
 		}
 		add(Critical, KindVulnerableDependency, h,
-			"dependency runs %s with published exploits %v", s.Banner[h], names)
+			"dependency runs %s with published exploits %v", s.Banner(h), names)
 	}
 
 	// Bottleneck analysis.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dnstrust/internal/core"
-	"dnstrust/internal/dnsname"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/transport"
 	"dnstrust/internal/vulndb"
@@ -97,15 +96,6 @@ type Survey struct {
 	Names []string
 	// Failed maps names that could not be walked to their errors.
 	Failed map[string]error
-	// Banner maps every discovered nameserver host to its version.bind
-	// answer ("" when hidden or unreachable).
-	Banner map[string]string
-	// Vulns maps hosts to their known exploits (absent = none known).
-	// Hosts with one banner may share one slice; nothing mutates the
-	// values, and callers must not either.
-	Vulns map[string][]vulndb.Vuln
-	// DB is the vulnerability matrix the survey was scored against.
-	DB *vulndb.DB
 	// Stats summarizes the crawl engine's work (zero for a FromGraph
 	// survey, which no engine crawled).
 	Stats CrawlStats
@@ -114,30 +104,65 @@ type Survey struct {
 	// (resolver.Resolver.ResolveFrom). Nil, as on a FromGraph or
 	// fleet-merged survey, means a fresh walk from the root.
 	Walker *resolver.Walker
+
+	// banners and vulns are the publishing owner's fingerprint column
+	// (Fingerprints) as of this generation, indexed by host id. Hosts
+	// sharing a banner share one exploit slice; nothing mutates them.
+	banners []string
+	vulns   [][]vulndb.Vuln
+}
+
+// HostBanner returns the version.bind answer of host id ("" when
+// hidden, unreachable or never probed).
+func (s *Survey) HostBanner(id int32) string {
+	if int(id) < len(s.banners) {
+		return s.banners[id]
+	}
+	return ""
+}
+
+// HostVulns returns the known exploits of host id (nil = none known).
+// The slice is shared; callers must not modify it.
+func (s *Survey) HostVulns(id int32) []vulndb.Vuln {
+	if int(id) < len(s.vulns) {
+		return s.vulns[id]
+	}
+	return nil
+}
+
+// Banner is HostBanner by host name.
+func (s *Survey) Banner(host string) string {
+	if id, ok := s.Graph.HostID(host); ok {
+		return s.HostBanner(id)
+	}
+	return ""
+}
+
+// Vulns is HostVulns by host name.
+func (s *Survey) Vulns(host string) []vulndb.Vuln {
+	if id, ok := s.Graph.HostID(host); ok {
+		return s.HostVulns(id)
+	}
+	return nil
 }
 
 // Vulnerable reports whether a host has at least one known exploit.
 func (s *Survey) Vulnerable(host string) bool {
-	return len(s.Vulns[dnsname.Canonical(host)]) > 0
+	return len(s.Vulns(host)) > 0
 }
 
 // Compromisable reports whether a host has an exploit yielding control
 // (code execution or cache poisoning), not just denial of service.
 func (s *Survey) Compromisable(host string) bool {
-	for _, v := range s.Vulns[dnsname.Canonical(host)] {
-		if v.Class == vulndb.ClassExec || v.Class == vulndb.ClassPoison {
-			return true
-		}
-	}
-	return false
+	return vulndb.Compromisable(s.Vulns(host))
 }
 
 // VulnerableHosts returns the number of discovered hosts with known
 // exploits (the paper's 27141-of-166771).
 func (s *Survey) VulnerableHosts() int {
 	n := 0
-	for _, host := range s.Graph.Hosts() {
-		if s.Vulnerable(host) {
+	for _, vs := range s.vulns {
+		if len(vs) > 0 {
 			n++
 		}
 	}
@@ -190,12 +215,5 @@ func Run(ctx context.Context, r *resolver.Resolver, corpus []string, probe func(
 // optimistically safe. It is the cheap path from a synthetic
 // core.Builder corpus to the analysis layer (benchmarks, memo tests).
 func FromGraph(g *core.Graph) *Survey {
-	return &Survey{
-		Graph:  g,
-		Names:  g.Names(),
-		Failed: map[string]error{},
-		Banner: make(map[string]string),
-		Vulns:  make(map[string][]vulndb.Vuln),
-		DB:     vulndb.Default(),
-	}
+	return NewFingerprints().Publish(g, nil, map[string]error{}, CrawlStats{}, nil)
 }

@@ -50,12 +50,13 @@ func TestSurveyEndToEnd(t *testing.T) {
 }
 
 func TestSurveyBanners(t *testing.T) {
-	_, s := runSurvey(t, 600, 4)
-	// Every discovered host must have a banner entry (possibly hidden).
+	w, s := runSurvey(t, 600, 4)
+	// Every discovered host must carry the banner its server answers
+	// (possibly hidden), by name and by id.
 	hosts := s.Graph.Hosts()
-	for _, h := range hosts {
-		if _, ok := s.Banner[h]; !ok {
-			t.Fatalf("no banner recorded for %s", h)
+	for id, h := range hosts {
+		if got, want := s.Banner(h), w.Registry.Server(h).Banner; got != want || s.HostBanner(int32(id)) != want {
+			t.Fatalf("banner of %s = %q (by id %q), want %q", h, got, s.HostBanner(int32(id)), want)
 		}
 	}
 	// Vulnerable servers exist and are a plausible minority.

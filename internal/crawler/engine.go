@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/resolver"
-	"dnstrust/internal/vulndb"
 )
 
 // Engine is the resident survey service: one walker, one streaming graph
@@ -25,11 +23,12 @@ import (
 // transport zero times.
 //
 // Each successful Add commits a new generation: an immutable Survey
-// built from an epoch snapshot of the graph (core.Builder.FinishEpoch)
-// plus copies of the failure/banner/vulnerability tables. View returns
-// the latest committed generation and never blocks; readers may keep
-// analyzing an older generation while the next Add streams in — nothing
-// a committed Survey references is ever mutated again.
+// built from an epoch snapshot of the graph (core.Builder.FinishEpoch),
+// a copy of the failure table and a prefix of the engine's host
+// fingerprint column (Fingerprints), which later Adds only extend. View
+// returns the latest committed generation and never blocks; readers may
+// keep analyzing an older generation while the next Add streams in —
+// nothing a committed Survey references is ever mutated again.
 //
 // Add and Close serialize on an internal lock; View is lock-free. An
 // Engine is therefore "single-writer, many-readers": one crawl advances
@@ -42,12 +41,11 @@ type Engine struct {
 	// mu serializes Add and Close and guards the mutable crawl state
 	// below. The committed view is published through an atomic pointer
 	// so readers never touch the lock.
-	mu     sync.Mutex
-	b      *core.Builder
-	banner map[string]string
-	vulns  map[string][]vulndb.Vuln
-	db     *vulndb.DB
-	probed int // prefix of the graph's host table already fingerprinted
+	mu sync.Mutex
+	b  *core.Builder
+	// fp fingerprints a prefix of the graph's host table; hosts below
+	// its length are never probed again.
+	fp     *Fingerprints
 	closed bool
 	// pendingLate carries late-attached host ids drained from the
 	// builder by an Add that then failed before committing (e.g. probe
@@ -55,14 +53,6 @@ type Engine struct {
 	// generation's stats or the analysis memo would never invalidate
 	// the chains they touched.
 	pendingLate []int32
-
-	// bannerHosts is the banner table's hosts in sorted order, kept for
-	// snapshot writes (nil until the first one): those of the host
-	// table's first bannerMark hosts that have a banner. Hosts below
-	// probed are never probed again, so a write merges in only those
-	// probed since the last one instead of sorting every host again.
-	bannerHosts []string
-	bannerMark  int
 
 	// disc is the walker's discovery FIFO. The observer callbacks append
 	// to it from any goroutine, during an Add or between Adds (a proxy
@@ -83,24 +73,14 @@ type Engine struct {
 // committed view.
 func NewEngine(r *resolver.Resolver, probe func(ctx context.Context, host string) (string, error), cfg Config) *Engine {
 	e := &Engine{
-		w:      resolver.NewWalker(r),
-		probe:  probe,
-		cfg:    cfg,
-		b:      core.NewBuilder(0),
-		banner: make(map[string]string),
-		vulns:  make(map[string][]vulndb.Vuln),
-		db:     vulndb.Default(),
+		w:     resolver.NewWalker(r),
+		probe: probe,
+		cfg:   cfg,
+		b:     core.NewBuilder(0),
+		fp:    NewFingerprints(),
 	}
 	e.w.SetObserver(e)
-	e.view.Store(&Survey{
-		Graph:  e.b.FinishEpoch(),
-		Failed: map[string]error{},
-		Banner: map[string]string{},
-		Vulns:  map[string][]vulndb.Vuln{},
-		DB:     e.db,
-
-		Walker: e.w,
-	})
+	e.view.Store(e.fp.Publish(e.b.FinishEpoch(), nil, e.b.Failed(), CrawlStats{}, e.w))
 	return e
 }
 
@@ -261,13 +241,20 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	e.pendingLate = mergeSorted(e.pendingLate, e.b.TakeLateAttached())
 	buildTime := time.Since(buildStart)
 
+	// The probed tail joins the column only once every probe answered:
+	// a cancelled probe leaves it as it was, and the next Add probes the
+	// same hosts again.
 	hosts := g.Hosts()
-	if e.probe != nil && !e.cfg.SkipVersionProbe && e.probed < len(hosts) {
-		if err := probeHosts(ctx, e.probe, hosts[e.probed:], workers, e.banner, e.vulns, e.db); err != nil {
+	if probed := len(e.fp.banners); e.probe != nil && !e.cfg.SkipVersionProbe && probed < len(hosts) {
+		banners, err := probeHosts(ctx, e.probe, hosts[probed:], workers)
+		if err != nil {
 			return nil, err
 		}
+		for i, b := range banners {
+			e.fp.Set(int32(probed+i), b)
+		}
 	}
-	e.probed = len(hosts)
+	e.fp.grow(len(hosts))
 	late := e.pendingLate
 	e.pendingLate = nil
 
@@ -275,24 +262,15 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	// batch's journal, never a re-sort of the corpus; a batch that touched
 	// no name mappings (pure re-adds) shares the previous slice outright —
 	// with Monitor retention, unchanged generations cost array headers.
-	s := &Survey{
-		Graph:  g,
-		Names:  g.NamesFrom(e.view.Load().Graph),
-		Failed: maps.Clone(e.b.Failed()),
-		Banner: maps.Clone(e.banner),
-		Vulns:  maps.Clone(e.vulns),
-		DB:     e.db,
-		Stats: CrawlStats{
-			Workers:           workers,
-			Walker:            e.w.Stats(),
-			WalkTime:          walkTime,
-			BuildTime:         buildTime,
-			Generation:        e.gen.Add(1),
-			LateAttachedHosts: late,
-			FailuresRetried:   retried,
-		},
-		Walker: e.w,
-	}
+	s := e.fp.Publish(g, e.view.Load().Graph, e.b.Failed(), CrawlStats{
+		Workers:           workers,
+		Walker:            e.w.Stats(),
+		WalkTime:          walkTime,
+		BuildTime:         buildTime,
+		Generation:        e.gen.Add(1),
+		LateAttachedHosts: late,
+		FailuresRetried:   retried,
+	}, e.w)
 	e.view.Store(s)
 	return s, nil
 }
@@ -361,48 +339,36 @@ func mergeSorted[T cmp.Ordered](a, b []T) []T {
 	return out
 }
 
-// probeHosts fingerprints hosts over a worker pool, recording banners
-// and scoring them against the vulnerability matrix into the given maps.
-func probeHosts(ctx context.Context, probe func(ctx context.Context, host string) (string, error), hosts []string, workers int, banner map[string]string, vulns map[string][]vulndb.Vuln, db *vulndb.DB) error {
-	type probeOut struct {
-		host   string
-		banner string
-	}
-	in := make(chan string, workers*2)
-	out := make(chan probeOut, workers*2)
+// probeHosts fetches the banner of every host over a worker pool,
+// aligned with hosts; an unreachable host reads "" (optimistically
+// safe).
+func probeHosts(ctx context.Context, probe func(ctx context.Context, host string) (string, error), hosts []string, workers int) ([]string, error) {
+	banners := make([]string, len(hosts))
+	in := make(chan int, workers*2)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for host := range in {
-				b, err := probe(ctx, host)
-				if err != nil {
-					b = "" // unreachable: optimistically safe
+			for i := range in {
+				if b, err := probe(ctx, hosts[i]); err == nil {
+					banners[i] = b
 				}
-				out <- probeOut{host: host, banner: b}
 			}
 		}()
 	}
-	go func() {
-		defer close(in)
-		for _, h := range hosts {
-			select {
-			case in <- h:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	for po := range out {
-		banner[po.host] = po.banner
-		if vs := db.VulnsForBanner(po.banner); len(vs) > 0 {
-			vulns[po.host] = vs
+feed:
+	for i := range hosts {
+		select {
+		case in <- i:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	return ctx.Err()
+	close(in)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return banners, nil
 }

@@ -2,33 +2,27 @@ package crawler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/resolver"
 	"dnstrust/internal/snapshot"
-	"dnstrust/internal/vulndb"
 )
 
 // Engine snapshot sections, appended after the core builder's sections
 // in the same container file:
 //
-//	crawler/meta    generation, probed-host prefix, pending late ids
-//	crawler/banner  per-host version.bind banners (sorted host order)
-//	shard/meta      optional fleet-shard label (see snapshot.ShardMeta)
+//	crawler/meta        generation, probed-host prefix, pending late ids
+//	crawler/hostbanner  the fingerprint column (BannerSection): host i's
+//	                    banner, one per probed host
+//	shard/meta          optional fleet-shard label (see snapshot.ShardMeta)
 //
-// Vulnerability tables are not stored: they are a pure function of the
-// banners and the vulnerability matrix (vulndb.DB.VulnsForBanner) and
-// are recomputed on load, so a snapshot restored against an updated
-// matrix is rescored automatically.
+// The probed-host prefix in crawler/meta equals the column's length.
 
 // WriteSnapshot serializes the engine's resident state — the graph
 // builder's epoch store plus the engine's generation counter and banner
-// table — as one snapshot file on w. It takes the engine lock, so it
+// column — as one snapshot file on w. It takes the engine lock, so it
 // runs exactly between Adds; committed views are unaffected. A closed
 // engine can still be snapshotted (Close only ends the write side).
 func (e *Engine) WriteSnapshot(w io.Writer) error {
@@ -41,17 +35,12 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 
 	sw.Begin("crawler/meta")
 	sw.I64(e.gen.Load())
-	sw.I64(int64(e.probed))
+	sw.I64(int64(len(e.fp.banners)))
 	sw.U64(uint64(len(e.pendingLate)))
 	sw.I32s(e.pendingLate)
 	sw.Pad8()
 
-	sw.Begin("crawler/banner")
-	hosts, banners := e.sortedBanners()
-	if err := snapshot.WriteStringTable(sw, hosts); err != nil {
-		return err
-	}
-	if err := snapshot.WriteStringTable(sw, banners); err != nil {
+	if err := e.fp.WriteSection(sw); err != nil {
 		return err
 	}
 
@@ -73,47 +62,6 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	}
 
 	return sw.Finish()
-}
-
-// sortedBanners returns the banner table in sorted host order. Every
-// banner belongs to a host of the last graph's host table: the kept
-// order (Engine.bannerHosts) covers hosts below bannerMark, the hosts
-// probed since the last write are merged into it, and hosts above
-// probed with a banner — left by an Add whose probe was cancelled, and
-// probed again by the next one — are merged into this write only.
-// Banners are read from the table itself, so a host probed again
-// writes its latest. Call it with e.mu held.
-func (e *Engine) sortedBanners() (hosts, banners []string) {
-	var table []string
-	if g := e.b.LastGraph(); g != nil {
-		table = g.Hosts()
-	}
-	probed := min(e.probed, len(table))
-	if e.bannerMark < probed {
-		e.bannerHosts = mergeSorted(e.bannerHosts, e.hostsWithBanner(table[e.bannerMark:probed]))
-		e.bannerMark = probed
-	}
-	hosts = e.bannerHosts
-	if tail := e.hostsWithBanner(table[probed:]); len(tail) > 0 {
-		hosts = mergeSorted(hosts, tail)
-	}
-	banners = make([]string, len(hosts))
-	for i, h := range hosts {
-		banners[i] = e.banner[h]
-	}
-	return hosts, banners
-}
-
-// hostsWithBanner returns the hosts that have a banner, sorted.
-func (e *Engine) hostsWithBanner(hosts []string) []string {
-	var out []string
-	for _, h := range hosts {
-		if _, ok := e.banner[h]; ok {
-			out = append(out, h)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // hashNames fingerprints a sorted name list with FNV-1a, the corpus
@@ -159,14 +107,21 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 	gen := md.I64()
 	probed := md.I64()
 	pendingLate := append([]int32(nil), md.I32s(md.Count(4))...)
-	bd := snapshot.NewSectionReader(f, "crawler/banner")
-	hosts := bd.Strings()
-	banners := bd.Strings()
-	if err := errors.Join(md.Err(), bd.Err()); err != nil {
+	if err := md.Err(); err != nil {
 		return fail(err)
 	}
-	if len(banners) != len(hosts) {
-		return fail(fmt.Errorf("%w: %d banners for %d hosts", snapshot.ErrCorrupt, len(banners), len(hosts)))
+	g := b.LastGraph()
+	if g == nil {
+		// The snapshot predates any committed crawl (an engine saved at
+		// generation 0): start from a fresh empty view, like NewEngine.
+		g = core.NewBuilder(0).FinishEpoch()
+	}
+	banners, err := ReadBanners(f, g.NumHosts())
+	if err != nil {
+		return fail(err)
+	}
+	if probed != int64(len(banners)) {
+		return fail(fmt.Errorf("%w: %d banners for %d probed hosts", snapshot.ErrCorrupt, len(banners), probed))
 	}
 
 	e := &Engine{
@@ -174,45 +129,14 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		probe:       probe,
 		cfg:         cfg,
 		b:           b,
-		banner:      make(map[string]string, len(hosts)),
-		vulns:       make(map[string][]vulndb.Vuln),
-		db:          vulndb.Default(),
-		probed:      int(probed),
+		fp:          NewFingerprints(),
 		pendingLate: pendingLate,
 	}
-	// Score each distinct banner once; hosts sharing a banner share its
-	// read-only exploit slice.
-	scored := make(map[string][]vulndb.Vuln)
-	for i, h := range hosts {
-		e.banner[h] = banners[i]
-		vs, ok := scored[banners[i]]
-		if !ok {
-			vs = e.db.VulnsForBanner(banners[i])
-			scored[banners[i]] = vs
-		}
-		if len(vs) > 0 {
-			e.vulns[h] = vs
-		}
+	for i, banner := range banners {
+		e.fp.Set(int32(i), banner)
 	}
 	e.w.SetObserver(e)
 	e.gen.Store(gen)
-
-	g := b.LastGraph()
-	if g == nil {
-		// The snapshot predates any committed crawl (an engine saved at
-		// generation 0): start from a fresh empty view, like NewEngine.
-		g = core.NewBuilder(0).FinishEpoch()
-	}
-	e.view.Store(&Survey{
-		Graph:  g,
-		Names:  g.Names(),
-		Failed: maps.Clone(b.Failed()),
-		Banner: maps.Clone(e.banner),
-		Vulns:  maps.Clone(e.vulns),
-		DB:     e.db,
-		Stats:  CrawlStats{Generation: gen},
-
-		Walker: e.w,
-	})
+	e.view.Store(e.fp.Publish(g, nil, b.Failed(), CrawlStats{Generation: gen}, e.w))
 	return e, nil
 }

@@ -12,6 +12,7 @@ import (
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
+	"dnstrust/internal/vulndb"
 )
 
 // TestEngineSnapshotRoundTrip is the restart contract at the engine
@@ -67,10 +68,10 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(v.Names, orig.Names) {
 		t.Fatalf("restored names differ: %d vs %d", len(v.Names), len(orig.Names))
 	}
-	if !reflect.DeepEqual(v.Banner, orig.Banner) {
+	if !reflect.DeepEqual(bannerTable(v), bannerTable(orig)) {
 		t.Fatal("restored banners differ")
 	}
-	if !reflect.DeepEqual(v.Vulns, orig.Vulns) {
+	if !reflect.DeepEqual(vulnTable(v), vulnTable(orig)) {
 		t.Fatal("restored vulnerability tables differ")
 	}
 	if len(v.Failed) != len(orig.Failed) {
@@ -152,4 +153,24 @@ func TestEngineSnapshotFreshEngine(t *testing.T) {
 	if s.Stats.Generation != 1 || len(s.Names) != len(world.Corpus) {
 		t.Fatalf("first post-restore add: gen %d, %d names", s.Stats.Generation, len(s.Names))
 	}
+}
+
+// bannerTable lists every host's banner by host name.
+func bannerTable(s *crawler.Survey) map[string]string {
+	out := make(map[string]string, s.Graph.NumHosts())
+	for id, h := range s.Graph.Hosts() {
+		out[h] = s.HostBanner(int32(id))
+	}
+	return out
+}
+
+// vulnTable lists the exploits of every vulnerable host by host name.
+func vulnTable(s *crawler.Survey) map[string][]vulndb.Vuln {
+	out := make(map[string][]vulndb.Vuln)
+	for id, h := range s.Graph.Hosts() {
+		if vs := s.HostVulns(int32(id)); len(vs) > 0 {
+			out[h] = vs
+		}
+	}
+	return out
 }

@@ -2,44 +2,27 @@ package crawler
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"dnstrust/internal/snapshot"
 )
 
 // This file keeps the engine's own snapshot sections as they were
-// encoded before writes kept state between calls: every banner host
-// sorted again, and the corpus hash taken through hash/fnv on every
-// write. TestEngineSnapshotWriteMatchesReference holds WriteSnapshot's
-// crawler/meta, crawler/banner and shard/meta sections to these bytes.
+// encoded before writes kept state between calls: the corpus hash taken
+// through hash/fnv on every write. TestEngineSnapshotWriteMatchesReference
+// holds WriteSnapshot's crawler/meta and shard/meta sections to these
+// bytes; the banner column is held to its restore instead
+// (TestFingerprintsRestoreEquivalence in internal/fleet).
 
 // writeEngineSectionsReference is the reference for the sections
-// Engine.WriteSnapshot appends after the builder's. Call it with e.mu
-// held.
+// Engine.WriteSnapshot appends after the builder's, but the banner
+// column. Call it with e.mu held.
 func writeEngineSectionsReference(e *Engine, sw *snapshot.Writer) error {
 	sw.Begin("crawler/meta")
 	sw.I64(e.gen.Load())
-	sw.I64(int64(e.probed))
+	sw.I64(int64(len(e.fp.banners)))
 	sw.U64(uint64(len(e.pendingLate)))
 	sw.I32s(e.pendingLate)
 	sw.Pad8()
-
-	sw.Begin("crawler/banner")
-	hosts := make([]string, 0, len(e.banner))
-	for h := range e.banner {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	banners := make([]string, len(hosts))
-	for i, h := range hosts {
-		banners[i] = e.banner[h]
-	}
-	if err := snapshot.WriteStringTable(sw, hosts); err != nil {
-		return err
-	}
-	if err := snapshot.WriteStringTable(sw, banners); err != nil {
-		return err
-	}
 
 	// Fleet shards label their exports; without a shard name the file
 	// stays byte-identical to pre-fleet snapshots.

@@ -15,12 +15,11 @@ import (
 )
 
 // TestEngineSnapshotWriteMatchesReference holds the engine's own
-// sections (crawler/meta, crawler/banner with its kept host order, and
-// shard/meta with its allocation-free corpus hash) to the reference
-// encoder's bytes across Adds that probe new hosts, an Add whose probe
-// is cancelled part-way (leaving banners above the probed prefix, probed
-// again by the next Add), back-to-back writes, and write → restore →
-// write with the restored engine adding on.
+// sections (crawler/meta, and shard/meta with its allocation-free corpus
+// hash) to the reference encoder's bytes across Adds that probe new
+// hosts, an Add whose probe is cancelled part-way (leaving the banner
+// column as it was, probed again by the next Add), back-to-back writes,
+// and write → restore → write with the restored engine adding on.
 func TestEngineSnapshotWriteMatchesReference(t *testing.T) {
 	world, err := topology.Generate(topology.GenParams{Seed: 41, Names: 900})
 	if err != nil {
@@ -72,7 +71,7 @@ func TestEngineSnapshotWriteMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sec := range []string{"crawler/meta", "crawler/banner", snapshot.ShardMetaSection} {
+		for _, sec := range []string{"crawler/meta", snapshot.ShardMetaSection} {
 			if !bytes.Equal(gf.Section(sec), wf.Section(sec)) {
 				t.Fatalf("%s (generation %d): section %s differs from the reference (%d bytes, reference %d)",
 					when, e.Generation(), sec, len(gf.Section(sec)), len(wf.Section(sec)))
@@ -107,7 +106,7 @@ func TestEngineSnapshotWriteMatchesReference(t *testing.T) {
 	}
 
 	// An Add whose probe is cancelled after three hosts: it commits
-	// nothing, but the banners it got are in the table.
+	// nothing, and the banners it got stay out of the column.
 	ctx, c := context.WithCancel(context.Background())
 	mu.Lock()
 	cancel, cancelAt = c, probes+3
@@ -118,15 +117,11 @@ func TestEngineSnapshotWriteMatchesReference(t *testing.T) {
 	c()
 	next += 150
 	e.mu.Lock()
-	above := 0
-	for _, h := range e.b.LastGraph().Hosts()[e.probed:] {
-		if _, ok := e.banner[h]; ok {
-			above++
-		}
-	}
+	probed, hosts := len(e.fp.banners), e.b.LastGraph().NumHosts()
 	e.mu.Unlock()
-	if above == 0 {
-		t.Fatal("the cancelled probe left no banner above the probed prefix")
+	if probed != e.View().Graph.NumHosts() || probed == hosts {
+		t.Fatalf("after a cancelled probe the column covers %d hosts, want the %d committed of %d",
+			probed, e.View().Graph.NumHosts(), hosts)
 	}
 	check(e, "after a cancelled probe")
 	add(e, corpus[next:next+30])
@@ -275,7 +270,7 @@ func TestWriteSnapshotDuringAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sec := range []string{"crawler/meta", "crawler/banner", snapshot.ShardMetaSection} {
+		for _, sec := range []string{"crawler/meta", snapshot.ShardMetaSection} {
 			if !bytes.Equal(f.Section(sec), rf.Section(sec)) {
 				t.Fatalf("generation %d: section %s differs from the reference", s.Stats.Generation, sec)
 			}

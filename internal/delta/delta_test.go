@@ -11,7 +11,6 @@ import (
 	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/mincut"
-	"dnstrust/internal/vulndb"
 )
 
 // computeVia runs one computation path explicitly, bypassing Compute's
@@ -35,17 +34,19 @@ func computeVia(t *testing.T, old, new *crawler.Survey, general bool) *Delta {
 	return d
 }
 
-// vulnify marks a deterministic subset of the survey's hosts vulnerable,
-// so SafeInCut varies and cut equivalence is meaningful.
-func vulnify(s *crawler.Survey) {
-	vuln := vulndb.Default().VulnsForBanner("BIND 8.2.4")
-	for _, h := range s.Graph.Hosts() {
+// vulnified packages g as a survey with a deterministic subset of its
+// hosts vulnerable, so SafeInCut varies and cut equivalence is
+// meaningful.
+func vulnified(g *core.Graph) *crawler.Survey {
+	fp := crawler.NewFingerprints()
+	for id, h := range g.Hosts() {
 		f := fnv.New32a()
 		f.Write([]byte(h))
 		if f.Sum32()%3 == 0 {
-			s.Vulns[h] = vuln
+			fp.Set(int32(id), "BIND 8.2.4")
 		}
 	}
+	return fp.Publish(g, nil, map[string]error{}, crawler.CrawlStats{}, nil)
 }
 
 // randWorld drives a core.Builder with a random but causally valid event
@@ -174,9 +175,7 @@ func (w *randWorld) epoch(t *testing.T) *crawler.Survey {
 		w.b.Complete(name, append(append([]string(nil), w.zoneChain[apex]...), apex))
 		w.live[name] = apex
 	}
-	s := crawler.FromGraph(w.b.FinishEpoch())
-	vulnify(s)
-	return s
+	return vulnified(w.b.FinishEpoch())
 }
 
 // TestIncrementalMatchesBruteForce is the PR's equivalence property: for

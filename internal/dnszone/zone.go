@@ -63,13 +63,6 @@ func (z *Zone) SOA() dnswire.SOA {
 	return z.soa
 }
 
-// SetSOA replaces the SOA payload.
-func (z *Zone) SetSOA(soa dnswire.SOA) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.soa = soa
-}
-
 // AddRR adds an authoritative record. The owner must be at or below the
 // zone origin and must not lie at or below an existing delegation cut.
 func (z *Zone) AddRR(rr dnswire.RR) error {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,6 +22,13 @@ type Source interface {
 	Fetch(ctx context.Context, haveGen int64) (*Epoch, error)
 }
 
+// MaxSnapshotBytes bounds the GET /snapshot body an HTTPSource reads: a
+// shard snapshot is about 0.5 KB per name, so 1 GiB holds a single
+// shard surveying several times the paper's 593 160 names. A longer body
+// — declared or streamed — fails the fetch instead of exhausting the
+// coordinator's memory.
+const MaxSnapshotBytes = 1 << 30
+
 // HTTPSource pulls snapshots from a dnsmonitord shard's GET /snapshot
 // endpoint, using If-None-Match against the generation ETag so an
 // unchanged shard costs one conditional request and zero bytes of
@@ -35,6 +43,11 @@ type HTTPSource struct {
 
 // Fetch implements Source.
 func (s *HTTPSource) Fetch(ctx context.Context, haveGen int64) (*Epoch, error) {
+	return s.fetch(ctx, haveGen, MaxSnapshotBytes)
+}
+
+// fetch is Fetch reading at most limit body bytes.
+func (s *HTTPSource) fetch(ctx context.Context, haveGen, limit int64) (*Epoch, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.URL+"/snapshot", nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fetch %s: %w", s.URL, err)
@@ -59,7 +72,13 @@ func (s *HTTPSource) Fetch(ctx context.Context, haveGen int64) (*Epoch, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("fleet: fetch %s: unexpected status %s", s.URL, resp.Status)
 	}
-	f, err := snapshot.Read(resp.Body)
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("fleet: fetch %s: snapshot of %d bytes exceeds the %d-byte cap", s.URL, resp.ContentLength, limit)
+	}
+	f, err := snapshot.Read(http.MaxBytesReader(nil, resp.Body, limit))
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return nil, fmt.Errorf("fleet: fetch %s: snapshot exceeds the %d-byte cap", s.URL, limit)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fetch %s: %w", s.URL, err)
 	}

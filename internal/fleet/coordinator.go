@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -19,7 +18,6 @@ import (
 	"dnstrust/internal/delta"
 	"dnstrust/internal/snapshot"
 	"dnstrust/internal/view"
-	"dnstrust/internal/vulndb"
 )
 
 // ShardStatus is one shard's health as observed at a commit.
@@ -145,13 +143,11 @@ type Coordinator struct {
 
 	// mu is the merge lock: held only for the in-memory merge and view
 	// publication, never across I/O or channel operations.
-	mu     sync.Mutex
-	b      *core.Builder
-	banner map[string]string
-	vulns  map[string][]vulndb.Vuln
-	db     *vulndb.DB
-	memo   *analysis.ChainMemo
-	gen    int64
+	mu   sync.Mutex
+	b    *core.Builder
+	fp   *crawler.Fingerprints // in union host ids
+	memo *analysis.ChainMemo
+	gen  int64
 
 	// tl publishes the committed views (lock-free current pointer plus
 	// the retained ring), exactly as a single Monitor's does.
@@ -173,9 +169,7 @@ func New(shards []Shard, cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		commitSem: make(chan struct{}, 1),
 		b:         core.NewBuilder(0),
-		banner:    make(map[string]string),
-		vulns:     make(map[string][]vulndb.Vuln),
-		db:        vulndb.Default(),
+		fp:        crawler.NewFingerprints(),
 		memo:      analysis.NewChainMemo(),
 		tl:        view.NewTimeline(cfg.retain()),
 	}
@@ -349,7 +343,7 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 
 	// Phase 2: merge, under the merge lock — pure in-memory work only.
 	c.mu.Lock()
-	var rescored []string
+	var rescored []int32
 	replayed := 0
 	for i, st := range c.shards {
 		if eps[i] == nil {
@@ -367,28 +361,14 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 	}
 	g := c.b.FinishEpoch()
 	late := c.b.TakeLateAttached()
-	var rescoredIDs []int32
-	for _, h := range rescored {
-		if id, ok := g.HostID(h); ok {
-			rescoredIDs = append(rescoredIDs, id)
-		}
-	}
-	slices.Sort(rescoredIDs)
+	slices.Sort(rescored)
 	c.gen++
 	gen := c.gen
-	sv := &crawler.Survey{
-		Graph:  g,
-		Names:  g.NamesFrom(prevGraph),
-		Failed: maps.Clone(c.b.Failed()),
-		Banner: maps.Clone(c.banner),
-		Vulns:  maps.Clone(c.vulns),
-		DB:     c.db,
-		Stats: crawler.CrawlStats{
-			Generation:        gen,
-			LateAttachedHosts: late,
-			RescoredHosts:     rescoredIDs,
-		},
-	}
+	sv := c.fp.Publish(g, prevGraph, c.b.Failed(), crawler.CrawlStats{
+		Generation:        gen,
+		LateAttachedHosts: late,
+		RescoredHosts:     rescored,
+	}, nil)
 	if prevSurvey != nil {
 		c.memo.Advance(prevSurvey, sv)
 	}
@@ -428,8 +408,8 @@ func (c *Coordinator) publishStatus() {
 }
 
 // applyEpochLocked merges one shard epoch into the union builder and
-// appends to rescored every host whose vulnerability the epoch's
-// banners changed. Caller holds c.mu.
+// appends to rescored the union id of every host whose vulnerability
+// the epoch's banners changed. Caller holds c.mu.
 //
 // A round costs the shard's tail, not its corpus. The remap tables
 // extend from their current length, so only hosts, zones and chains the
@@ -447,7 +427,7 @@ func (c *Coordinator) publishStatus() {
 //
 // Every string the union keeps is cloned: nothing merged refers to the
 // fetched snapshot, which is garbage once the round drops the Epoch.
-func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []string) []string {
+func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []int32) []int32 {
 	rm := &st.remap
 	if ep.Generation < st.gen || ep.StoreEpoch < st.mark ||
 		len(ep.Hosts) < len(rm.hosts) || len(ep.Zones) < len(rm.zones) || len(ep.Chains) < len(rm.chains) {
@@ -499,25 +479,11 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []str
 	for _, fe := range ep.Failed {
 		c.b.Fail(strings.Clone(fe.Name), errors.New(strings.Clone(fe.Err)))
 	}
-	// A host's first non-empty banner wins, as an engine probes each
-	// host once: "" is a failed or hidden probe, and a shard that saw
-	// nothing must not overwrite a shard that saw the version.
-	for i, h := range ep.BannerHosts {
-		banner := ep.Banners[i]
-		if old, ok := c.banner[h]; ok && (old != "" || banner == "") {
-			continue
-		}
-		h, banner = strings.Clone(h), strings.Clone(banner)
-		c.banner[h] = banner
-		was := len(c.vulns[h]) > 0
-		vs := c.db.VulnsForBanner(banner)
-		if len(vs) > 0 {
-			c.vulns[h] = vs
-		} else {
-			delete(c.vulns, h)
-		}
-		if was != (len(vs) > 0) {
-			rescored = append(rescored, h)
+	// A host's first non-empty banner wins (Fingerprints.Set): a shard
+	// that saw nothing must not overwrite a shard that saw the version.
+	for i, banner := range ep.Banners {
+		if c.fp.Set(rm.hosts[i], banner) {
+			rescored = append(rescored, rm.hosts[i])
 		}
 	}
 	st.mark = ep.StoreEpoch
@@ -525,7 +491,7 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []str
 }
 
 // WriteSnapshot serializes the merged union state — the builder's
-// sections plus fleet metadata and the merged banner table — as one
+// sections plus fleet metadata and the merged banner column — as one
 // snapshot file on w. It waits for any in-flight commit round to
 // finish; merges from the same shard snapshot set produce
 // byte-identical output regardless of fetch timing.
@@ -565,22 +531,8 @@ func (c *Coordinator) writeSnapshotQuiesced(w io.Writer) error {
 		return err
 	}
 
-	sw.Begin("fleet/banner")
-	hosts := make([]string, 0, len(c.banner))
-	for h := range c.banner {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	banners := make([]string, len(hosts))
-	for i, h := range hosts {
-		banners[i] = c.banner[h]
-	}
-	if err := snapshot.WriteStringTable(sw, hosts); err != nil {
+	if err := c.fp.WriteSection(sw); err != nil {
 		return err
 	}
-	if err := snapshot.WriteStringTable(sw, banners); err != nil {
-		return err
-	}
-
 	return sw.Finish()
 }

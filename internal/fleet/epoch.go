@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"dnstrust/internal/crawler"
 	"dnstrust/internal/snapshot"
 )
 
@@ -78,9 +79,10 @@ type Epoch struct {
 	Failed []NameError
 	Names  []NameChain
 
-	// Banner pairs (sorted by host) from the probe phase.
-	BannerHosts []string
-	Banners     []string
+	// Banners is the shard's fingerprint column (crawler.BannerSection):
+	// Banners[i] is host i's version.bind banner, for the probed prefix
+	// of Hosts.
+	Banners []string
 
 	file *snapshot.File // backs the views above for the Epoch's lifetime
 }
@@ -247,14 +249,8 @@ func DecodeEpoch(f *snapshot.File) (*Epoch, error) {
 		ep.Failed[i] = NameError{Name: n, Err: failedErrs[i]}
 	}
 
-	bnd := snapshot.NewSectionReader(f, "crawler/banner")
-	ep.BannerHosts = bnd.Strings()
-	ep.Banners = bnd.Strings()
-	if err := bnd.Err(); err != nil {
+	if ep.Banners, err = crawler.ReadBanners(f, len(ep.Hosts)); err != nil {
 		return nil, fmt.Errorf("fleet: decode shard epoch: %w", err)
-	}
-	if len(ep.Banners) != len(ep.BannerHosts) {
-		return nil, corruptf("crawler/banner", "%d banners for %d hosts", len(ep.Banners), len(ep.BannerHosts))
 	}
 
 	return ep, nil

@@ -1,5 +1,7 @@
 package fleet
 
+import "context"
+
 // Replayed reports, per shard in name order, how many names the
 // shard's last applied epoch replayed into the union.
 func (c *Coordinator) Replayed() []int {
@@ -10,4 +12,10 @@ func (c *Coordinator) Replayed() []int {
 		out[i] = st.replayed
 	}
 	return out
+}
+
+// FetchLimited is Fetch with a body cap of limit bytes in place of
+// MaxSnapshotBytes.
+func (s *HTTPSource) FetchLimited(ctx context.Context, haveGen, limit int64) (*Epoch, error) {
+	return s.fetch(ctx, haveGen, limit)
 }

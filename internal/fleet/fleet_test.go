@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +89,26 @@ func crawlShards(t testing.TB, world *topology.World, ring *fleet.Ring) ([]fleet
 		counters[i] = counter
 	}
 	return shards, counters
+}
+
+// bannerTable lists every host's banner by host name.
+func bannerTable(s *crawler.Survey) map[string]string {
+	out := make(map[string]string, s.Graph.NumHosts())
+	for id, h := range s.Graph.Hosts() {
+		out[h] = s.HostBanner(int32(id))
+	}
+	return out
+}
+
+// vulnTable lists the exploits of every vulnerable host by host name.
+func vulnTable(s *crawler.Survey) map[string][]vulndb.Vuln {
+	out := make(map[string][]vulndb.Vuln)
+	for id, h := range s.Graph.Hosts() {
+		if vs := s.HostVulns(int32(id)); len(vs) > 0 {
+			out[h] = vs
+		}
+	}
+	return out
 }
 
 // TestFleetEquivalence is the tentpole acceptance test: a 3-shard
@@ -175,10 +197,10 @@ func TestFleetEquivalence(t *testing.T) {
 		}
 	}
 
-	if !reflect.DeepEqual(fv.Survey().Banner, single.Banner) {
+	if !reflect.DeepEqual(bannerTable(fv.Survey()), bannerTable(single)) {
 		t.Fatal("merged banner table diverges from the single-monitor crawl")
 	}
-	if !reflect.DeepEqual(fv.Survey().Vulns, single.Vulns) {
+	if !reflect.DeepEqual(vulnTable(fv.Survey()), vulnTable(single)) {
 		t.Fatal("merged vulnerability table diverges from the single-monitor crawl")
 	}
 
@@ -419,8 +441,8 @@ func withBanner(t *testing.T, ep *fleet.Epoch, gen int64, host, banner string) *
 	cp := *ep
 	cp.Generation = gen
 	cp.Banners = append([]string(nil), ep.Banners...)
-	i := sort.SearchStrings(cp.BannerHosts, host)
-	if i == len(cp.BannerHosts) || cp.BannerHosts[i] != host {
+	i := slices.Index(cp.Hosts, host)
+	if i < 0 || i >= len(cp.Banners) {
 		t.Fatalf("epoch of shard %s has no banner for %s", ep.Shard, host)
 	}
 	cp.Banners[i] = banner
@@ -443,14 +465,15 @@ func TestFleetBannerFirstNonEmptyWins(t *testing.T) {
 		base[i] = sh.Source.(*fleet.FixedSource).Epoch
 	}
 
-	// The shared host: the first one both shards probed. The vulnerable
-	// banner: any banner of the world the matrix scores as exploitable.
+	// The shared host: the first by name both shards probed. The
+	// vulnerable banner: any banner of the world the matrix scores as
+	// exploitable.
 	db := vulndb.Default()
 	var host, vulnBanner string
-	for _, h := range base[0].BannerHosts {
-		if i := sort.SearchStrings(base[1].BannerHosts, h); i < len(base[1].BannerHosts) && base[1].BannerHosts[i] == h {
+	probed1 := base[1].Hosts[:len(base[1].Banners)]
+	for _, h := range base[0].Hosts[:len(base[0].Banners)] {
+		if slices.Contains(probed1, h) && (host == "" || h < host) {
 			host = h
-			break
 		}
 	}
 	for _, b := range base[0].Banners {
@@ -603,6 +626,39 @@ func TestHTTPSourceConditional(t *testing.T) {
 	}
 	if served != 2 {
 		t.Fatalf("served=%d after growth, want 2", served)
+	}
+}
+
+// TestHTTPSourceRejectsDeclaredOversize: a shard whose GET /snapshot
+// declares a body past MaxSnapshotBytes fails the fetch before any of
+// it is read (the server sends none, so a read would fail otherwise).
+func TestHTTPSourceRejectsDeclaredOversize(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(fleet.MaxSnapshotBytes+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	_, err := (&fleet.HTTPSource{URL: srv.URL}).Fetch(context.Background(), -1)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the") {
+		t.Fatalf("fetch of a %d-byte snapshot = %v, want the cap error", fleet.MaxSnapshotBytes+1, err)
+	}
+}
+
+// TestHTTPSourceStopsChunkedBodyAtCap: a chunked body declares no
+// length, so the read itself stops at the cap.
+func TestHTTPSourceStopsChunkedBodyAtCap(t *testing.T) {
+	const limit = 4 << 10
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := make([]byte, 1<<10)
+		for i := 0; i < 16; i++ {
+			w.Write(chunk)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer srv.Close()
+	_, err := (&fleet.HTTPSource{URL: srv.URL}).FetchLimited(context.Background(), -1, limit)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds the %d-byte cap", limit)) {
+		t.Fatalf("fetch of a 16 KiB chunked snapshot under a %d-byte cap = %v, want the cap error", limit, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -93,7 +92,8 @@ func (s *handShard) epoch(t testing.TB) *fleet.Epoch {
 }
 
 // file exports the shard as an engine does: core sections, then
-// crawler/meta, crawler/banner and shard/meta.
+// crawler/meta, the banner column over the committed host table and
+// shard/meta.
 func (s *handShard) file(t testing.TB) *snapshot.File {
 	t.Helper()
 	var buf bytes.Buffer
@@ -101,22 +101,15 @@ func (s *handShard) file(t testing.TB) *snapshot.File {
 	if err := s.b.WriteSections(w); err != nil {
 		t.Fatal(err)
 	}
+	hosts := s.b.LastGraph().Hosts()
 	w.Begin("crawler/meta")
 	w.I64(s.gen)
-	w.I64(0) // probed hosts
-	w.U64(0) // pending late hosts
-	w.Begin("crawler/banner")
-	hosts := make([]string, 0, len(s.banner))
-	for h := range s.banner {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
+	w.I64(int64(len(hosts))) // probed hosts
+	w.U64(0)                 // pending late hosts
+	w.Begin(crawler.BannerSection)
 	banners := make([]string, len(hosts))
 	for i, h := range hosts {
 		banners[i] = s.banner[h]
-	}
-	if err := snapshot.WriteStringTable(w, hosts); err != nil {
-		t.Fatal(err)
 	}
 	if err := snapshot.WriteStringTable(w, banners); err != nil {
 		t.Fatal(err)
@@ -171,8 +164,11 @@ func sameView(t *testing.T, round string, got, want *view.View) {
 		t.Fatalf("%s: failed\n got %v\nwant %v", round, g, w)
 	}
 	gs, ws := got.Survey(), want.Survey()
-	if !reflect.DeepEqual(gs.Banner, ws.Banner) || !reflect.DeepEqual(gs.Vulns, ws.Vulns) {
-		t.Fatalf("%s: banners %v / vulns %v, want %v / %v", round, gs.Banner, gs.Vulns, ws.Banner, ws.Vulns)
+	if gb, wb := bannerTable(gs), bannerTable(ws); !reflect.DeepEqual(gb, wb) {
+		t.Fatalf("%s: banners %v, want %v", round, gb, wb)
+	}
+	if gv, wv := vulnTable(gs), vulnTable(ws); !reflect.DeepEqual(gv, wv) {
+		t.Fatalf("%s: vulns %v, want %v", round, gv, wv)
 	}
 	if g, w := got.Summary(), want.Summary(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: summary\n got %+v\nwant %+v", round, g, w)
@@ -386,9 +382,9 @@ func (s *dropSource) Fetch(context.Context, int64) (*fleet.Epoch, error) {
 // pointer into that buffer.
 func fetchedOnce(t *testing.T, e *crawler.Engine) (*dropSource, weak.Pointer[byte]) {
 	ep := epochOf(t, e)
-	if len(ep.Hosts) == 0 || len(ep.Names) == 0 || len(ep.Failed) == 0 || len(ep.BannerHosts) == 0 {
+	if len(ep.Hosts) == 0 || len(ep.Names) == 0 || len(ep.Failed) == 0 || len(ep.Banners) == 0 {
 		t.Fatalf("epoch holds %d hosts, %d names, %d failures, %d banners: want some of each",
-			len(ep.Hosts), len(ep.Names), len(ep.Failed), len(ep.BannerHosts))
+			len(ep.Hosts), len(ep.Names), len(ep.Failed), len(ep.Banners))
 	}
 	return &dropSource{ep: ep}, weak.Make(unsafe.StringData(ep.Hosts[0]))
 }

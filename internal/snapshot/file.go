@@ -20,10 +20,9 @@ var nativeLE = binary.NativeEndian.Uint16([]byte{0x01, 0x02}) == binary.LittleEn
 // (a restarted Monitor) simply keep the File for the life of the
 // process.
 type File struct {
-	data   []byte
-	secs   map[string][]byte
-	mapped bool
-	unmap  func() error
+	data  []byte
+	secs  map[string][]byte
+	unmap func() error
 }
 
 // Open opens and verifies a snapshot file. On platforms that support it
@@ -41,7 +40,7 @@ func Open(path string) (*File, error) {
 		return nil, err
 	}
 	if data, unmap, ok := mmap(f, st.Size()); ok {
-		sf, err := verify(data, true, unmap)
+		sf, err := verify(data, unmap)
 		if err != nil {
 			unmap()
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -52,7 +51,7 @@ func Open(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf, err := verify(data, false, nil)
+	sf, err := verify(data, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -70,7 +69,7 @@ func Read(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return verify(data, false, nil)
+	return verify(data, nil)
 }
 
 // readAll reads r to EOF, sizing the buffer once when r states its
@@ -99,7 +98,7 @@ func readAll(r io.Reader) ([]byte, error) {
 // verify validates header, trailer, section table, and every section
 // checksum, and indexes the sections. All failure modes are typed; see
 // the package errors.
-func verify(data []byte, mapped bool, unmap func() error) (*File, error) {
+func verify(data []byte, unmap func() error) (*File, error) {
 	if len(data) < headerSize {
 		n := min(len(data), len(Magic))
 		if n > 0 && string(data[:n]) == Magic[:n] {
@@ -138,7 +137,7 @@ func verify(data []byte, mapped bool, unmap func() error) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{data: data, secs: make(map[string][]byte, len(secs)), mapped: mapped, unmap: unmap}
+	f := &File{data: data, secs: make(map[string][]byte, len(secs)), unmap: unmap}
 	for _, s := range secs {
 		if _, dup := f.secs[s.name]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, s.name)
@@ -158,10 +157,6 @@ func (f *File) Section(name string) []byte { return f.secs[name] }
 
 // Size reports the snapshot's total size in bytes.
 func (f *File) Size() int64 { return int64(len(f.data)) }
-
-// Mapped reports whether the file is memory-mapped (the mmap terminal)
-// rather than heap-resident (the io.Reader fallback).
-func (f *File) Mapped() bool { return f.mapped }
 
 // Close releases the mapping, when one exists. Every view previously
 // returned by Section — and every structure aliasing one — becomes

@@ -17,6 +17,7 @@ import (
 	"dnstrust/internal/analysis"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/dnsname"
+	"dnstrust/internal/vulndb"
 )
 
 // Level is the policy outcome for a name.
@@ -180,10 +181,9 @@ func Evaluate(s *crawler.Survey, memo *analysis.ChainMemo, p Policy, name string
 
 	v.TCBSize = len(tcb)
 	for _, hid := range tcb {
-		host := s.Graph.Host(hid)
-		if s.Compromisable(host) {
+		if vs := s.HostVulns(hid); vulndb.Compromisable(vs) {
 			v.Reasons |= ReasonCompromisable
-		} else if s.Vulnerable(host) {
+		} else if len(vs) > 0 {
 			v.Reasons |= ReasonVulnerable
 		}
 	}

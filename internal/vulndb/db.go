@@ -117,15 +117,10 @@ func (db *DB) VulnsForBanner(banner string) []Vuln {
 	return db.VulnsFor(v)
 }
 
-// IsVulnerable reports whether the banner matches any matrix entry.
-func (db *DB) IsVulnerable(banner string) bool {
-	return len(db.VulnsForBanner(banner)) > 0
-}
-
-// Compromisable reports whether the banner matches an exploit that yields
-// control of resolution (code execution or poisoning), as opposed to DoS.
-func (db *DB) Compromisable(banner string) bool {
-	for _, vu := range db.VulnsForBanner(banner) {
+// Compromisable reports whether vs holds an exploit that yields control
+// of resolution (code execution or poisoning), as opposed to DoS.
+func Compromisable(vs []Vuln) bool {
+	for _, vu := range vs {
 		if vu.Class == ClassExec || vu.Class == ClassPoison {
 			return true
 		}

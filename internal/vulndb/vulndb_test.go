@@ -127,7 +127,7 @@ func TestKnownSafeVersions(t *testing.T) {
 		"BIND 9.2.2", "BIND 9.2.3", "BIND 9.3.0",
 		"BIND 4.9.11",
 	} {
-		if db.IsVulnerable(banner) {
+		if len(db.VulnsForBanner(banner)) > 0 {
 			t.Errorf("%s should be safe in the Feb-2004 matrix, matched %v",
 				banner, db.VulnsForBanner(banner))
 		}
@@ -162,7 +162,7 @@ func TestKnownVulnerableVersions(t *testing.T) {
 func TestHiddenBannersAreSafe(t *testing.T) {
 	db := Default()
 	for _, banner := range []string{"", "refused", "none of your business", "9 to 5"} {
-		if db.IsVulnerable(banner) {
+		if len(db.VulnsForBanner(banner)) > 0 {
 			t.Errorf("hidden banner %q must be optimistically safe", banner)
 		}
 	}
@@ -178,7 +178,7 @@ func TestCompromisable(t *testing.T) {
 		"hidden banner": false,
 	}
 	for banner, want := range cases {
-		if got := db.Compromisable(banner); got != want {
+		if got := Compromisable(db.VulnsForBanner(banner)); got != want {
 			t.Errorf("Compromisable(%q) = %v, want %v", banner, got, want)
 		}
 	}

@@ -184,7 +184,7 @@ func TestFallthroughLogResume(t *testing.T) {
 	if !reflect.DeepEqual(v1.Names(), v2.Names()) {
 		t.Fatalf("resumed names differ: %d vs %d", len(v1.Names()), len(v2.Names()))
 	}
-	if !reflect.DeepEqual(v1.Survey().Banner, v2.Survey().Banner) {
+	if !reflect.DeepEqual(bannerTable(v1.Survey()), bannerTable(v2.Survey())) {
 		t.Error("resumed banners differ")
 	}
 	for _, n := range v1.Names() {

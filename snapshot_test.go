@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"testing"
 
+	"dnstrust/internal/crawler"
 	"dnstrust/internal/transport"
+	"dnstrust/internal/vulndb"
 )
 
 // TestMonitorSnapshotColdStart is the headline restart property: a
@@ -80,9 +82,9 @@ func TestMonitorSnapshotColdStart(t *testing.T) {
 		t.Fatalf("restored summary differs:\n got %s\nwant %s", gotSum, wantSum)
 	}
 	// The exploit table is rescored from the saved banners on load.
-	if want := v1.Survey().Vulns; len(want) == 0 || !reflect.DeepEqual(v2.Survey().Vulns, want) {
+	if want, got := vulnTable(v1.Survey()), vulnTable(v2.Survey()); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored Vulns (%d hosts) differ from the saved survey's (%d hosts)",
-			len(v2.Survey().Vulns), len(want))
+			len(got), len(want))
 	}
 	if got := m2.Queries(); got != 0 {
 		t.Fatalf("restored Summary touched the transport: %d queries", got)
@@ -215,4 +217,24 @@ func TestMonitorSnapshotCorruptFailsClosed(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupt snapshot must fail the open")
 	}
+}
+
+// bannerTable lists every host's banner by host name.
+func bannerTable(s *crawler.Survey) map[string]string {
+	out := make(map[string]string, s.Graph.NumHosts())
+	for id, h := range s.Graph.Hosts() {
+		out[h] = s.HostBanner(int32(id))
+	}
+	return out
+}
+
+// vulnTable lists the exploits of every vulnerable host by host name.
+func vulnTable(s *crawler.Survey) map[string][]vulndb.Vuln {
+	out := make(map[string][]vulndb.Vuln)
+	for id, h := range s.Graph.Hosts() {
+		if vs := s.HostVulns(int32(id)); len(vs) > 0 {
+			out[h] = vs
+		}
+	}
+	return out
 }
