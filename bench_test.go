@@ -11,6 +11,7 @@ package dnstrust
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -405,37 +406,63 @@ func BenchmarkViewQueryThroughput(b *testing.B) {
 
 // memoBenchStudy is the 100k-name study behind
 // BenchmarkChainMemoSecondPass — its own scale (the acceptance claim is
-// stated at 100k names), built once per test binary.
+// stated at 100k names), built once per test binary: every generation
+// of the corpus less its last memoBenchCommits×memoBenchBatch names,
+// then that many small commits, all retained.
 var (
 	memoBenchOnce  sync.Once
-	memoBenchS     *Monitor
+	memoBenchGens  []*crawler.Survey
 	memoBenchErr   error
 	memoBenchScale = 100_000
 )
 
-func sharedMemoBenchStudy(b *testing.B) *View {
+const memoBenchCommits, memoBenchBatch = 64, 50
+
+func sharedMemoBenchStudy(b *testing.B) []*crawler.Survey {
 	b.Helper()
 	memoBenchOnce.Do(func() {
-		memoBenchS, memoBenchErr = surveyCorpus(Options{Seed: 3, Names: memoBenchScale})
+		memoBenchGens, memoBenchErr = commitSeries(Options{Seed: 3, Names: memoBenchScale, Retain: memoBenchCommits + 1}, memoBenchCommits, memoBenchBatch)
 	})
 	if memoBenchErr != nil {
 		b.Fatal(memoBenchErr)
 	}
-	return memoBenchS.At()
+	return memoBenchGens
 }
 
-// BenchmarkChainMemoSecondPass measures what the chain memo saves: on a
-// real 100k-name survey (~70k distinct delegation chains), a second
-// Summary+Bottlenecks pass through a warm chain memo skips every max-flow
-// and per-chain TCB scan, leaving only the per-name aggregation. Compare
-// the first/second sub-benchmark ns/op: 13.3 s against 0.24 s while a
-// min-cut cost ~150 µs of allocation, 0.63 s against 0.28 s now that it
-// costs ~9 µs — the memo's remaining job is to carry cuts across
-// generations and verdict misses, not to rescue the cold pass.
-func BenchmarkChainMemoSecondPass(b *testing.B) {
-	sv := sharedMemoBenchStudy(b).Survey()
+// commitSeries surveys the world's corpus less its last commits×batch
+// names, then commits those names batch by batch, and returns the
+// surveys of the first big generation and of every commit after it.
+func commitSeries(opts Options, commits, batch int) ([]*crawler.Survey, error) {
 	ctx := context.Background()
-	pass := func(b *testing.B, memo *analysis.ChainMemo) {
+	m, err := Open(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	corpus := m.World().Corpus
+	head := len(corpus) - commits*batch
+	var gens []*crawler.Survey
+	v, err := m.Add(ctx, corpus[:head]...)
+	for i := 0; err == nil; i++ {
+		gens = append(gens, v.Survey())
+		if i == commits {
+			break
+		}
+		v, err = m.Add(ctx, corpus[head+i*batch:head+(i+1)*batch]...)
+	}
+	return gens, errors.Join(err, m.Close())
+}
+
+// BenchmarkChainMemoSecondPass measures what the chain memo saves on a
+// real 100k-name survey (~70k distinct delegation chains): "first" is a
+// cold Summary+Bottlenecks pass through an empty memo; "second" is the
+// same pass on the view a 50-name commit just published, through a memo
+// warm from the generation before — the fold of one commit's changed
+// names into the memo's aggregates, with min-cuts solved only for new
+// chains. Compare the two ns/op.
+func BenchmarkChainMemoSecondPass(b *testing.B) {
+	gens := sharedMemoBenchStudy(b)
+	ctx := context.Background()
+	pass := func(b *testing.B, sv *crawler.Survey, memo *analysis.ChainMemo) {
 		if _, err := analysis.BottlenecksMemo(ctx, sv, sv.Names, 0, memo); err != nil {
 			b.Fatal(err)
 		}
@@ -445,14 +472,25 @@ func BenchmarkChainMemoSecondPass(b *testing.B) {
 	}
 	b.Run("first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pass(b, analysis.NewChainMemo())
+			pass(b, gens[len(gens)-1], analysis.NewChainMemo())
 		}
 	})
-	warm := analysis.NewChainMemo()
-	pass(b, warm)
 	b.Run("second", func(b *testing.B) {
+		var memo *analysis.ChainMemo
 		for i := 0; i < b.N; i++ {
-			pass(b, warm)
+			j := i%(len(gens)-1) + 1
+			if j == 1 {
+				// A memo cold at the first generation with every commit
+				// after it logged: iteration j folds commit j alone.
+				b.StopTimer()
+				memo = analysis.NewChainMemo()
+				pass(b, gens[0], memo)
+				for k := 1; k < len(gens); k++ {
+					memo.Advance(gens[k-1], gens[k])
+				}
+				b.StartTimer()
+			}
+			pass(b, gens[j], memo)
 		}
 	})
 }

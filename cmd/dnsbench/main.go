@@ -14,12 +14,12 @@
 // memory so the flat-memory claim is tracked from PR to PR), the
 // Monitor-era benchmarks (incremental epoch adds vs one batch build,
 // the cost of a 50-name commit on a 100k-name survey (gated), view read
-// throughput during a crawl, the chain-memo cold/warm
-// second-pass ratio on a real survey via -memo-names), the timeline
-// benchmarks: the warm generation diff after a small Add on a 100k-name
-// survey (gated) and the retained-generation memory comparison —
-// bytes/generation with the copy-on-write epoch store versus detached
-// full-table epochs — the snapshot cold-start benchmark (gated):
+// throughput during a crawl, a cold Summary+Bottlenecks pass against
+// the warm fold of one small commit on a real survey via -memo-names),
+// the timeline benchmarks: the warm generation diff after a small Add
+// on a 100k-name survey (gated) and the retained-generation memory
+// comparison — bytes/generation with the copy-on-write epoch store
+// versus detached full-table epochs — the snapshot cold-start benchmark (gated):
 // restoring a 100k-name monitor from a binary epoch-store snapshot
 // versus rebuilding it from a recorded query log, via -snapshot-names —
 // and the serving-path benchmarks (gated): the verdict cache hit path
@@ -381,20 +381,36 @@ func main() {
 	})
 
 	if *memoNames > 0 {
-		memoMon, err := dnstrust.Open(context.Background(), dnstrust.Options{Seed: 3, Names: *memoNames})
+		// The corpus less its last commits×batch names, then one
+		// generation per batch, every one retained: "first" is a cold
+		// pass over the newest; "second" folds one small commit into a
+		// memo warm from the generation before it.
+		ctx := context.Background()
+		const commits = 64
+		batch := min(50, *memoNames/(4*commits))
+		memoMon, err := dnstrust.Open(ctx, dnstrust.Options{Seed: 3, Names: *memoNames, Retain: commits + 1})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
 			os.Exit(1)
 		}
-		memoView, err := memoMon.Add(context.Background(), memoMon.World().Corpus...)
+		corpus := memoMon.World().Corpus
+		head := len(corpus) - commits*batch
+		var gens []*crawler.Survey
+		v, err := memoMon.Add(ctx, corpus[:head]...)
+		for i := 0; err == nil; i++ {
+			gens = append(gens, v.Survey())
+			if i == commits || batch == 0 {
+				break
+			}
+			v, err = memoMon.Add(ctx, corpus[head+i*batch:head+(i+1)*batch]...)
+		}
 		memoMon.Close() // nothing to save: no memo or snapshot file
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
 			os.Exit(1)
 		}
-		sv := memoView.Survey()
-		memoPass := func(b *testing.B, memo *analysis.ChainMemo) {
-			if _, err := analysis.BottlenecksMemo(context.Background(), sv, sv.Names, 0, memo); err != nil {
+		memoPass := func(b *testing.B, sv *crawler.Survey, memo *analysis.ChainMemo) {
+			if _, err := analysis.BottlenecksMemo(ctx, sv, sv.Names, 0, memo); err != nil {
 				b.Fatal(err)
 			}
 			if sum := analysis.SummarizeMemo(sv, sv.Names, memo); sum.Names != len(sv.Names) {
@@ -403,20 +419,27 @@ func main() {
 		}
 		run("ChainMemoSecondPass/first", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				memoPass(b, analysis.NewChainMemo())
+				memoPass(b, gens[len(gens)-1], analysis.NewChainMemo())
 			}
 		})
-		warmMemo := analysis.NewChainMemo()
-		if _, err := analysis.BottlenecksMemo(context.Background(), sv, sv.Names, 0, warmMemo); err != nil {
-			fmt.Fprintf(os.Stderr, "dnsbench: %v\n", err)
-			os.Exit(1)
+		if len(gens) > 1 {
+			run("ChainMemoSecondPass/second", func(b *testing.B) {
+				var memo *analysis.ChainMemo
+				for i := 0; i < b.N; i++ {
+					j := i%(len(gens)-1) + 1
+					if j == 1 {
+						b.StopTimer()
+						memo = analysis.NewChainMemo()
+						memoPass(b, gens[0], memo)
+						for k := 1; k < len(gens); k++ {
+							memo.Advance(gens[k-1], gens[k])
+						}
+						b.StartTimer()
+					}
+					memoPass(b, gens[j], memo)
+				}
+			})
 		}
-		analysis.SummarizeMemo(sv, sv.Names, warmMemo)
-		run("ChainMemoSecondPass/second", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				memoPass(b, warmMemo)
-			}
-		})
 	}
 
 	// Snapshot cold start: restoring a monitored survey from a binary

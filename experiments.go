@@ -142,7 +142,7 @@ func surveyScenario(ctx context.Context, reg *topology.Registry, name string) (*
 }
 
 func runFigure2(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	all := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.Survey().Names))
+	all := v.Summary().TCB
 	pop := analysis.NewCDF(analysis.TCBSizes(v.Survey(), v.Popular()))
 
 	tb := report.NewTable("Figure 2: CDF of TCB size", "size", "all names %", "top 500 %")
@@ -243,7 +243,7 @@ func runFigure4(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure5(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	all := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.Survey().Names, v.Memo()))
+	all := v.Summary().VulnPerTCB
 	pop := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.Popular(), v.Memo()))
 
 	tb := report.NewTable("Figure 5: CDF of vulnerable nameservers in TCB", "count", "all names %", "top 500 %")
@@ -299,8 +299,7 @@ func runFigure7(ctx context.Context, v *View, w io.Writer) ([]Comparison, error)
 	if err != nil {
 		return nil, err
 	}
-	safe := analysis.NewCDF(stats.SafeCounts)
-	cuts := analysis.NewCDF(stats.CutSizes)
+	safe, cuts := stats.SafeCounts, stats.CutSizes
 
 	tb := report.NewTable("Figure 7: CDF of safe bottleneck nameservers", "safe servers in cut", "names %")
 	for _, x := range []int{0, 1, 2, 3, 4, 6, 8, 10} {

@@ -279,7 +279,7 @@ func TestBottlenecks(t *testing.T) {
 	if stats.Names != len(names) {
 		t.Errorf("analyzed %d of %d", stats.Names, len(names))
 	}
-	cuts := analysis.NewCDF(stats.CutSizes)
+	cuts := stats.CutSizes
 	// The paper: average min-cut 2.5 servers. Typical NS sets are 2-4.
 	if cuts.Mean() < 1 || cuts.Mean() > 6 {
 		t.Errorf("mean min-cut %.2f outside plausible band", cuts.Mean())

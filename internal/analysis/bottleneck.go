@@ -14,14 +14,18 @@ import (
 	"dnstrust/internal/mincut"
 )
 
-// BottleneckStats aggregates the Figure 7 analysis over a name set.
+// BottleneckStats aggregates the Figure 7 analysis over a name set. It
+// holds distributions, not per-name lists: a view's stats are folded
+// from per-chain columns (see ChainMemo), where names have no order.
 type BottleneckStats struct {
-	// SafeCounts holds, per name, the number of non-vulnerable servers in
-	// the min-cut that minimizes that number (Figure 7's x axis).
-	SafeCounts []int
-	// CutSizes holds, per name, the size of the minimum (unweighted)
-	// vertex cut (the paper's "average min-cut is 2.5 nameservers").
-	CutSizes []int
+	// SafeCounts is the distribution, over names, of the number of
+	// non-vulnerable servers in the min-cut that minimizes that number
+	// (Figure 7's x axis).
+	SafeCounts *CDF
+	// CutSizes is the distribution, over names, of the size of the
+	// minimum (unweighted) vertex cut (the paper's "average min-cut is
+	// 2.5 nameservers").
+	CutSizes *CDF
 	// FullyVulnerable counts names whose bottleneck consists entirely of
 	// exploitable servers (the paper's 30%).
 	FullyVulnerable int
@@ -33,14 +37,14 @@ type BottleneckStats struct {
 }
 
 // Bottlenecks runs the min-cut analysis of §3.2 over the given names.
-// Names sharing a delegation chain share a digraph, so results are
-// deduplicated per interned chain id — no string keys are built on this
-// path. The work is spread over workers goroutines (0 = GOMAXPROCS).
+// Names sharing a delegation chain share a digraph, so cuts are solved
+// once per interned chain id — no string keys are built on this path.
+// The work is spread over workers goroutines (0 = GOMAXPROCS).
 func Bottlenecks(ctx context.Context, s *crawler.Survey, names []string, workers int) (*BottleneckStats, error) {
 	return BottlenecksMemo(ctx, s, names, workers, nil)
 }
 
-// chainCut is one chain's contribution to BottleneckStats.
+// chainCut is one chain's min-cut as a pass prices it.
 type chainCut struct {
 	size, safe int32
 	ok         bool // false: the chain has no computable cut
@@ -52,43 +56,41 @@ type chainCut struct {
 // stops within a millisecond and the last ranges still balance.
 const missRange = 64
 
-// BottlenecksMemo is Bottlenecks backed by a persistent chain memo:
-// chains whose min-cut is already cached (from an earlier pass, or an
-// earlier generation that did not touch them) are aggregated without
+// BottlenecksMemo is Bottlenecks backed by a persistent chain memo
+// (nil is allowed: dedup within the call only). Over the survey's own
+// name list the memo serves the whole-survey aggregate, folded forward
+// from the last generation it was asked of: a commit costs the names it
+// touched plus a max-flow per new or re-priced chain (see ChainMemo).
+// Over any other list the pass is the same fold from an empty
+// aggregate: chains whose min-cut is cached (from an earlier pass, or
+// an earlier generation that did not touch them) are priced without
 // running max-flow, and freshly computed chains are stored for the next
-// pass. With a warm memo the whole analysis degenerates to one lookup
-// per name. memo may be nil (pure dedup within the call).
+// pass.
 //
-// SafeCounts and CutSizes follow the order of names, whatever the memo
-// held and however the workers were scheduled. A cancelled pass returns
-// ctx.Err() after its workers have stopped; the cuts it had finished stay
-// in the memo, so the next call resumes where it stopped.
+// A cancelled pass returns ctx.Err() after its workers have stopped;
+// the cuts it had finished stay in the memo, so the next call resumes
+// where it stopped.
 func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, workers int, memo *ChainMemo) (*BottleneckStats, error) {
+	var stats *BottleneckStats
+	var err error
+	if perr := pass(ctx, s, names, true, workers, memo, func(a *chainAgg) { stats, err = a.bottlenecks() }); perr != nil {
+		return nil, perr
+	}
+	return stats, err
+}
+
+// priceCuts prices the min-cut of each chain in s, in order: memo hits
+// directly, misses solved on workers goroutines (0 = GOMAXPROCS) and
+// stored in the memo. solved counts the misses, each one max-flow run;
+// err joins each worker's first solve error. A cancelled ctx stops the
+// workers early — the caller checks ctx.Err().
+func priceCuts(ctx context.Context, s *crawler.Survey, cids []int32, workers int, memo *ChainMemo) (cuts []chainCut, solved int, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := s.Graph
 	gen := s.Stats.Generation
-
-	// Group names by interned chain id: identical chains give identical
-	// digraphs and cuts. slot[cid] is 1 + the chain's index in cids and
-	// cuts, nameSlot[i] the same for names[i] (0: not in the survey).
-	slot := make([]int32, g.NumChains())
-	nameSlot := make([]int32, len(names))
-	cids := make([]int32, 0, min(len(names), g.NumChains()))
-	for i, cid := range chainIDs(g, names) {
-		if cid < 0 {
-			continue
-		}
-		if slot[cid] == 0 {
-			cids = append(cids, cid)
-			slot[cid] = int32(len(cids))
-		}
-		nameSlot[i] = slot[cid]
-	}
-
-	// Serve memo hits directly; only misses go to the workers.
-	cuts := make([]chainCut, len(cids))
+	cuts = make([]chainCut, len(cids))
 	var misses []int32 // indices into cids
 	for i, cid := range cids {
 		if res, ok := memo.cut(cid, gen); ok {
@@ -97,79 +99,47 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 			misses = append(misses, int32(i))
 		}
 	}
+	if len(misses) == 0 {
+		return cuts, 0, nil
+	}
 
-	var solveErr error
-	if len(misses) > 0 {
-		vulnerable := func(h int32) bool { return len(s.HostVulns(h)) > 0 }
-		workers = min(workers, (len(misses)+missRange-1)/missRange)
-		errs := make([]error, workers) // each worker's first
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := scratchPool.Get().(*cutScratch)
-				defer scratchPool.Put(sc)
-				var batch []storedCut
-				for ctx.Err() == nil {
-					lo := int(cursor.Add(missRange)) - missRange
-					if lo >= len(misses) {
-						return
-					}
-					batch = batch[:0]
-					for _, i := range misses[lo:min(lo+missRange, len(misses))] {
-						c, err := sc.solve(g, cids[i], vulnerable)
-						if err != nil {
-							if errs[w] == nil {
-								errs[w] = fmt.Errorf("analysis: min-cut of chain %d: %w", cids[i], err)
-							}
-							continue
-						}
-						cuts[i] = chainCut{size: int32(len(c.Nodes)), safe: int32(c.SafeInCut), ok: true}
-						if memo != nil {
-							batch = append(batch, storedCut{cid: cids[i], res: sc.result(g, c)})
-						}
-					}
-					memo.storeCuts(gen, batch)
+	vulnerable := func(h int32) bool { return len(s.HostVulns(h)) > 0 }
+	workers = min(workers, (len(misses)+missRange-1)/missRange)
+	errs := make([]error, workers) // each worker's first
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := scratchPool.Get().(*cutScratch)
+			defer scratchPool.Put(sc)
+			var batch []storedCut
+			for ctx.Err() == nil {
+				lo := int(cursor.Add(missRange)) - missRange
+				if lo >= len(misses) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		solveErr = errors.Join(errs...)
+				batch = batch[:0]
+				for _, i := range misses[lo:min(lo+missRange, len(misses))] {
+					c, err := sc.solve(g, cids[i], vulnerable)
+					if err != nil {
+						if errs[w] == nil {
+							errs[w] = fmt.Errorf("analysis: min-cut of chain %d: %w", cids[i], err)
+						}
+						continue
+					}
+					cuts[i] = chainCut{size: int32(len(c.Nodes)), safe: int32(c.SafeInCut), ok: true}
+					if memo != nil {
+						batch = append(batch, storedCut{cid: cids[i], res: sc.result(g, c)})
+					}
+				}
+				memo.storeCuts(gen, batch)
+			}
+		}()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	stats := &BottleneckStats{}
-	for _, sl := range nameSlot {
-		if sl != 0 && cuts[sl-1].ok {
-			stats.Names++
-		}
-	}
-	if stats.Names > 0 {
-		stats.SafeCounts = make([]int, 0, stats.Names)
-		stats.CutSizes = make([]int, 0, stats.Names)
-	}
-	for _, sl := range nameSlot {
-		if sl == 0 || !cuts[sl-1].ok {
-			continue
-		}
-		c := cuts[sl-1]
-		stats.SafeCounts = append(stats.SafeCounts, int(c.safe))
-		stats.CutSizes = append(stats.CutSizes, int(c.size))
-		if c.safe == 0 {
-			stats.FullyVulnerable++
-		}
-		if c.safe == 1 {
-			stats.OneSafe++
-		}
-	}
-	if solveErr != nil && stats.Names == 0 {
-		return nil, solveErr
-	}
-	return stats, nil
+	wg.Wait()
+	return cuts, len(misses), errors.Join(errs...)
 }
 
 // cutScratch is everything one chain's min-cut needs, reused from chain

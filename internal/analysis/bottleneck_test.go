@@ -46,10 +46,10 @@ func passSurvey(t *testing.T) *crawler.Survey {
 	return passSurveyS
 }
 
-// TestBottleneckStatsDeterministic holds the per-name slices of
-// BottleneckStats to the order of the names given: a cold pass on one
-// worker, a cold pass on eight and a pass served wholly from the memo
-// return the same value, not merely the same multiset.
+// TestBottleneckStatsDeterministic holds BottleneckStats to the names
+// given, whatever the schedule: a cold pass on one worker, a cold pass
+// on eight and a pass served wholly from the memo return the same value,
+// and its distributions are those of each name's own cut.
 func TestBottleneckStatsDeterministic(t *testing.T) {
 	s := passSurvey(t)
 	ctx := context.Background()
@@ -75,15 +75,18 @@ func TestBottleneckStatsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(one, warm) {
 		t.Error("a warm pass differs from a cold 1-worker pass")
 	}
-	// The order is the names' own: each entry is that name's cut.
-	for _, i := range []int{0, len(s.Names) / 2, len(s.Names) - 1} {
-		res, err := BottleneckOf(s, s.Names[i])
+	// The distributions are the names' own cuts, one by one.
+	sizes := make([]int, len(s.Names))
+	safe := make([]int, len(s.Names))
+	for i, name := range s.Names {
+		res, err := BottleneckOf(s, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.CutSizes[i] != res.Size || one.SafeCounts[i] != res.SafeInCut {
-			t.Errorf("entry %d is (%d, %d), %s has cut %d with %d safe", i, one.CutSizes[i], one.SafeCounts[i], s.Names[i], res.Size, res.SafeInCut)
-		}
+		sizes[i], safe[i] = res.Size, res.SafeInCut
+	}
+	if !reflect.DeepEqual(one.CutSizes, NewCDF(sizes)) || !reflect.DeepEqual(one.SafeCounts, NewCDF(safe)) {
+		t.Errorf("cut sizes %v, safe counts %v; one name at a time %v, %v", one.CutSizes, one.SafeCounts, NewCDF(sizes), NewCDF(safe))
 	}
 }
 

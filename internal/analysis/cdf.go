@@ -8,35 +8,84 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// CDF is an empirical cumulative distribution over integer observations.
+// CDF is an empirical cumulative distribution over integer observations,
+// kept as a canonical run list: each distinct value once, ascending, with
+// the number of observations at or below it. Two CDFs of the same
+// multiset are identical values, however they were built.
 type CDF struct {
-	sorted []int
+	xs  []int // distinct observations, ascending
+	cum []int // cum[i]: observations <= xs[i]
 }
 
-// NewCDF builds a CDF from unsorted observations (copied, then sorted).
+// NewCDF builds a CDF from unsorted observations (the slice is not
+// modified).
 func NewCDF(xs []int) *CDF {
-	cp := make([]int, len(xs))
-	copy(cp, xs)
-	sort.Ints(cp)
-	return &CDF{sorted: cp}
+	if len(xs) == 0 {
+		return &CDF{}
+	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
+	c := &CDF{}
+	for i, x := range cp {
+		if i+1 < len(cp) && cp[i+1] == x {
+			continue
+		}
+		c.xs = append(c.xs, x)
+		c.cum = append(c.cum, i+1)
+	}
+	return c
+}
+
+// hist counts non-negative observations by value — hist[x] is how many
+// equal x — so a distribution can gain and lose observations one at a
+// time and still render its CDF in O(largest value).
+type hist []int
+
+// add records d more (or, negative, fewer) observations of x.
+func (h *hist) add(x, d int) {
+	if x >= len(*h) {
+		*h = append(*h, make([]int, x+1-len(*h))...)
+	}
+	(*h)[x] += d
+}
+
+// cdf renders the counted observations as a CDF.
+func (h hist) cdf() *CDF {
+	c := &CDF{}
+	n := 0
+	for x, k := range h {
+		if k != 0 {
+			n += k
+			c.xs = append(c.xs, x)
+			c.cum = append(c.cum, n)
+		}
+	}
+	return c
 }
 
 // N returns the number of observations.
-func (c *CDF) N() int { return len(c.sorted) }
+func (c *CDF) N() int {
+	if len(c.cum) == 0 {
+		return 0
+	}
+	return c.cum[len(c.cum)-1]
+}
 
 // Mean returns the arithmetic mean (0 for empty).
 func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range c.sorted {
-		sum += float64(x)
+	sum, below := 0, 0
+	for i, x := range c.xs {
+		sum += x * (c.cum[i] - below)
+		below = c.cum[i]
 	}
-	return sum / float64(len(c.sorted))
+	return float64(sum) / float64(c.N())
 }
 
 // Median returns the 50th percentile.
@@ -44,46 +93,49 @@ func (c *CDF) Median() int { return c.Quantile(0.5) }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by nearest rank.
 func (c *CDF) Quantile(q float64) int {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return c.sorted[0]
+		return c.xs[0]
 	}
 	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
+		return c.xs[len(c.xs)-1]
 	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
+	rank := max(int(math.Ceil(q*float64(c.N()))), 1)
+	return c.xs[sort.SearchInts(c.cum, rank)]
 }
 
 // Max returns the largest observation (0 for empty).
 func (c *CDF) Max() int {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return 0
 	}
-	return c.sorted[len(c.sorted)-1]
+	return c.xs[len(c.xs)-1]
+}
+
+// atMost returns how many observations are <= x.
+func (c *CDF) atMost(x int) int {
+	if i := sort.SearchInts(c.xs, x+1); i > 0 {
+		return c.cum[i-1]
+	}
+	return 0
 }
 
 // FracAbove returns the fraction of observations strictly greater than x.
 func (c *CDF) FracAbove(x int) float64 {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return 0
 	}
-	i := sort.SearchInts(c.sorted, x+1)
-	return float64(len(c.sorted)-i) / float64(len(c.sorted))
+	return float64(c.N()-c.atMost(x)) / float64(c.N())
 }
 
 // FracAtMost returns the fraction of observations <= x (the CDF value).
 func (c *CDF) FracAtMost(x int) float64 {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return 0
 	}
-	i := sort.SearchInts(c.sorted, x+1)
-	return float64(i) / float64(len(c.sorted))
+	return float64(c.atMost(x)) / float64(c.N())
 }
 
 // Point is one (x, cumulative %) sample of a rendered CDF curve.
@@ -95,17 +147,13 @@ type Point struct {
 // Curve samples the CDF at every distinct value, producing the series a
 // figure plots. For large supports it subsamples to at most maxPoints.
 func (c *CDF) Curve(maxPoints int) []Point {
-	if len(c.sorted) == 0 {
+	if len(c.xs) == 0 {
 		return nil
 	}
-	var pts []Point
-	n := float64(len(c.sorted))
-	for i := 0; i < len(c.sorted); i++ {
-		// Last index of each run of equal values gives the step height.
-		if i+1 < len(c.sorted) && c.sorted[i+1] == c.sorted[i] {
-			continue
-		}
-		pts = append(pts, Point{X: c.sorted[i], Pct: 100 * float64(i+1) / n})
+	pts := make([]Point, len(c.xs))
+	n := float64(c.N())
+	for i, x := range c.xs {
+		pts[i] = Point{X: x, Pct: 100 * float64(c.cum[i]) / n}
 	}
 	if maxPoints > 0 && len(pts) > maxPoints {
 		sampled := make([]Point, 0, maxPoints)

@@ -27,7 +27,7 @@ func TCBSizes(s *crawler.Survey, names []string) []int {
 // chain-id column with no lookup; any other list, such as the popular
 // names, pays one lookup per name. The result is read-only.
 func chainIDs(g *core.Graph, names []string) []int32 {
-	if own := g.Names(); len(names) == len(own) && (len(own) == 0 || &names[0] == &own[0]) {
+	if ownList(g, names) {
 		return g.NameChainIDs()
 	}
 	ids := make([]int32, len(names))
@@ -39,6 +39,13 @@ func chainIDs(g *core.Graph, names []string) []int32 {
 		ids[i] = cid
 	}
 	return ids
+}
+
+// ownList reports whether names is the graph's own sorted name list
+// (the same slice, not merely equal contents).
+func ownList(g *core.Graph, names []string) bool {
+	own := g.Names()
+	return len(names) == len(own) && (len(own) == 0 || &names[0] == &own[0])
 }
 
 // TLDAverage is one bar of Figure 3 or 4.
@@ -115,7 +122,6 @@ func MacroAverage(avgs []TLDAverage) float64 {
 type chainVulnCounts struct {
 	s     *crawler.Survey
 	memo  *ChainMemo
-	gen   int64
 	sizes []int
 	vulns []int
 }
@@ -129,7 +135,6 @@ func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
 	return &chainVulnCounts{
 		s:     s,
 		memo:  memo,
-		gen:   s.Stats.Generation,
 		sizes: sizes,
 		vulns: make([]int, n),
 	}
@@ -138,20 +143,7 @@ func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
 // of returns (TCB size, vulnerable count) for an interned chain.
 func (c *chainVulnCounts) of(cid int32) (size, vuln int) {
 	if c.sizes[cid] < 0 {
-		if size, vuln, ok := c.memo.count(cid, c.gen); ok {
-			c.sizes[cid], c.vulns[cid] = size, vuln
-			return size, vuln
-		}
-		ids := c.s.Graph.ChainTCBIDs(cid)
-		v := 0
-		for _, id := range ids {
-			if len(c.s.HostVulns(id)) > 0 {
-				v++
-			}
-		}
-		c.sizes[cid] = len(ids)
-		c.vulns[cid] = v
-		c.memo.storeCount(cid, c.gen, len(ids), v)
+		c.sizes[cid], c.vulns[cid] = c.memo.vulnCount(c.s, cid)
 	}
 	return c.sizes[cid], c.vulns[cid]
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"slices"
 
 	"dnstrust/internal/core"
@@ -37,11 +38,13 @@ func Summarize(s *crawler.Survey, names []string) *Summary {
 	return SummarizeMemo(s, names, nil)
 }
 
-// SummarizeMemo is Summarize through a persistent chain memo: the
-// per-chain vulnerability scan is served from (and feeds) the memo, so
-// repeated summaries of a monitored survey touch each distinct chain's
-// TCB once across all generations that leave it untouched. memo may be
-// nil.
+// SummarizeMemo is Summarize through a persistent chain memo (nil is
+// allowed). Over the survey's own name list the memo serves the
+// whole-survey aggregate, folded forward from the last generation it
+// was asked of: a commit costs the names it touched (see ChainMemo).
+// Over any other list — the popular names, say — the pass is the same
+// fold from an empty aggregate, each distinct chain's vulnerability
+// scan served from (and fed into) the memo.
 //
 // The pass runs on interned ids: the names resolve to chain ids once
 // (the survey's own list through the graph's chain-id column, with no
@@ -49,75 +52,45 @@ func Summarize(s *crawler.Survey, names []string) *Summary {
 // column, and each name then costs a few slice reads plus its
 // owned-server count.
 func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary {
-	g := s.Graph
-	counts := newChainVulnCounts(s, memo)
-	owners := newOwnerIndex(g)
-
-	sizes := make([]int, 0, len(names))
-	vulns := make([]int, 0, len(names))
-	affected, counted, ownedSum, directSum := 0, 0, 0, 0
-	for i, cid := range chainIDs(g, names) {
-		if cid < 0 {
-			continue
-		}
-		tcb := g.ChainTCBIDs(cid)
-		_, vuln := counts.of(cid)
-		sizes = append(sizes, len(tcb))
-		vulns = append(vulns, vuln)
-		if vuln > 0 {
-			affected++
-		}
-		chain := g.ChainZoneIDs(cid)
-		if len(chain) == 0 {
-			continue
-		}
-		directSum += len(g.ZoneNSIDs(chain[len(chain)-1]))
-		ownedSum += owners.count(names[i], tcb)
-		counted++
-	}
-	ownedMean, directMean := 0.0, 0.0
-	if counted > 0 {
-		ownedMean = float64(ownedSum) / float64(counted)
-		directMean = float64(directSum) / float64(counted)
-	}
-	return &Summary{
-		Names:             len(sizes),
-		Servers:           g.NumHosts(),
-		VulnerableServers: s.VulnerableHosts(),
-		AffectedNames:     affected,
-		TCB:               NewCDF(sizes),
-		VulnPerTCB:        NewCDF(vulns),
-		DirectMean:        directMean,
-		OwnedMean:         ownedMean,
-	}
+	var sum *Summary
+	// A Summary has no min-cut to cancel: the error is nil.
+	_ = pass(context.Background(), s, names, false, 1, memo, func(a *chainAgg) { sum = a.summary() })
+	return sum
 }
 
 // ownerIndex lists, per registered domain, the interned hosts inside it
 // in id order: a name's owned servers are exactly those of its own
-// registered domain's hosts that sit in its TCB.
-type ownerIndex map[string][]int32
+// registered domain's hosts that sit in its TCB. Host ids are stable
+// within a store, so an index grows with the store's hosts.
+type ownerIndex struct {
+	byDomain map[string][]int32
+	hosts    int // hosts indexed: ids below it
+}
 
-func newOwnerIndex(g *core.Graph) ownerIndex {
+// extend indexes g's hosts not indexed yet.
+func (o *ownerIndex) extend(g *core.Graph) {
 	hosts := g.Hosts()
-	idx := make(ownerIndex, len(hosts))
-	for id, h := range hosts {
-		if rd, err := dnsname.RegisteredDomain(h); err == nil {
-			idx[rd] = append(idx[rd], int32(id))
+	if o.byDomain == nil {
+		o.byDomain = make(map[string][]int32, len(hosts))
+	}
+	for id := o.hosts; id < len(hosts); id++ {
+		if rd, err := dnsname.RegisteredDomain(hosts[id]); err == nil {
+			o.byDomain[rd] = append(o.byDomain[rd], int32(id))
 		}
 	}
-	return idx
+	o.hosts = max(o.hosts, len(hosts))
 }
 
 // count returns how many members of tcb, a sorted host-id set, share
 // name's registered domain: each of the domain's few hosts is
 // binary-searched in the TCB (or the other way round when the TCB is
 // the smaller set).
-func (o ownerIndex) count(name string, tcb []int32) int {
+func (o *ownerIndex) count(name string, tcb []int32) int {
 	rd, err := dnsname.RegisteredDomain(name)
 	if err != nil {
 		return 0
 	}
-	hosts := o[rd]
+	hosts := o.byDomain[rd]
 	if len(hosts) > len(tcb) {
 		hosts, tcb = tcb, hosts
 	}
