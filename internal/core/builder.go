@@ -358,7 +358,7 @@ func (b *Builder) internHostLocked(host string) (int32, bool) {
 	st.hostID[host] = id
 	st.hostChain = append(st.hostChain, nil)
 	st.hostChainAt = append(st.hostChainAt, 0)
-	st.hostChainID = append(st.hostChainID, hostChainNone)
+	st.hostChainID = append(st.hostChainID, HostChainNone)
 	return id, true
 }
 
@@ -370,7 +370,7 @@ func (b *Builder) attachChainLocked(hid, cid int32) {
 	st.hostChain[hid] = b.chainSliceLocked(cid)
 	st.hostChainAt[hid] = b.epoch + 1
 	if len(st.hostChain[hid]) == 0 {
-		cid = hostChainEmpty
+		cid = HostChainEmpty
 	}
 	st.hostChainID[hid] = cid
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 
@@ -45,9 +47,10 @@ import (
 // chain attaching to an existing host), so the loader copies it to the
 // heap; every other array may remain a read-only view into the mapping.
 
+// Host-chain sentinels in core/hostchain and Tables.HostChain.
 const (
-	hostChainNone  = -1 // no chain attached
-	hostChainEmpty = -2 // attached chain is the empty chain
+	HostChainNone  = -1 // no chain attached
+	HostChainEmpty = -2 // attached chain is the empty chain
 )
 
 // metaFlags bits.
@@ -340,138 +343,48 @@ func mergeSorted(s, add []string) []string {
 	return s
 }
 
-// OpenSnapshot opens a snapshot file (memory-mapped where possible) and
-// reconstructs the builder it was written from. The returned builder
-// owns the file for the life of the process — hot arrays are views into
-// the mapping, so the mapping is never released.
-func OpenSnapshot(path string) (*Builder, error) {
-	f, err := snapshot.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	b, err := LoadSnapshot(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return b, nil
-}
-
-// ReadSnapshot reconstructs a builder from a snapshot on any io.Reader —
-// the pure-portability fallback path, behaviorally identical to
-// OpenSnapshot minus the shared mapping.
-func ReadSnapshot(r io.Reader) (*Builder, error) {
-	f, err := snapshot.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return LoadSnapshot(f)
-}
-
-// LoadSnapshot reconstructs a builder from an opened snapshot file. Hash
-// indexes are rebuilt (linear in table sizes); everything else loads as
-// views over the file's sections. The store keeps a reference to f, so
-// callers must not Close it while the builder or any of its graphs live.
+// LoadSnapshot reconstructs a builder from an opened snapshot file: the
+// store from ReadTables plus the last graph's tables and the builder's
+// own sections. Hash indexes are rebuilt (linear in table sizes);
+// everything else loads as views over the file's sections. The store
+// keeps a reference to f, so callers must not Close it while the
+// builder or any of its graphs live.
 func LoadSnapshot(f *snapshot.File) (*Builder, error) {
-	md := snapshot.NewSectionReader(f, "core/meta")
-	epoch := md.I64()
-	baseEpoch := md.I64()
-	journalFloor := md.I64()
-	numNames := md.Int()
-	nH := md.Int()
-	nZ := md.Int()
-	nC := md.Int()
-	epochHosts := md.Int()
-	flags := md.U32()
-	if err := md.Err(); err != nil {
+	t, err := ReadTables(f)
+	if err != nil {
 		return nil, err
 	}
+	hosts, zones, chains, nH, nZ, nC := t.Hosts, t.Zones, t.Chains, t.nH, t.nZ, t.nC
+	shared := t.flags&metaShared != 0
 
-	hd := snapshot.NewSectionReader(f, "core/hosts")
-	hosts := hd.Strings()
-	zd := snapshot.NewSectionReader(f, "core/zones")
-	zones := zd.Strings()
-	cd := snapshot.NewSectionReader(f, "core/chains")
-	chains := readIDTable(cd)
-	nd := snapshot.NewSectionReader(f, "core/zonens")
-	zoneNS := readIDTable(nd)
-	if err := firstErr(hd, zd, cd, nd); err != nil {
-		return nil, err
-	}
-	if len(zoneNS) != len(zones) {
-		return nil, corruptf("core/zonens", "%d entries for %d zones", len(zoneNS), len(zones))
-	}
-	if nH > len(hosts) || nZ > len(zones) || nC > len(chains) {
-		return nil, corruptf("core/meta", "pinned dims exceed table sizes")
-	}
-
-	hc := snapshot.NewSectionReader(f, "core/hostchain")
-	nHosts := hc.Count(12)
-	// hostChainAt is builder-mutable (chains attach in place), so it is
-	// copied off the mapping rather than viewed.
-	hostChainAt := append([]int64(nil), hc.I64s(nHosts)...)
-	hcCids := hc.I32s(nHosts)
-	if err := hc.Err(); err != nil {
-		return nil, err
-	}
-	if nHosts != len(hosts) {
-		return nil, corruptf("core/hostchain", "%d entries for %d hosts", nHosts, len(hosts))
-	}
-	// hostChainID is written in place too, as chains attach.
-	hostChainID := append([]int32(nil), hcCids...)
-	hostChain := make([][]int32, nHosts)
-	for h, cid := range hcCids {
-		switch {
-		case cid == hostChainNone:
-		case cid == hostChainEmpty:
+	// The host chain columns are written in place as chains attach, so
+	// they are copied off the mapping rather than viewed.
+	hostChainAt := append([]int64(nil), t.HostAttached...)
+	hostChainID := append([]int32(nil), t.HostChain...)
+	hostChain := make([][]int32, len(hosts))
+	for h, cid := range t.HostChain {
+		switch cid {
+		case HostChainNone:
+		case HostChainEmpty:
 			hostChain[h] = []int32{}
-		case int(cid) < len(chains) && len(chains[cid]) > 0:
-			hostChain[h] = chains[cid]
 		default:
-			return nil, corruptf("core/hostchain", "host %d references chain %d", h, cid)
+			hostChain[h] = chains[cid]
 		}
 	}
 
 	cld := snapshot.NewSectionReader(f, "core/closure")
-	closure := readIDTable(cld)
+	closure := snapshot.ReadIDTable(cld, nH)
 	ad := snapshot.NewSectionReader(f, "core/zoneadj")
-	zoneAdj := readIDTable(ad)
+	zoneAdj := snapshot.ReadIDTable(ad, nZ)
 	td := snapshot.NewSectionReader(f, "core/chaintcb")
-	chainTCB := readIDTable(td)
+	chainTCB := snapshot.ReadIDTable(td, nH)
 	sd := snapshot.NewSectionReader(f, "core/chainstamp")
 	chainStamp := sd.I64s(sd.Count(8))
-	if err := firstErr(cld, ad, td, sd); err != nil {
+	if err := cmp.Or(cld.Err(), ad.Err(), td.Err(), sd.Err()); err != nil {
 		return nil, err
 	}
-	shared := flags&metaShared != 0
 	if shared && (len(closure) != nZ || len(zoneAdj) != nZ || len(chainTCB) != nC || len(chainStamp) != nC) {
 		return nil, corruptf("core/closure", "graph table dims do not match pinned dims")
-	}
-
-	bd := snapshot.NewSectionReader(f, "core/base")
-	nBase := bd.Count(4)
-	baseCids := bd.I32s(nBase)
-	bd.Pad8()
-	baseNames := bd.Strings()
-	if err := bd.Err(); err != nil {
-		return nil, err
-	}
-	if len(baseNames) != nBase {
-		return nil, corruptf("core/base", "%d names for %d ids", len(baseNames), nBase)
-	}
-
-	vd := snapshot.NewSectionReader(f, "core/names")
-	nVer := vd.Count(4)
-	verTotal := vd.Count(16)
-	verCounts := vd.I32s(nVer)
-	vd.Pad8()
-	verPool := vd.Take(16 * verTotal)
-	verNames := vd.Strings()
-	if err := vd.Err(); err != nil {
-		return nil, err
-	}
-	if len(verNames) != nVer {
-		return nil, corruptf("core/names", "%d names for %d histories", len(verNames), nVer)
 	}
 
 	jd := snapshot.NewSectionReader(f, "core/journal")
@@ -480,19 +393,9 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	jCounts := jd.I32s(nEpochs)
 	jd.Pad8()
 	jNames := jd.Strings()
-	if err := jd.Err(); err != nil {
-		return nil, err
-	}
 
 	ud := snapshot.NewSectionReader(f, "core/touched")
 	touchedBuf := ud.Strings()
-
-	fd := snapshot.NewSectionReader(f, "core/failed")
-	failedNames := fd.Strings()
-	failedErrs := fd.Strings()
-	if fd.Err() == nil && len(failedErrs) != len(failedNames) {
-		return nil, corruptf("core/failed", "%d errors for %d names", len(failedErrs), len(failedNames))
-	}
 
 	fcd := snapshot.NewSectionReader(f, "core/failedchain")
 	nFC := fcd.Count(4)
@@ -516,7 +419,7 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	ld := snapshot.NewSectionReader(f, "core/late")
 	lateIDs := ld.I32s(ld.Count(4))
 
-	if err := firstErr(ud, fd, fcd, pd, ld); err != nil {
+	if err := cmp.Or(jd.Err(), ud.Err(), fcd.Err(), pd.Err(), ld.Err()); err != nil {
 		return nil, err
 	}
 
@@ -527,16 +430,16 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		hosts:        hosts,
 		zones:        zones,
 		chains:       chains,
-		zoneNS:       zoneNS,
+		zoneNS:       t.ZoneNS,
 		hostChain:    hostChain,
 		hostChainAt:  hostChainAt,
 		hostChainID:  hostChainID,
-		base:         make(map[string]int32, nBase),
-		baseEpoch:    baseEpoch,
-		names:        make(map[string]nameVers, nVer),
+		base:         make(map[string]int32, len(t.BaseNames)),
+		baseEpoch:    t.BaseEpoch,
+		names:        make(map[string]nameVers, len(t.VerNames)),
 		chainNames:   make([][]string, len(chains)),
 		touched:      make(map[int64][]string, nEpochs),
-		journalFloor: journalFloor,
+		journalFloor: t.journalFloor,
 		snap:         f,
 	}
 	for i, h := range hosts {
@@ -545,59 +448,29 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	for i, z := range zones {
 		st.zoneID[z] = int32(i)
 	}
-	addChainName := func(cid int32, name string) error {
-		if int(cid) >= len(chains) || cid < 0 {
-			return corruptf("core/base", "name %q references chain %d of %d", name, cid, len(chains))
-		}
-		st.chainNames[cid] = append(st.chainNames[cid], name)
-		return nil
+	for i, n := range t.BaseNames {
+		cid := t.BaseChains[i]
+		st.base[n] = cid
+		st.chainNames[cid] = append(st.chainNames[cid], n)
 	}
-	for i, n := range baseNames {
-		st.base[n] = baseCids[i]
-		if err := addChainName(baseCids[i], n); err != nil {
-			return nil, err
-		}
-	}
+	// A name is listed on its first version's chain, as Complete listed
+	// it, and on the chain of every later version that is present.
 	versionedPresent := 0
-	vp := 0
-	for i, n := range verNames {
-		cnt := int(verCounts[i])
-		if cnt < 1 || vp+cnt > verTotal {
-			return nil, corruptf("core/names", "history of %q overruns the version pool", n)
-		}
-		readVer := func(j int) nameVer {
-			rec := verPool[16*j:]
-			return nameVer{
-				epoch:   int64(binary.LittleEndian.Uint64(rec)),
-				cid:     int32(binary.LittleEndian.Uint32(rec[8:])),
-				present: binary.LittleEndian.Uint32(rec[12:]) != 0,
-			}
-		}
-		vs := nameVers{v0: readVer(vp)}
-		if cnt > 1 {
-			more := make([]nameVer, cnt-1)
-			for j := 1; j < cnt; j++ {
-				more[j-1] = readVer(vp + j)
-			}
+	for i, n := range t.VerNames {
+		h := t.history[i]
+		vs := nameVers{v0: h[0]}
+		if len(h) > 1 {
+			more := h[1:]
 			vs.more = &more
 		}
-		vp += cnt
 		st.names[n] = vs
-		lv := vs.latest()
-		if lv.present {
-			versionedPresent++
-		}
-		if err := addChainName(vs.v0.cid, n); err != nil && vs.v0.present {
-			return nil, err
-		}
-		if vs.more != nil {
-			for _, v := range *vs.more {
-				if v.present {
-					if err := addChainName(v.cid, n); err != nil {
-						return nil, err
-					}
-				}
+		for j, v := range h {
+			if j == 0 || v.present {
+				st.chainNames[v.cid] = append(st.chainNames[v.cid], n)
 			}
+		}
+		if h[len(h)-1].present {
+			versionedPresent++
 		}
 	}
 	ji := 0
@@ -612,15 +485,15 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 
 	b := &Builder{
 		st:               st,
-		epoch:            epoch,
+		epoch:            t.Epoch,
 		chainIDs:         make(map[string]int32, len(chains)),
 		pending:          make(map[string][]string, nPend),
 		failedChain:      make(map[string]int32, nFC),
-		failed:           make(map[string]error, len(failedNames)),
+		failed:           make(map[string]error, len(t.FailedNames)),
 		versionedPresent: versionedPresent,
 		touched:          touchedBuf,
 		shared:           shared,
-		epochHosts:       epochHosts,
+		epochHosts:       t.epochHosts,
 		lateAttached:     make(map[int32]struct{}, len(lateIDs)),
 	}
 	key := make([]byte, 0, 64)
@@ -631,11 +504,15 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		}
 		b.chainIDs[string(key)] = int32(cid)
 	}
-	for i, n := range failedNames {
-		b.failed[n] = errors.New(failedErrs[i])
+	for i, n := range t.FailedNames {
+		b.failed[n] = errors.New(t.FailedErrs[i])
 	}
 	for i, n := range fcNames {
-		b.failedChain[n] = fcCids[i]
+		cid := fcCids[i]
+		if cid < 0 || int(cid) >= len(chains) {
+			return nil, corruptf("core/failedchain", "name %q references chain %d of %d", n, cid, len(chains))
+		}
+		b.failedChain[n] = cid
 	}
 	pi := 0
 	for i, k := range pendKeys {
@@ -653,16 +530,16 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		b.lateAttached[hid] = struct{}{}
 	}
 
-	if flags&metaHasPrev != 0 {
+	if t.flags&metaHasPrev != 0 {
 		if shared {
 			b.prev = &Graph{
 				st:         st,
-				epoch:      epoch,
+				epoch:      t.Epoch,
 				hosts:      hosts[:nH:nH],
 				zones:      zones[:nZ:nZ],
 				chains:     chains[:nC:nC],
-				zoneNS:     zoneNS[:nZ:nZ],
-				numNames:   numNames,
+				zoneNS:     t.ZoneNS[:nZ:nZ],
+				numNames:   t.numNames,
 				closure:    closure,
 				zoneAdj:    zoneAdj,
 				chainTCB:   chainTCB,
@@ -671,10 +548,217 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		} else {
 			// The last committed epoch predates any live-store content:
 			// reconstruct the builder's empty-store graph.
-			b.prev = emptyGraph(epoch)
+			b.prev = emptyGraph(t.Epoch)
 		}
 	}
 	return b, nil
+}
+
+// Tables is the store content of a snapshot's core/* sections, decoded
+// and checked: every id lies inside the table it indexes, the base and
+// versioned name tables are each sorted and share no name, and what the
+// last committed graph can see names only what that graph pinned.
+// LoadSnapshot builds its store from it; the fleet merges another
+// process's store from it without building one. Strings and arrays are
+// zero-copy views into the snapshot.
+type Tables struct {
+	// Epoch is the store's epoch counter: host chain attaches and name
+	// mappings are stamped with the epoch they became visible at; base
+	// names are visible from BaseEpoch on.
+	Epoch, BaseEpoch int64
+	Hosts, Zones     []string
+	Chains, ZoneNS   [][]int32 // per-chain zone ids; per-zone NS host ids
+	// HostChain is each host's chain id, HostChainNone or
+	// HostChainEmpty, attached at epoch HostAttached (0: none).
+	HostChain    []int32
+	HostAttached []int64
+	// BaseNames (sorted, chain ids in BaseChains) were mapped in the
+	// first live epoch and never touched since; VerNames (sorted) are
+	// the rest, read through Resolved.
+	BaseNames               []string
+	BaseChains              []int32
+	VerNames                []string
+	FailedNames, FailedErrs []string // sorted failed names, their errors
+
+	history              [][]nameVer // VerNames[i]'s versions, oldest first
+	journalFloor         int64
+	numNames, epochHosts int
+	nH, nZ, nC           int // the last graph's pinned table lengths
+	flags                uint32
+}
+
+// ReadTables decodes and checks a snapshot's core/meta, hosts, zones,
+// chains, zonens, hostchain, base, names and failed sections. Contents
+// that are not a consistent store fail with an error wrapping
+// snapshot.ErrCorrupt that names the section.
+func ReadTables(f *snapshot.File) (*Tables, error) {
+	t := &Tables{}
+	md := snapshot.NewSectionReader(f, "core/meta")
+	t.Epoch, t.BaseEpoch, t.journalFloor = md.I64(), md.I64(), md.I64()
+	t.numNames, t.nH, t.nZ, t.nC, t.epochHosts = md.Int(), md.Int(), md.Int(), md.Int(), md.Int()
+	t.flags = md.U32()
+	hd := snapshot.NewSectionReader(f, "core/hosts")
+	t.Hosts = hd.Strings()
+	zd := snapshot.NewSectionReader(f, "core/zones")
+	t.Zones = zd.Strings()
+	if err := cmp.Or(md.Err(), hd.Err(), zd.Err()); err != nil {
+		return nil, err
+	}
+	cd := snapshot.NewSectionReader(f, "core/chains")
+	t.Chains = snapshot.ReadIDTable(cd, len(t.Zones))
+	nd := snapshot.NewSectionReader(f, "core/zonens")
+	t.ZoneNS = snapshot.ReadIDTable(nd, len(t.Hosts))
+	hc := snapshot.NewSectionReader(f, "core/hostchain")
+	nHosts := hc.Count(12)
+	t.HostAttached = hc.I64s(nHosts)
+	t.HostChain = hc.I32s(nHosts)
+	bd := snapshot.NewSectionReader(f, "core/base")
+	nBase := bd.Count(4)
+	t.BaseChains = bd.I32s(nBase)
+	bd.Pad8()
+	t.BaseNames = bd.Strings()
+	vd := snapshot.NewSectionReader(f, "core/names")
+	nVer := vd.Count(4)
+	verTotal := vd.Count(16)
+	verCounts := vd.I32s(nVer)
+	vd.Pad8()
+	verPool := vd.Take(16 * verTotal)
+	t.VerNames = vd.Strings()
+	fd := snapshot.NewSectionReader(f, "core/failed")
+	t.FailedNames = fd.Strings()
+	t.FailedErrs = fd.Strings()
+	if err := cmp.Or(cd.Err(), nd.Err(), hc.Err(), bd.Err(), vd.Err(), fd.Err()); err != nil {
+		return nil, err
+	}
+	switch {
+	case t.journalFloor < 0:
+		return nil, corruptf("core/meta", "journal floor %d", t.journalFloor)
+	case t.nH > len(t.Hosts) || t.nZ > len(t.Zones) || t.nC > len(t.Chains):
+		return nil, corruptf("core/meta", "pinned dims exceed table sizes")
+	case t.numNames > nBase+nVer:
+		return nil, corruptf("core/meta", "%d names in the last graph, %d in the store", t.numNames, nBase+nVer)
+	case slices.Contains(t.Zones, ""):
+		return nil, corruptf("core/zones", "the root is not a zone")
+	case len(t.ZoneNS) != len(t.Zones):
+		return nil, corruptf("core/zonens", "%d entries for %d zones", len(t.ZoneNS), len(t.Zones))
+	case nHosts != len(t.Hosts):
+		return nil, corruptf("core/hostchain", "%d entries for %d hosts", nHosts, len(t.Hosts))
+	case len(t.BaseNames) != nBase:
+		return nil, corruptf("core/base", "%d names for %d ids", len(t.BaseNames), nBase)
+	case len(t.VerNames) != nVer:
+		return nil, corruptf("core/names", "%d names for %d histories", len(t.VerNames), nVer)
+	case len(t.FailedErrs) != len(t.FailedNames):
+		return nil, corruptf("core/failed", "%d errors for %d names", len(t.FailedErrs), len(t.FailedNames))
+	}
+
+	// Once a graph of the live store is published (metaShared), what it
+	// sees of the tables may name only what it pinned: the first nC
+	// chains only its zones, its zones only its hosts, and a host chain
+	// or name mapping visible at its epoch only its chains.
+	shared := t.flags&metaShared != 0
+	if shared {
+		if err := checkPinned("core/chains", t.Chains[:t.nC], t.nZ, len(t.Zones)); err != nil {
+			return nil, err
+		}
+		if err := checkPinned("core/zonens", t.ZoneNS[:t.nZ], t.nH, len(t.Hosts)); err != nil {
+			return nil, err
+		}
+	}
+	chainBound := func(at int64) int {
+		if shared && at <= t.Epoch {
+			return t.nC
+		}
+		return len(t.Chains)
+	}
+	for h, cid := range t.HostChain {
+		if cid == HostChainNone || cid == HostChainEmpty {
+			continue
+		}
+		bound := len(t.Chains)
+		if at := t.HostAttached[h]; h < t.nH && at != 0 {
+			bound = chainBound(at)
+		}
+		if cid < 0 || int(cid) >= bound || len(t.Chains[cid]) == 0 {
+			return nil, corruptf("core/hostchain", "host %d references chain %d of %d", h, cid, bound)
+		}
+	}
+
+	baseBound := chainBound(math.MinInt64) // base names are visible at every epoch
+	for i, n := range t.BaseNames {
+		if i > 0 && n <= t.BaseNames[i-1] {
+			return nil, corruptf("core/base", "name %q out of order", n)
+		}
+		if cid := t.BaseChains[i]; cid < 0 || int(cid) >= baseBound {
+			return nil, corruptf("core/base", "name %q references chain %d of %d", n, cid, baseBound)
+		}
+	}
+	t.history = make([][]nameVer, nVer)
+	vers := make([]nameVer, verTotal)
+	vp := 0
+	for i, n := range t.VerNames {
+		cnt := int(verCounts[i])
+		switch _, inBase := slices.BinarySearch(t.BaseNames, n); {
+		case i > 0 && n <= t.VerNames[i-1]:
+			return nil, corruptf("core/names", "name %q out of order", n)
+		case inBase:
+			return nil, corruptf("core/names", "name %q is also a base name", n)
+		case cnt < 1 || vp+cnt > verTotal:
+			return nil, corruptf("core/names", "history of %q overruns the version pool", n)
+		}
+		h := vers[vp : vp+cnt : vp+cnt]
+		for j := range h {
+			rec := verPool[16*(vp+j):]
+			v := nameVer{
+				epoch:   int64(binary.LittleEndian.Uint64(rec)),
+				cid:     int32(binary.LittleEndian.Uint32(rec[8:])),
+				present: binary.LittleEndian.Uint32(rec[12:]) != 0,
+			}
+			bound := len(t.Chains)
+			if v.present {
+				bound = chainBound(v.epoch)
+			}
+			if v.cid < 0 || int(v.cid) >= bound {
+				return nil, corruptf("core/names", "name %q references chain %d of %d", n, v.cid, bound)
+			}
+			h[j] = v
+		}
+		t.history[i] = h
+		vp += cnt
+	}
+	return t, nil
+}
+
+// Resolved calls fn for every name whose newest mapping is present, in
+// name order, with its chain id and the epoch that mapping became
+// visible at.
+func (t *Tables) Resolved(fn func(name string, chain int32, epoch int64)) {
+	bi := 0
+	for i, n := range t.VerNames {
+		for ; bi < len(t.BaseNames) && t.BaseNames[bi] < n; bi++ {
+			fn(t.BaseNames[bi], t.BaseChains[bi], t.BaseEpoch)
+		}
+		if v := t.history[i][len(t.history[i])-1]; v.present {
+			fn(n, v.cid, v.epoch)
+		}
+	}
+	for ; bi < len(t.BaseNames); bi++ {
+		fn(t.BaseNames[bi], t.BaseChains[bi], t.BaseEpoch)
+	}
+}
+
+// checkPinned fails when table, the part of an id table the last graph
+// sees, holds an id at or past bound, the size of what that graph
+// pinned. ReadIDTable has already held every id below full, the whole
+// table's size, so nothing is left to check when the two are equal.
+func checkPinned(sec string, table [][]int32, bound, full int) error {
+	for i := 0; i < len(table) && bound < full; i++ {
+		for _, id := range table[i] {
+			if int(id) >= bound {
+				return corruptf(sec, "entry %d holds id %d past the last graph's %d", i, id, bound)
+			}
+		}
+	}
+	return nil
 }
 
 // LastGraph returns the graph of the last committed epoch — after a
@@ -685,27 +769,10 @@ func (b *Builder) LastGraph() *Graph { return b.prev }
 // Epoch reports the builder's current committed epoch count.
 func (b *Builder) Epoch() int64 { return b.epoch }
 
-// --- encoding helpers ---
-
-// The id-table codec lives in package snapshot (WriteIDTable /
-// ReadIDTable) so remapping readers — the fleet coordinator — can decode
-// these sections without reconstructing a store; a thin wrapper keeps
-// the call sites here short.
-func readIDTable(d *snapshot.SectionReader) [][]int32 { return snapshot.ReadIDTable(d) }
-
 // corruptf wraps snapshot.ErrCorrupt with section context: the file's
 // checksums passed but its contents are not a consistent store.
 func corruptf(sec, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", snapshot.ErrCorrupt, sec, fmt.Sprintf(format, args...))
-}
-
-func firstErr(ds ...*snapshot.SectionReader) error {
-	for _, d := range ds {
-		if err := d.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns a map's string keys in sorted order.

@@ -4,11 +4,37 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"dnstrust/internal/snapshot"
 )
+
+// OpenSnapshot maps the snapshot file at path and loads the builder
+// it was written from, as a restoring engine does.
+func OpenSnapshot(path string) (*Builder, error) {
+	f, err := snapshot.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	b, err := LoadSnapshot(f)
+	if err != nil {
+		f.Close()
+	}
+	return b, err
+}
+
+// ReadSnapshot loads a builder from a snapshot read off r.
+func ReadSnapshot(r io.Reader) (*Builder, error) {
+	f, err := snapshot.Read(r)
+	if err != nil {
+		return nil, err
+	}
+	return LoadSnapshot(f)
+}
 
 // buildEpochs feeds a synthetic corpus across several epochs with some
 // churn (failures, re-completions, a pending chain) so every store and

@@ -72,9 +72,9 @@ func writeSectionsReference(b *Builder, w *snapshot.Writer) error {
 	for h, s := range st.hostChain {
 		switch {
 		case s == nil:
-			cids[h] = hostChainNone
+			cids[h] = HostChainNone
 		case len(s) == 0:
-			cids[h] = hostChainEmpty
+			cids[h] = HostChainEmpty
 		default:
 			cid, ok := rev[&s[0]]
 			if !ok {

@@ -51,7 +51,7 @@ type store struct {
 	// hostChain[h] is host h's address chain (aliasing the interned
 	// chain table); hostChainAt[h] is the epoch that attached it, 0 when
 	// no chain is known yet; hostChainID[h] is the attached chain's id
-	// as core/hostchain stores it (hostChainNone, hostChainEmpty or the
+	// as core/hostchain stores it (HostChainNone, HostChainEmpty or the
 	// chain id), so a snapshot write copies the column instead of
 	// recovering ids from slice addresses. Entries are assigned at most
 	// once. A detached store (Graph.Detach) keeps no hostChainID.

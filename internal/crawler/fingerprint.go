@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -15,10 +14,10 @@ import (
 // BannerSection is the snapshot section holding a fingerprint column:
 // one string table aligned with core/hosts — entry i is host i's
 // version.bind banner — whose length is the fingerprinted prefix.
-// Engines, shard epochs (fleet.DecodeEpoch) and a fleet's merged file
-// all carry it. Vulnerabilities are not stored: they are a pure
-// function of the banners and the matrix, so a snapshot restored
-// against an updated matrix is rescored.
+// Engines and a fleet's merged file carry it; ReadEngineMeta reads it.
+// Vulnerabilities are not stored: they are a pure function of the
+// banners and the matrix, so a snapshot restored against an updated
+// matrix is rescored.
 const BannerSection = "crawler/hostbanner"
 
 // Fingerprints is a survey owner's host fingerprint column, indexed by
@@ -105,18 +104,4 @@ func (f *Fingerprints) Publish(g, prev *core.Graph, failed map[string]error, sta
 func (f *Fingerprints) WriteSection(sw *snapshot.Writer) error {
 	sw.Begin(BannerSection)
 	return snapshot.WriteStringTable(sw, f.banners)
-}
-
-// ReadBanners decodes the BannerSection of a snapshot whose host table
-// holds hosts entries. The strings are views into f.
-func ReadBanners(f *snapshot.File, hosts int) ([]string, error) {
-	d := snapshot.NewSectionReader(f, BannerSection)
-	banners := d.Strings()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if len(banners) > hosts {
-		return nil, fmt.Errorf("%w: %s: %d banners for %d hosts", snapshot.ErrCorrupt, BannerSection, len(banners), hosts)
-	}
-	return banners, nil
 }

@@ -1,9 +1,11 @@
 package crawler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/resolver"
@@ -103,25 +105,15 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		return fail(err)
 	}
 
-	md := snapshot.NewSectionReader(f, "crawler/meta")
-	gen := md.I64()
-	probed := md.I64()
-	pendingLate := append([]int32(nil), md.I32s(md.Count(4))...)
-	if err := md.Err(); err != nil {
-		return fail(err)
-	}
 	g := b.LastGraph()
 	if g == nil {
 		// The snapshot predates any committed crawl (an engine saved at
 		// generation 0): start from a fresh empty view, like NewEngine.
 		g = core.NewBuilder(0).FinishEpoch()
 	}
-	banners, err := ReadBanners(f, g.NumHosts())
+	gen, banners, pendingLate, err := ReadEngineMeta(f, g.NumHosts())
 	if err != nil {
 		return fail(err)
-	}
-	if probed != int64(len(banners)) {
-		return fail(fmt.Errorf("%w: %d banners for %d probed hosts", snapshot.ErrCorrupt, len(banners), probed))
 	}
 
 	e := &Engine{
@@ -130,7 +122,7 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 		cfg:         cfg,
 		b:           b,
 		fp:          NewFingerprints(),
-		pendingLate: pendingLate,
+		pendingLate: append([]int32(nil), pendingLate...),
 	}
 	for i, banner := range banners {
 		e.fp.Set(int32(i), banner)
@@ -139,4 +131,27 @@ func NewEngineFromSnapshot(r *resolver.Resolver, probe func(ctx context.Context,
 	e.gen.Store(gen)
 	e.view.Store(e.fp.Publish(g, nil, b.Failed(), CrawlStats{Generation: gen}, e.w))
 	return e, nil
+}
+
+// ReadEngineMeta decodes crawler/meta and the BannerSection of a
+// snapshot whose graph holds hosts hosts: the engine's generation, its
+// fingerprint column (host i's banner, for the probed prefix of the
+// hosts) and the late-attached host ids a cancelled Add drained but no
+// generation reported yet. The slices are views into f.
+func ReadEngineMeta(f *snapshot.File, hosts int) (gen int64, banners []string, pendingLate []int32, err error) {
+	md := snapshot.NewSectionReader(f, "crawler/meta")
+	gen = md.I64()
+	probed := md.I64()
+	pendingLate = md.I32s(md.Count(4))
+	bd := snapshot.NewSectionReader(f, BannerSection)
+	banners = bd.Strings()
+	err = cmp.Or(md.Err(), bd.Err())
+	switch {
+	case err != nil:
+	case len(banners) > hosts || probed != int64(len(banners)):
+		err = fmt.Errorf("%w: %s: %d banners for %d hosts, %d probed", snapshot.ErrCorrupt, BannerSection, len(banners), hosts, probed)
+	case slices.ContainsFunc(pendingLate, func(h int32) bool { return h < 0 || int(h) >= hosts }):
+		err = fmt.Errorf("%w: crawler/meta: late-attached host outside %d hosts", snapshot.ErrCorrupt, hosts)
+	}
+	return gen, banners, pendingLate, err
 }

@@ -82,7 +82,11 @@ func (s *HTTPSource) fetch(ctx context.Context, haveGen, limit int64) (*Epoch, e
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fetch %s: %w", s.URL, err)
 	}
-	return DecodeEpoch(f)
+	ep, err := DecodeEpoch(f)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: fetch %s: %w", s.URL, err)
+	}
+	return ep, nil
 }
 
 // FixedSource serves one pre-decoded epoch — in-process fleets, tests,

@@ -459,10 +459,10 @@ func (c *Coordinator) applyEpochLocked(st *shardState, ep *Epoch, rescored []int
 		rm.chains = append(rm.chains, c.b.InternChain(mapped))
 	}
 	for h, cid := range ep.HostChain {
-		if cid == chainNone || ep.HostAttached[h] <= st.mark {
+		if cid == core.HostChainNone || ep.HostAttached[h] <= st.mark {
 			continue
 		}
-		if cid == chainEmpty {
+		if cid == core.HostChainEmpty {
 			c.b.AttachHostChain(rm.hosts[h], c.b.InternChain(nil))
 		} else {
 			c.b.AttachHostChain(rm.hosts[h], rm.chains[cid])

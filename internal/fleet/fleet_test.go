@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -626,6 +627,19 @@ func TestHTTPSourceConditional(t *testing.T) {
 	}
 	if served != 2 {
 		t.Fatalf("served=%d after growth, want 2", served)
+	}
+
+	// A snapshot whose checksums pass but which holds no shard epoch
+	// fails the fetch naming the shard, with ErrCorrupt still wrapped.
+	empty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := snapshot.NewWriter(w).Finish(); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer empty.Close()
+	_, err = (&fleet.HTTPSource{URL: empty.URL}).Fetch(context.Background(), -1)
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.HasPrefix(err.Error(), "fleet: fetch "+empty.URL+": ") {
+		t.Fatalf("fetch of an empty snapshot = %v, want ErrCorrupt naming %s", err, empty.URL)
 	}
 }
 

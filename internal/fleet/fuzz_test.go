@@ -1,8 +1,6 @@
 package fleet_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -10,6 +8,7 @@ import (
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/fleet"
 	"dnstrust/internal/snapshot"
+	"dnstrust/internal/snapshot/snapshottest"
 )
 
 // epochSections are the sections DecodeEpoch reads, in the order the
@@ -20,72 +19,26 @@ var epochSections = []string{
 	"core/failed", crawler.BannerSection,
 }
 
-// frameSections encodes a shard snapshot's decoded sections as fuzz
-// input: per section in epochSections order, a u32 length and the
-// payload.
-func frameSections(f *snapshot.File) []byte {
-	var out []byte
-	for _, name := range epochSections {
-		sec := f.Section(name)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec)))
-		out = append(out, sec...)
-	}
-	return out
-}
+// frameSections frames a shard snapshot's epochSections as fuzz input.
+func frameSections(f *snapshot.File) []byte { return snapshottest.Frame(f, epochSections) }
 
-// sealSections is frameSections' inverse: it writes the framed payloads
-// as a snapshot file with valid checksums, so fuzzed bytes reach the
-// decoder instead of stopping at the container's CRCs. Input that ends
-// early leaves the remaining sections out; a length past the end takes
-// what is left.
+// sealSections seals framed epochSections into a snapshot with valid
+// checksums.
 func sealSections(t *testing.T, data []byte) *snapshot.File {
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
-	for _, name := range epochSections {
-		if len(data) < 4 {
-			break
-		}
-		n := min(int(binary.LittleEndian.Uint32(data)), len(data)-4)
-		w.Begin(name)
-		w.Write(data[4 : 4+n])
-		data = data[4+n:]
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := snapshot.Read(&buf)
-	if err != nil {
-		t.Fatalf("re-reading a sealed snapshot: %v", err)
-	}
-	return f
+	return snapshottest.Seal(t, epochSections, data)
 }
 
 // replaceBase returns f's sections framed with core/base re-encoded to
 // hold names and cids.
 func replaceBase(t testing.TB, f *snapshot.File, names []string, cids []int32) []byte {
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
-	for _, name := range epochSections {
-		w.Begin(name)
-		if name != "core/base" {
-			w.Write(f.Section(name))
-			continue
-		}
+	return frameSections(snapshottest.Rewrite(t, f, epochSections, "core/base", func(w *snapshot.Writer) {
 		w.U64(uint64(len(names)))
 		w.I32s(cids)
 		w.Pad8()
 		if err := snapshot.WriteStringTable(w, names); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := snapshot.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frameSections(out)
+	}))
 }
 
 // shardFile builds a small shard whose snapshot holds base and

@@ -1,15 +1,14 @@
 package snapshot
 
 import (
+	"fmt"
 	"math"
 	"unsafe"
 )
 
-// Id tables are the remap-friendly section encoding shared by the epoch
-// store (core/chains, core/zonens, graph closures) and any reader that
-// wants the raw id slices without reconstructing a store — the fleet
-// coordinator decodes shard sections with ReadIDTable and remaps the
-// ids into its own unioned intern space.
+// Id tables are the section encoding of the epoch store's tables of id
+// slices (core/chains, core/zonens and the last graph's closures,
+// adjacency and TCBs).
 //
 // Layout: table count, pool length, then (offset, length) entry pairs
 // over one shared int32 pool. Entries that alias the same backing array
@@ -88,7 +87,9 @@ func WriteDistinctIDTable(w *Writer, table [][]int32) {
 
 // ReadIDTable decodes a table written by WriteIDTable, rebuilding the
 // aliasing structure: entries sharing a pool offset share one view.
-func ReadIDTable(d *SectionReader) [][]int32 {
+// Every id must lie in [0, bound), the size of the table the ids index;
+// the pool is scanned once, however many entries alias a run.
+func ReadIDTable(d *SectionReader, bound int) [][]int32 {
 	n := d.Count(8)
 	poolLen := d.Count(4)
 	ents := d.I32s(2 * n)
@@ -96,6 +97,12 @@ func ReadIDTable(d *SectionReader) [][]int32 {
 	d.Pad8()
 	if d.Err() != nil {
 		return nil
+	}
+	for _, id := range pool {
+		if uint(uint32(id)) >= uint(bound) { // one compare: a negative id is huge
+			d.Fail(fmt.Sprintf("id %d not below %d", id, bound))
+			return nil
+		}
 	}
 	out := make([][]int32, n)
 	for i := range out {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -72,7 +73,7 @@ func TestIDTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewSectionReader(f, "ids")
-	got := ReadIDTable(d)
+	got := ReadIDTable(d, 10)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,5 +98,10 @@ func TestIDTableRoundTrip(t *testing.T) {
 	}
 	if len(got[4]) != 1 || got[4][0] != 9 {
 		t.Fatalf("tail entry read back as %v", got[4])
+	}
+	// An id at or past the bound is corrupt, wherever it sits.
+	d = NewSectionReader(f, "ids")
+	if got := ReadIDTable(d, 9); got != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("id 9 under bound 9: table %v, error %v; want ErrCorrupt", got, d.Err())
 	}
 }
