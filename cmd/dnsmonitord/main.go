@@ -17,7 +17,7 @@
 //	GET  /bottleneck?name=N  §3.2 min-cut analysis of a name
 //	GET  /audit?name=N       §5 trust-audit findings for a name
 //	GET  /verdict?name=N     serving-path policy verdict (allow / flag /
-//	                         refuse) from the same lock-free cache
+//	                         refuse) from the same verdict cache
 //	                         dnstrustd consults per query; a never-seen
 //	                         name answers provisionally and is queued
 //	                         for a background crawl
@@ -179,9 +179,9 @@ func (s *server) persist() {
 }
 
 // verdict serves the per-name policy verdict from the shared cache. A
-// hit costs two atomic loads; a never-seen name answers provisionally
-// (flagged) and queues a background crawl — poll again after it commits
-// for the real verdict.
+// hit costs one map read under a shard's read lock; a never-seen name
+// answers provisionally (flagged) and queues a background crawl — poll
+// again after it commits for the real verdict.
 func (s *server) verdict(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {

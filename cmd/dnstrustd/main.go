@@ -21,12 +21,13 @@
 // resolution goes to the terminal (the default or -live), never to the
 // log.
 //
-// Per-name verdicts come from a sharded, lock-free cache invalidated
+// Per-name verdicts come from a 64-shard, read-locked cache invalidated
 // precisely at each generation commit: only names whose delegation
-// chains changed are evicted, so a commit never stalls the serving hot
-// path. Names the monitor has never surveyed are answered immediately
-// with a provisional flag verdict and queued for a background crawl;
-// once it commits, the next query sees the real verdict.
+// chains changed are evicted, each under its own shard's lock, so a
+// commit never stalls the serving hot path. Names the monitor has never
+// surveyed are answered immediately with a provisional flag verdict and
+// queued for a background crawl; once it commits, the next query sees
+// the real verdict.
 //
 // The policy matrix:
 //

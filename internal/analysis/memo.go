@@ -184,7 +184,7 @@ func (m *ChainMemo) logCommit(prev, next *crawler.Survey, stale []int32) {
 		return
 	}
 	pg, ng := prev.Graph, next.Graph
-	if !ng.SharesStore(pg) || pg.Epoch() > ng.Epoch() || !ng.JournalComplete(pg.Epoch()) {
+	if !ng.JournalFrom(pg) {
 		m.breakLogLocked()
 		return
 	}

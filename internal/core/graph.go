@@ -385,6 +385,18 @@ func (g *Graph) JournalComplete(since int64) bool {
 	return since >= g.st.journalFloor
 }
 
+// JournalFrom reports whether this graph's change journal describes
+// everything that changed since older: both are epochs of one store,
+// older is not the later epoch, and no journal entry after older's
+// epoch has been pruned. When it holds, an incremental diff from older
+// (NamesTouchedSince, ChainsChangedSince at older.Epoch()) is exact;
+// when it does not — older nil, of another store, later than this
+// graph, or past a pruned journal — callers compare by name or start
+// over.
+func (g *Graph) JournalFrom(older *Graph) bool {
+	return g.SharesStore(older) && older.epoch <= g.epoch && g.JournalComplete(older.epoch)
+}
+
 // ChainLive reports whether at least one surveyed name maps to the
 // interned chain at this epoch — NamesOnChain's emptiness test without
 // materializing or sorting the name list (stops at the first live hit).

@@ -349,3 +349,36 @@ func TestGraphAccessors(t *testing.T) {
 		t.Errorf("host chain = %v", hc)
 	}
 }
+
+// TestJournalFrom holds the journal predicate to its one acceptance and
+// its four refusals: nil, a graph of another store, an "older" epoch
+// past the newer one, and a journal pruned past older.
+func TestJournalFrom(t *testing.T) {
+	twoEpochs := func() (*core.Builder, *core.Graph, *core.Graph) {
+		b := core.NewBuilder(200)
+		core.FeedSyntheticRange(b, 0, 100, 200)
+		g1 := b.FinishEpoch()
+		core.FeedSyntheticRange(b, 100, 200, 200)
+		return b, g1, b.FinishEpoch()
+	}
+	_, g1, g2 := twoEpochs()
+	_, foreign, _ := twoEpochs()
+	pb, p1, p2 := twoEpochs()
+	pb.PruneJournal(p2.Epoch())
+
+	for _, tc := range []struct {
+		name         string
+		newer, older *core.Graph
+		want         bool
+	}{
+		{"same store, intact journal", g2, g1, true},
+		{"nil", g2, nil, false},
+		{"foreign store", g2, foreign, false},
+		{"older epoch above newer", g1, g2, false},
+		{"pruned journal", p2, p1, false},
+	} {
+		if got := tc.newer.JournalFrom(tc.older); got != tc.want {
+			t.Errorf("%s: JournalFrom = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -206,8 +206,7 @@ func Compute(ctx context.Context, old, new *crawler.Survey, opts Options) (*Delt
 	e := &evaluator{old: old, new: new, opts: opts,
 		cuts: make(map[cutKey]*mincut.Result), tcbs: make(map[[2]int32]tcbDiff)}
 	var err error
-	if new.Graph.SharesStore(old.Graph) && old.Graph.Epoch() <= new.Graph.Epoch() &&
-		new.Graph.JournalComplete(old.Graph.Epoch()) {
+	if new.Graph.JournalFrom(old.Graph) {
 		err = computeIncremental(ctx, e, d)
 	} else {
 		err = computeGeneral(ctx, e, d)

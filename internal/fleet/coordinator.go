@@ -373,7 +373,7 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 		c.memo.Advance(prevSurvey, sv)
 	}
 	changed := sv.Names
-	if g.SharesStore(prevGraph) && prevGraph.Epoch() <= g.Epoch() && g.JournalComplete(prevGraph.Epoch()) {
+	if g.JournalFrom(prevGraph) {
 		changed = g.NamesTouchedSince(prevGraph.Epoch())
 	}
 	fv := view.New(sv, c.memo, nil, view.Merge{

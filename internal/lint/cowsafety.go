@@ -11,9 +11,9 @@ import (
 // published snapshot shared with lock-free readers, so mutating it in
 // place is a data race even when the mutation itself happens under the
 // writer's lock (readers hold no lock). The only legal write path is
-// clone → mutate the clone → Store. This is the invariant the verdict
-// cache (internal/verdict) and the epoch-store views (internal/crawler,
-// internal/topology) are built on.
+// clone → mutate the clone → Store. This is the invariant the published
+// surveys (internal/crawler's engine view, the verdict cache's current
+// survey) and internal/topology's registry view are built on.
 //
 // The analyzer taints every value derived from an
 // (*atomic.Pointer[T]).Load() call — through assignments, dereferences,

@@ -7,8 +7,8 @@
 // convention:
 //
 //   - cowsafety: values reached from an atomic.Pointer Load are
-//     copy-on-write — never mutated in place (internal/verdict,
-//     internal/crawler, internal/topology).
+//     copy-on-write — never mutated in place (the surveys published by
+//     internal/crawler and held by the verdict cache, internal/topology).
 //   - determinism: the replay-deterministic packages
 //     (internal/transport, internal/delta, internal/snapshot) must not
 //     read wall clocks, the global math/rand source, or emit output in

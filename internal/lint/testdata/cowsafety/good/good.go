@@ -1,4 +1,4 @@
-// Conforming copy-on-write code: the verdict-cache idiom — load, clone,
+// Conforming copy-on-write code: the publish idiom — load, clone,
 // mutate the clone, store the clone — plus ordinary read-only access.
 package a
 

@@ -7,7 +7,7 @@
 // "this chain is too trusting" into an answer-path decision.
 //
 // Evaluate computes a single verdict against a survey; Cache (cache.go)
-// memoizes verdicts per name behind a lock-free read path and keeps them
+// memoizes verdicts per name in 64 read-locked map shards and keeps them
 // consistent across generation commits.
 package verdict
 

@@ -2,6 +2,7 @@ package verdict_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -185,6 +186,45 @@ func TestCacheHitPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hit path allocates %.1f objects per lookup, want 0", allocs)
+	}
+}
+
+// TestMissCostIndependentOfFill holds a miss to the cost of storing one
+// verdict: with a one-nanosecond TTL every lookup misses and stores
+// again, and the bytes one such lookup allocates on a cache holding the
+// whole corpus must match those on an empty cache. A miss that copies
+// its shard pays for every entry the shard already holds.
+func TestMissCostIndependentOfFill(t *testing.T) {
+	world, err := topology.Generate(topology.GenParams{Seed: 3, Names: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := openEngine(t, world)
+	s, err := e.Add(context.Background(), world.Corpus...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := s.Names
+	empty := newCache(t, s, verdict.Config{TTL: time.Nanosecond})
+	full := newCache(t, s, verdict.Config{TTL: time.Nanosecond})
+	for _, n := range names[1:] {
+		full.Lookup(n)
+	}
+	const lookups = 200
+	perMiss := func(c *verdict.Cache) uint64 {
+		c.Lookup(names[0]) // the chain's analysis is memoized from here on
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < lookups; i++ {
+			c.Lookup(names[0])
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / lookups
+	}
+	emptyB, fullB := perMiss(empty), perMiss(full)
+	t.Logf("bytes per miss: empty cache %d, cache of %d entries %d", emptyB, full.Stats().Size, fullB)
+	if fullB > emptyB+256 {
+		t.Errorf("a miss on a full cache allocates %d B, on an empty one %d B: a miss must not copy its shard", fullB, emptyB)
 	}
 }
 
