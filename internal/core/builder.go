@@ -37,6 +37,8 @@ type Builder struct {
 
 	// chainIDs dedups interned chains: byte-packed zone-id key -> chain
 	// id. Identical delegation chains share one []int32 in st.chains.
+	// Only chain interning reads it, so it is nil until the first intern
+	// (indexChainsLocked): a loaded builder answers before paying for it.
 	chainIDs map[string]int32
 	// pending holds chains whose key is not (yet) an interned NS host.
 	pending map[string][]string
@@ -108,7 +110,6 @@ func NewBuilder(sizeHint int) *Builder {
 	}
 	return &Builder{
 		st:           newStore(sizeHint),
-		chainIDs:     make(map[string]int32),
 		pending:      make(map[string][]string),
 		failedChain:  make(map[string]int32),
 		failed:       make(map[string]error),
@@ -400,10 +401,10 @@ func (b *Builder) internChainIDLocked(chain []string) int32 {
 // translation (InternChain). Callers hold st.mu.
 func (b *Builder) internChainFromIDsLocked(ids []int32) int32 {
 	st := b.st
-	key := b.keyBuf[:0]
-	for _, id := range ids {
-		key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	if b.chainIDs == nil {
+		b.indexChainsLocked()
 	}
+	key := appendChainKey(b.keyBuf[:0], ids)
 	b.keyBuf = key
 	if cid, ok := b.chainIDs[string(key)]; ok {
 		return cid
@@ -413,6 +414,26 @@ func (b *Builder) internChainFromIDsLocked(ids []int32) int32 {
 	st.chainNames = append(st.chainNames, nil)
 	b.chainIDs[string(key)] = cid
 	return cid
+}
+
+// indexChainsLocked builds the chain dedup index over the whole chain
+// table. Callers hold st.mu.
+func (b *Builder) indexChainsLocked() {
+	b.chainIDs = make(map[string]int32, len(b.st.chains))
+	var key []byte
+	for cid, ids := range b.st.chains {
+		key = appendChainKey(key[:0], ids)
+		b.chainIDs[string(key)] = int32(cid)
+	}
+}
+
+// appendChainKey appends the chain dedup key of a zone-id list to key:
+// each id as four little-endian bytes.
+func appendChainKey(key []byte, ids []int32) []byte {
+	for _, id := range ids {
+		key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return key
 }
 
 // chainSliceLocked returns the shared zone-id slice of an interned

@@ -1,0 +1,14 @@
+package core
+
+// CollectNames is the map-based name collection NamesFrom(nil) falls
+// back to: every name present at g's epoch with its chain id, read off
+// the store's hash tables and sorted.
+func CollectNames(g *Graph) ([]string, []int32) {
+	g.st.mu.RLock()
+	defer g.st.mu.RUnlock()
+	return g.collectNamesLocked()
+}
+
+// NextPropertySeed is the next seed of the seeded property tests, so
+// -count=N runs N different streams in the external test package too.
+func NextPropertySeed() int64 { return propertySeed.Add(1) }

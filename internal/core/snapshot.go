@@ -19,8 +19,15 @@ import (
 // flat sections of int32 ids, aliasing between id slices (SCC closure
 // sharing, chain/TCB copy-on-write) is preserved through a shared id
 // pool per table, and strings load zero-copy as views into the mapped
-// file. Only the hash indexes (hostID, zoneID, chainIDs) are rebuilt on
-// load — linear in table size, no transport traffic, no replay.
+// file. A load reads the name side off the file's sorted name tables:
+// the last graph's name list and chain-id column in one merge of
+// core/base and core/names, the per-chain name lists in one counting
+// pass into a single array, and the builder's sorted write orders as
+// copies. It rebuilds only the store's hash indexes (hostID, zoneID,
+// base, names) and copies the host chain columns — linear in table
+// size, no sort, no transport traffic, no replay. The builder's chain
+// dedup index (chainIDs) is built by the first chain intern, not by
+// the load.
 //
 // Sections (all inside the snapshot container, see package snapshot):
 //
@@ -345,10 +352,11 @@ func mergeSorted(s, add []string) []string {
 
 // LoadSnapshot reconstructs a builder from an opened snapshot file: the
 // store from ReadTables plus the last graph's tables and the builder's
-// own sections. Hash indexes are rebuilt (linear in table sizes);
-// everything else loads as views over the file's sections. The store
-// keeps a reference to f, so callers must not Close it while the
-// builder or any of its graphs live.
+// own sections. The hash indexes are rebuilt and the name lists cut
+// from the sorted tables (linear in table sizes); everything else
+// loads as views over the file's sections. The store keeps a reference
+// to f, so callers must not Close it while the builder or any of its
+// graphs live.
 func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	t, err := ReadTables(f)
 	if err != nil {
@@ -423,7 +431,9 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		return nil, err
 	}
 
-	// Assemble the store and rebuild the hash indexes.
+	// Assemble the store and build its hash indexes; the name lists are
+	// cut from the file's sorted tables.
+	chainNames, versionedPresent := t.chainNames()
 	st := &store{
 		hostID:       make(map[string]int32, len(hosts)),
 		zoneID:       make(map[string]int32, len(zones)),
@@ -437,7 +447,7 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		base:         make(map[string]int32, len(t.BaseNames)),
 		baseEpoch:    t.BaseEpoch,
 		names:        make(map[string]nameVers, len(t.VerNames)),
-		chainNames:   make([][]string, len(chains)),
+		chainNames:   chainNames,
 		touched:      make(map[int64][]string, nEpochs),
 		journalFloor: t.journalFloor,
 		snap:         f,
@@ -449,13 +459,8 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		st.zoneID[z] = int32(i)
 	}
 	for i, n := range t.BaseNames {
-		cid := t.BaseChains[i]
-		st.base[n] = cid
-		st.chainNames[cid] = append(st.chainNames[cid], n)
+		st.base[n] = t.BaseChains[i]
 	}
-	// A name is listed on its first version's chain, as Complete listed
-	// it, and on the chain of every later version that is present.
-	versionedPresent := 0
 	for i, n := range t.VerNames {
 		h := t.history[i]
 		vs := nameVers{v0: h[0]}
@@ -464,14 +469,6 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 			vs.more = &more
 		}
 		st.names[n] = vs
-		for j, v := range h {
-			if j == 0 || v.present {
-				st.chainNames[v.cid] = append(st.chainNames[v.cid], n)
-			}
-		}
-		if h[len(h)-1].present {
-			versionedPresent++
-		}
 	}
 	ji := 0
 	for i, e := range jEpochs {
@@ -483,10 +480,12 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		ji += cnt
 	}
 
+	// The chain dedup index is left to the first chain intern
+	// (indexChainsLocked). The sorted write orders are seeded from the
+	// file as copies: a write filters the base order in place.
 	b := &Builder{
 		st:               st,
 		epoch:            t.Epoch,
-		chainIDs:         make(map[string]int32, len(chains)),
 		pending:          make(map[string][]string, nPend),
 		failedChain:      make(map[string]int32, nFC),
 		failed:           make(map[string]error, len(t.FailedNames)),
@@ -495,14 +494,10 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		shared:           shared,
 		epochHosts:       t.epochHosts,
 		lateAttached:     make(map[int32]struct{}, len(lateIDs)),
+		verNames:         slices.Clone(t.VerNames),
 	}
-	key := make([]byte, 0, 64)
-	for cid, ids := range chains {
-		key = key[:0]
-		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		b.chainIDs[string(key)] = int32(cid)
+	if shared {
+		b.baseNames, b.baseCids = slices.Clone(t.BaseNames), slices.Clone(t.BaseChains)
 	}
 	for i, n := range t.FailedNames {
 		b.failed[n] = errors.New(t.FailedErrs[i])
@@ -545,6 +540,14 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 				chainTCB:   chainTCB,
 				chainStamp: chainStamp[:nC:nC], // a view of the file: never appended to in place
 			}
+			// Its name list is merged off the sorted tables, so no
+			// reader collects and sorts the store's maps for it.
+			names := make([]string, 0, t.numNames)
+			ids := make([]int32, 0, t.numNames)
+			t.resolvedAt(t.Epoch, func(name string, chain int32, _ int64) {
+				names, ids = append(names, name), append(ids, chain)
+			})
+			b.prev.namesOnce.Do(func() { b.prev.names, b.prev.nameCIDs = names, ids })
 		} else {
 			// The last committed epoch predates any live-store content:
 			// reconstruct the builder's empty-store graph.
@@ -732,18 +735,77 @@ func ReadTables(f *snapshot.File) (*Tables, error) {
 // name order, with its chain id and the epoch that mapping became
 // visible at.
 func (t *Tables) Resolved(fn func(name string, chain int32, epoch int64)) {
+	t.resolvedAt(math.MaxInt64, fn)
+}
+
+// resolvedAt is Resolved as seen at epoch at: for a versioned name, its
+// newest version at or below at decides, as Graph.nameAtLocked decides
+// it. The base and versioned tables are each sorted and disjoint
+// (ReadTables), so one merge of the two yields the names in order.
+func (t *Tables) resolvedAt(at int64, fn func(name string, chain int32, epoch int64)) {
 	bi := 0
 	for i, n := range t.VerNames {
 		for ; bi < len(t.BaseNames) && t.BaseNames[bi] < n; bi++ {
 			fn(t.BaseNames[bi], t.BaseChains[bi], t.BaseEpoch)
 		}
-		if v := t.history[i][len(t.history[i])-1]; v.present {
-			fn(n, v.cid, v.epoch)
+		h := t.history[i]
+		j := len(h) - 1
+		for j >= 0 && h[j].epoch > at {
+			j--
+		}
+		if j >= 0 && h[j].present {
+			fn(n, h[j].cid, h[j].epoch)
 		}
 	}
 	for ; bi < len(t.BaseNames); bi++ {
 		fn(t.BaseNames[bi], t.BaseChains[bi], t.BaseEpoch)
 	}
+}
+
+// chainNames cuts the store's per-chain name lists (store.chainNames)
+// out of one array, counted and then filled in one pass each: a chain
+// lists its base names, then every versioned name on its first
+// version's chain, as Complete listed it, and on the chain of every
+// later version that is present. Each list is capped at its own end, so
+// a later append to it copies instead of writing over the next chain's
+// names. It also counts the versioned names whose newest version is
+// present (Builder.versionedPresent).
+func (t *Tables) chainNames() ([][]string, int) {
+	off := make([]int, len(t.Chains))
+	visit := func(fn func(name string, cid int32)) {
+		for i, n := range t.BaseNames {
+			fn(n, t.BaseChains[i])
+		}
+		for i, n := range t.VerNames {
+			for j, v := range t.history[i] {
+				if j == 0 || v.present {
+					fn(n, v.cid)
+				}
+			}
+		}
+	}
+	visit(func(_ string, cid int32) { off[cid]++ })
+	total := 0
+	for c, n := range off {
+		off[c], total = total, total+n
+	}
+	flat := make([]string, total)
+	visit(func(name string, cid int32) {
+		flat[off[cid]] = name
+		off[cid]++
+	})
+	lists := make([][]string, len(t.Chains))
+	lo := 0
+	for c, hi := range off {
+		lists[c], lo = flat[lo:hi:hi], hi
+	}
+	present := 0
+	for _, h := range t.history {
+		if h[len(h)-1].present {
+			present++
+		}
+	}
+	return lists, present
 }
 
 // checkPinned fails when table, the part of an id table the last graph

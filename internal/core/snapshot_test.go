@@ -165,6 +165,13 @@ func compareBuilders(t *testing.T, want, got *Builder) {
 	if !reflect.DeepEqual(got.pending, want.pending) {
 		t.Fatalf("pending differs: %v vs %v", got.pending, want.pending)
 	}
+	// A loaded builder indexes its chains at the first intern; build
+	// both indexes now so they are compared whole.
+	for _, b := range []*Builder{got, want} {
+		if b.chainIDs == nil {
+			b.indexChainsLocked()
+		}
+	}
 	if !reflect.DeepEqual(got.chainIDs, want.chainIDs) {
 		t.Fatal("rebuilt chainIDs index differs")
 	}

@@ -109,8 +109,10 @@ func TestLoadSnapshotRejectsCorrupt(t *testing.T) {
 
 // FuzzLoadSnapshot feeds restore hostile section contents behind valid
 // checksums. A rejected input must wrap snapshot.ErrCorrupt; an
-// accepted one must answer Names, TCB for every name and Digraph.Fill
-// for every chain of its last graph without a panic.
+// accepted one must intern one of its chains again (building the chain
+// index the load leaves to the first intern) and answer Names, TCB for
+// every name, and NamesOnChain and Digraph.Fill for every chain of its
+// last graph without a panic.
 func FuzzLoadSnapshot(f *testing.F) {
 	b := buildEpochs(60, 3)
 	sf := snapshotOf(f, b)
@@ -126,6 +128,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 			return
 		}
+		var ids []int32
+		if n := len(b.st.chains); n > 0 {
+			ids = b.st.chains[n-1]
+		}
+		if cid := b.InternChain(ids); !int32sEqual(b.st.chains[cid], ids) {
+			t.Fatalf("chain %v interned as chain %d, %v", ids, cid, b.st.chains[cid])
+		}
 		g := b.LastGraph()
 		if g == nil {
 			return
@@ -135,6 +144,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		var d Digraph
 		for cid := range g.NumChains() {
+			g.NamesOnChain(int32(cid))
 			d.Fill(g, int32(cid))
 		}
 	})

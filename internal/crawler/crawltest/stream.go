@@ -71,6 +71,17 @@ func NewStream(seed int64) *Stream {
 // failures, late chain attachments — commits them as the next
 // generation and returns its survey.
 func (s *Stream) Next(events int) *crawler.Survey {
+	s.Apply(events)
+	return s.commit()
+}
+
+// Builder returns the builder the stream drives, for tests that save
+// it between or in the middle of generations.
+func (s *Stream) Builder() *core.Builder { return s.b }
+
+// Apply applies events random events without committing them: the
+// next Next commits them with its own.
+func (s *Stream) Apply(events int) {
 	for i := 0; i < events; i++ {
 		switch r := s.rng.Intn(20); {
 		case r < 8 || len(s.names) == 0:
@@ -87,6 +98,10 @@ func (s *Stream) Next(events int) *crawler.Survey {
 			s.attachLate()
 		}
 	}
+}
+
+// commit finishes the applied events as the next generation.
+func (s *Stream) commit() *crawler.Survey {
 	g := s.b.FinishEpoch()
 	late := s.b.TakeLateAttached()
 	s.late = append(s.late, s.fresh...)

@@ -52,9 +52,14 @@ func NewFingerprints() *Fingerprints {
 // grow extends the column to cover n hosts; the hosts it adds read as
 // banner-hidden.
 func (f *Fingerprints) grow(n int) {
-	if k := n - len(f.banners); k > 0 {
-		f.banners = append(f.banners, make([]string, k)...)
-		f.vulns = append(f.vulns, make([][]vulndb.Vuln, k)...)
+	// slices.Grow rather than append(s, make(...)...), which allocates
+	// on every call under -race: a restore grows the column one host at
+	// a time.
+	if old := len(f.banners); n > old {
+		f.banners = slices.Grow(f.banners, n-old)[:n]
+		f.vulns = slices.Grow(f.vulns, n-old)[:n]
+		clear(f.banners[old:])
+		clear(f.vulns[old:])
 	}
 }
 

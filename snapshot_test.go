@@ -238,3 +238,55 @@ func vulnTable(s *crawler.Survey) map[string][]vulndb.Vuln {
 	}
 	return out
 }
+
+// restoreAllocMargin is how many more allocations restoring an
+// 8000-name monitor may make than restoring a 2000-name one. A restore
+// reads the name list and the per-chain name lists off the file's
+// sorted tables and leaves the chain index to the first Add, so what
+// is left to grow with the corpus is the hash indexes' table count.
+const restoreAllocMargin = 200
+
+// TestRestoreAllocsFlatInCorpus restores a saved monitor of each size
+// and counts the allocations from OpenWorld to its first name list.
+// A restore that rebuilt per-name or per-chain state from hash maps
+// would allocate thousands more at the larger corpus.
+func TestRestoreAllocsFlatInCorpus(t *testing.T) {
+	ctx := context.Background()
+	restoreAllocs := func(names int) float64 {
+		world, err := NewWorld(Options{Seed: 5, Names: names})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "session.snap")
+		m, err := OpenWorld(ctx, world, Options{SnapshotFile: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two batches: the first lands in the base table, the second in
+		// the versioned one.
+		half := len(world.Corpus) / 2
+		for _, batch := range [][]string{world.Corpus[:half], world.Corpus[half:]} {
+			if _, err := m.Add(ctx, batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Restored sessions are not closed: Close would save again.
+		return testing.AllocsPerRun(3, func() {
+			r, err := OpenWorld(ctx, world, Options{SnapshotFile: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(r.At().Names()); got == 0 || r.Queries() != 0 {
+				t.Fatalf("restored %d names with %d queries", got, r.Queries())
+			}
+		})
+	}
+	small, large := restoreAllocs(2000), restoreAllocs(8000)
+	t.Logf("restore allocations: %.0f at 2000 names, %.0f at 8000", small, large)
+	if large > small+restoreAllocMargin {
+		t.Fatalf("restoring 8000 names allocates %.0f, %.0f more than 2000 names (margin %d)", large, large-small, restoreAllocMargin)
+	}
+}
