@@ -189,12 +189,20 @@ func (a *chainAgg) step(g *core.Graph, name string, cid int32, d int) {
 	a.ownedSum += d * a.owners.count(name, g.ChainTCBIDs(cid))
 }
 
-// priceChains prices the given chains in s, in order.
+// priceChains prices the given chains in s, in order, one chain per
+// digraph class (core.Graph.DigraphClasses): the members of a class
+// share a TCB and an authoritative NS set, so a Summary price too, and
+// a min-cut.
 func (a *chainAgg) priceChains(ctx context.Context, s *crawler.Survey, cids []int32, workers int, memo *ChainMemo) ([]chainPrice, error) {
 	prices := make([]chainPrice, len(cids))
 	if !a.cuts {
 		g := s.Graph
+		class := g.DigraphClasses(cids)
 		for i, cid := range cids {
+			if r := class[i]; int(r) != i {
+				prices[i] = prices[r]
+				continue
+			}
 			size, vuln := memo.vulnCount(s, cid)
 			p := chainPrice{size: int32(size), vuln: int32(vuln), direct: -1}
 			if chain := g.ChainZoneIDs(cid); len(chain) > 0 {

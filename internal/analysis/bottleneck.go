@@ -37,8 +37,10 @@ type BottleneckStats struct {
 }
 
 // Bottlenecks runs the min-cut analysis of §3.2 over the given names.
-// Names sharing a delegation chain share a digraph, so cuts are solved
-// once per interned chain id — no string keys are built on this path.
+// Names sharing a delegation chain share a digraph, and so do chains of
+// one digraph class (core.Graph.DigraphClasses), so a cut is solved
+// once per class of the names' chains — no string keys are built on
+// this path.
 // The work is spread over workers goroutines (0 = GOMAXPROCS).
 func Bottlenecks(ctx context.Context, s *crawler.Survey, names []string, workers int) (*BottleneckStats, error) {
 	return BottlenecksMemo(ctx, s, names, workers, nil)
@@ -50,9 +52,9 @@ type chainCut struct {
 	ok         bool // false: the chain has no computable cut
 }
 
-// missRange is how many missed chains a worker claims at a time: at a
-// few microseconds a chain, large enough that the cursor, the ctx check
-// and the memo's lock cost nothing, small enough that a cancelled pass
+// missRange is how many classes' first chains a worker claims at a
+// time: at a few microseconds a max-flow, large enough that the cursor
+// and the ctx check cost nothing, small enough that a cancelled pass
 // stops within a millisecond and the last ranges still balance.
 const missRange = 64
 
@@ -60,12 +62,12 @@ const missRange = 64
 // (nil is allowed: dedup within the call only). Over the survey's own
 // name list the memo serves the whole-survey aggregate, folded forward
 // from the last generation it was asked of: a commit costs the names it
-// touched plus a max-flow per new or re-priced chain (see ChainMemo).
-// Over any other list the pass is the same fold from an empty
-// aggregate: chains whose min-cut is cached (from an earlier pass, or
-// an earlier generation that did not touch them) are priced without
-// running max-flow, and freshly computed chains are stored for the next
-// pass.
+// touched plus a max-flow per digraph class among the new or re-priced
+// chains (see ChainMemo). Over any other list the pass is the same fold
+// from an empty aggregate: chains whose min-cut is cached (from an
+// earlier pass, or an earlier generation that did not touch them) are
+// priced without running max-flow, the rest with a max-flow per digraph
+// class, and every freshly priced chain is stored for the next pass.
 //
 // A cancelled pass returns ctx.Err() after its workers have stopped;
 // the cuts it had finished stay in the memo, so the next call resumes
@@ -80,10 +82,14 @@ func BottlenecksMemo(ctx context.Context, s *crawler.Survey, names []string, wor
 }
 
 // priceCuts prices the min-cut of each chain in s, in order: memo hits
-// directly, misses solved on workers goroutines (0 = GOMAXPROCS) and
-// stored in the memo. solved counts the misses, each one max-flow run;
-// err joins each worker's first solve error. A cancelled ctx stops the
-// workers early — the caller checks ctx.Err().
+// directly, and misses with a max-flow per digraph class
+// (core.Graph.DigraphClasses): workers goroutines (0 = GOMAXPROCS)
+// solve each class's first chain, and once they have stopped its cut is
+// copied to the rest of the class, the one Result stored in the memo
+// under every member's id. solved counts the max-flow runs, one per
+// class; err joins each worker's first solve error. A cancelled ctx
+// stops the workers early — the caller checks ctx.Err() — and only the
+// classes they solved are copied and stored.
 func priceCuts(ctx context.Context, s *crawler.Survey, cids []int32, workers int, memo *ChainMemo) (cuts []chainCut, solved int, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -91,20 +97,29 @@ func priceCuts(ctx context.Context, s *crawler.Survey, cids []int32, workers int
 	g := s.Graph
 	gen := s.Stats.Generation
 	cuts = make([]chainCut, len(cids))
-	var misses []int32 // indices into cids
+	var misses, missAt []int32 // missed chains, and their indices into cids
 	for i, cid := range cids {
 		if res, ok := memo.cut(cid, gen); ok {
 			cuts[i] = chainCut{size: int32(res.Size), safe: int32(res.SafeInCut), ok: true}
 		} else {
-			misses = append(misses, int32(i))
+			misses = append(misses, cid)
+			missAt = append(missAt, int32(i))
 		}
 	}
 	if len(misses) == 0 {
 		return cuts, 0, nil
 	}
+	class := g.DigraphClasses(misses)
+	var reps []int32 // indices into misses of each class's first chain
+	for k, r := range class {
+		if int(r) == k {
+			reps = append(reps, int32(k))
+		}
+	}
 
 	vulnerable := func(h int32) bool { return len(s.HostVulns(h)) > 0 }
-	workers = min(workers, (len(misses)+missRange-1)/missRange)
+	results := make([]*mincut.Result, len(misses)) // per first chain: its memo entry
+	workers = min(workers, (len(reps)+missRange-1)/missRange)
 	errs := make([]error, workers) // each worker's first
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -114,32 +129,42 @@ func priceCuts(ctx context.Context, s *crawler.Survey, cids []int32, workers int
 			defer wg.Done()
 			sc := scratchPool.Get().(*cutScratch)
 			defer scratchPool.Put(sc)
-			var batch []storedCut
 			for ctx.Err() == nil {
 				lo := int(cursor.Add(missRange)) - missRange
-				if lo >= len(misses) {
+				if lo >= len(reps) {
 					return
 				}
-				batch = batch[:0]
-				for _, i := range misses[lo:min(lo+missRange, len(misses))] {
-					c, err := sc.solve(g, cids[i], vulnerable)
+				for _, k := range reps[lo:min(lo+missRange, len(reps))] {
+					c, err := sc.solve(g, misses[k], vulnerable)
 					if err != nil {
 						if errs[w] == nil {
-							errs[w] = fmt.Errorf("analysis: min-cut of chain %d: %w", cids[i], err)
+							errs[w] = fmt.Errorf("analysis: min-cut of chain %d: %w", misses[k], err)
 						}
 						continue
 					}
-					cuts[i] = chainCut{size: int32(len(c.Nodes)), safe: int32(c.SafeInCut), ok: true}
+					cuts[missAt[k]] = chainCut{size: int32(len(c.Nodes)), safe: int32(c.SafeInCut), ok: true}
 					if memo != nil {
-						batch = append(batch, storedCut{cid: cids[i], res: sc.result(g, c)})
+						results[k] = sc.result(g, c)
 					}
 				}
-				memo.storeCuts(gen, batch)
 			}
 		}()
 	}
 	wg.Wait()
-	return cuts, len(misses), errors.Join(errs...)
+
+	// A first chain left unsolved (the pass was cancelled) or without a
+	// cut leaves its members' cuts !ok, as its own.
+	var batch []storedCut
+	for k, r := range class {
+		if c := cuts[missAt[r]]; c.ok {
+			cuts[missAt[k]] = c
+			if memo != nil {
+				batch = append(batch, storedCut{cid: misses[k], res: results[r]})
+			}
+		}
+	}
+	memo.storeCuts(gen, batch)
+	return cuts, len(reps), errors.Join(errs...)
 }
 
 // cutScratch is everything one chain's min-cut needs, reused from chain

@@ -90,6 +90,44 @@ func TestBottleneckStatsDeterministic(t *testing.T) {
 	}
 }
 
+// TestMemoCutsMatchBottleneckOf holds the cuts a cold pass stores, one
+// max-flow per digraph class copied to every member, to each chain's
+// own: for one name per chain, the memo's entry (cut, size, safe and
+// vulnerable servers) must equal BottleneckOf's, which solves that
+// name's chain alone.
+func TestMemoCutsMatchBottleneckOf(t *testing.T) {
+	s := passSurvey(t)
+	memo := NewChainMemo()
+	if _, err := BottlenecksMemo(context.Background(), s, s.Names, 2, memo); err != nil {
+		t.Fatal(err)
+	}
+	_, solves := memo.FoldWork()
+	g, gen := s.Graph, s.Stats.Generation
+	seen := map[int32]bool{}
+	for _, name := range s.Names {
+		cid, ok := g.NameChainID(name)
+		if !ok || seen[cid] {
+			continue
+		}
+		seen[cid] = true
+		got, ok := memo.cut(cid, gen)
+		if !ok {
+			t.Fatalf("%s: the cold pass stored no cut for chain %d", name, cid)
+		}
+		want, err := BottleneckOf(s, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the memo's cut %+v, its own chain's %+v", name, got, want)
+		}
+	}
+	t.Logf("%d chains, %d max-flow runs", len(seen), solves)
+	if solves >= int64(len(seen)) {
+		t.Fatalf("%d max-flow runs for %d chains: no class was shared", solves, len(seen))
+	}
+}
+
 // cancelAfter is a context that reports cancellation from its n-th Err
 // call on — a pass checks Err once per claimed range, so the
 // cancellation lands mid-pass however fast the machine is.

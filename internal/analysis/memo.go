@@ -48,13 +48,16 @@ import (
 // A later view's analysis folds the logs since the aggregate's
 // generation: each logged name steps off its old chain and onto its new
 // one, marked chains are re-priced, and min-cuts are solved only for
-// chains that are new or marked. The cost is O(names logged), not
-// O(names surveyed). A view of a foreign store, one older than the
-// aggregate, or one the log does not reach (a commit Advance did not
-// see, or a log grown past the aggregate's name count, which empties
-// it) takes the cold pass — the same fold from an empty aggregate over
-// every name — and only a same-store view newer than the aggregate
-// replaces it. A memo whose aggregates were never built (the verdict
+// chains that are new or marked: a max-flow per digraph class among
+// them (core.Graph.DigraphClasses), its cut stored under every member's
+// id. Keys and invalidation stay per chain: members of a class share a
+// TCB, so a late-attached or rescored host marks all of them together.
+// The cost is O(names logged), not O(names surveyed). A view of a
+// foreign store, one older than the aggregate, or one the log does not
+// reach (a commit Advance did not see, or a log grown past the
+// aggregate's name count, which empties it) takes the cold pass — the
+// same fold from an empty aggregate over every name — and only a
+// same-store view newer than the aggregate replaces it. A memo whose aggregates were never built (the verdict
 // cache's) logs nothing. The log has its own lock: Advance appends to
 // it without waiting for a fold in progress.
 type ChainMemo struct {

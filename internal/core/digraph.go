@@ -37,6 +37,23 @@ import (
 // property of the edge set, and the cut the analysis reports — the
 // members of the minimal source side of the residual graph — is the same
 // for every maximum flow, so sorting edges here would buy nothing.
+//
+// Digraph classes. Fill reads a chain through three things only: its
+// zones above the authoritative zone (the prefix), the authoritative
+// zone's NS set, and whether that zone is a TLD. Chains equal in all
+// three get byte-identical Hosts, Off and Adj, so one min-cut serves
+// them all (DigraphClasses groups them). The argument: a zone's
+// dependencies (zoneAdj) are the address chains of its NS hosts, so two
+// authoritative zones a and b with one NS set depend on the same zones
+// and close over the same hosts. The reachable zone sets of the two
+// chains then differ at most in a and b themselves, which contribute
+// the same hosts and, with one TLD bit, ground the same hosts. So the
+// TCB, the grounded set, every host's edges (a property of the host,
+// not the chain) and Source's edges (the NS set, in its stored order)
+// are the same. Drop the prefix and chains under different TLDs merge;
+// drop the TLD bit and a TLD merges with a root-delegated two-label
+// zone served by the same hosts. Keying by TCB id is not enough either:
+// two chains with one TCB can still differ in Source's edges.
 type Digraph struct {
 	// Hosts maps local node index -> interned host id: the chain's TCB,
 	// sorted by id. It aliases the graph's table; do not modify.
@@ -162,6 +179,72 @@ func (d *Digraph) Fill(g *Graph, cid int32) error {
 		d.local[h] = 0
 	}
 	return nil
+}
+
+// DigraphClasses groups chains by the digraph Fill builds for them: for
+// each cids[i] it returns the index in cids of the first chain of its
+// class (i itself for a class's first chain). Two chains share a class
+// when their prefixes (every zone but the authoritative one) are equal
+// id by id, their authoritative zones' NS sets are equal as stored, and
+// both or neither of those zones is a TLD; see Digraph for why their
+// digraphs are then identical. A key is hashed, and every hash match is
+// confirmed by an exact compare: a hash collision never merges two
+// keys, and one NS set stored in two orders only splits a class. A
+// chain with no zones, which Fill rejects, is a class of its own.
+func (g *Graph) DigraphClasses(cids []int32) []int32 {
+	rep := make([]int32, len(cids))
+	next := make([]int32, len(cids)) // next[i]: the previous first chain of a class with i's hash, -1: none
+	heads := make(map[uint64]int32)
+	for i, cid := range cids {
+		rep[i] = int32(i)
+		chain := g.chains[cid]
+		if len(chain) == 0 {
+			continue
+		}
+		h := g.digraphKeyHash(chain)
+		head, ok := heads[h]
+		if !ok {
+			head = -1
+		}
+		j := head
+		for j >= 0 && !g.sameDigraphKey(chain, g.chains[cids[j]]) {
+			j = next[j]
+		}
+		if j >= 0 {
+			rep[i] = j
+			continue
+		}
+		next[i], heads[h] = head, int32(i)
+	}
+	return rep
+}
+
+// digraphKeyHash hashes a non-empty chain's class key (FNV-1a over the
+// ids, each list led by its length).
+func (g *Graph) digraphKeyHash(chain []int32) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(ids []int32) {
+		h = (h ^ uint64(len(ids))) * prime
+		for _, id := range ids {
+			h = (h ^ uint64(uint32(id))) * prime
+		}
+	}
+	last := chain[len(chain)-1]
+	mix(chain[:len(chain)-1])
+	mix(g.zoneNS[last])
+	if g.ZoneIsTLD(last) {
+		h = (h ^ 1) * prime
+	}
+	return h
+}
+
+// sameDigraphKey reports whether two non-empty chains have one class key.
+func (g *Graph) sameDigraphKey(a, b []int32) bool {
+	x, y := a[len(a)-1], b[len(b)-1]
+	return int32sEqual(a[:len(a)-1], b[:len(b)-1]) &&
+		int32sEqual(g.zoneNS[x], g.zoneNS[y]) &&
+		g.ZoneIsTLD(x) == g.ZoneIsTLD(y)
 }
 
 // grown returns s with at least n elements, the added ones zero.
