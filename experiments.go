@@ -244,7 +244,7 @@ func runFigure4(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 
 func runFigure5(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 	all := v.Summary().VulnPerTCB
-	pop := analysis.NewCDF(analysis.VulnInTCBMemo(v.Survey(), v.Popular(), v.Memo()))
+	pop := analysis.NewCDF(analysis.VulnInTCB(v.Survey(), v.Popular()))
 
 	tb := report.NewTable("Figure 5: CDF of vulnerable nameservers in TCB", "count", "all names %", "top 500 %")
 	for _, x := range []int{0, 1, 2, 4, 8, 16, 32, 64, 100} {
@@ -270,7 +270,7 @@ func runFigure5(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
 }
 
 func runFigure6(_ context.Context, v *View, w io.Writer) ([]Comparison, error) {
-	safety := analysis.TCBSafetyMemo(v.Survey(), v.Survey().Names, v.Memo())
+	safety := analysis.TCBSafety(v.Survey(), v.Survey().Names)
 	pts := analysis.SafetyDistribution(safety, 12)
 	tb := report.NewTable("Figure 6: % non-vulnerable nodes in TCB (names sorted ascending)", "name rank %", "safety %")
 	for _, p := range pts {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-	"errors"
 
 	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
@@ -25,7 +24,6 @@ type chainAgg struct {
 	names  []int32 // per chain: names of the population riding it
 	priced []bool  // per chain: price holds for survey's generation
 	price  []chainPrice
-	flags  []uint8 // per chain, fold scratch: zero between folds
 
 	owners ownerIndex // Summary: hosts by registered domain
 
@@ -51,16 +49,6 @@ type chainPrice struct {
 	cut, safe  int32 // min-cut size and safe servers in it; cut -1: no computable cut
 }
 
-// Fold scratch flags.
-const (
-	flagStale  uint8 = 1 << iota // the chain's price may differ in the target generation
-	flagQueued                   // the chain is being priced for the target generation
-)
-
-// errStaleChain reports a fold whose log missed a name riding a stale
-// chain: the columns then describe no generation and must be dropped.
-var errStaleChain = errors.New("analysis: a re-priced chain still carries names the log did not move")
-
 func newChainAgg(cuts bool) *chainAgg { return &chainAgg{cuts: cuts} }
 
 // pass runs one analysis (cuts: Bottlenecks; otherwise Summary) over
@@ -72,7 +60,7 @@ func pass(ctx context.Context, s *crawler.Survey, names []string, cuts bool, wor
 		return memo.whole(ctx, s, cuts, workers, read)
 	}
 	a := newChainAgg(cuts)
-	if err := a.fold(ctx, s, names, chainIDs(s.Graph, names), nil, workers, memo); err != nil {
+	if err := a.fold(ctx, s, names, chainIDs(s.Graph, names), workers, memo); err != nil {
 		return err
 	}
 	read(a)
@@ -83,35 +71,28 @@ func pass(ctx context.Context, s *crawler.Survey, names []string, cuts bool, wor
 // survey to: each steps off the chain it rode there (none on an empty
 // aggregate) and onto cids[i], its chain in to (-1: not in to). A name
 // appearing twice counts twice — list passes keep a caller's duplicates.
-// stale lists the chains whose price may differ between the two
-// generations; every name riding one must be in list. The chains names
-// land on are priced before anything moves — min-cuts through memo,
-// misses solved on workers goroutines — so a cancelled ctx returns its
-// error with the aggregate untouched.
-func (a *chainAgg) fold(ctx context.Context, to *crawler.Survey, list []string, cids []int32, stale []int32, workers int, memo *ChainMemo) error {
+// Every price the aggregate holds must hold in to too: the memo never
+// folds across a commit that could change one. The chains names land on
+// that have no price yet are priced before anything moves — min-cuts
+// through memo, misses solved on workers goroutines — so a cancelled
+// ctx returns its error with the aggregate untouched.
+func (a *chainAgg) fold(ctx context.Context, to *crawler.Survey, list []string, cids []int32, workers int, memo *ChainMemo) error {
 	g := to.Graph
 	a.grow(g.NumChains())
 	a.steps, a.solves = 0, 0
 
-	for _, cid := range stale {
-		a.flags[cid] |= flagStale
-	}
 	var need []int32
 	for _, cid := range cids {
-		if cid < 0 || a.flags[cid]&flagQueued != 0 || (a.priced[cid] && a.flags[cid]&flagStale == 0) {
-			continue
+		if cid >= 0 && !a.priced[cid] {
+			a.priced[cid] = true // queued; its price is set below
+			need = append(need, cid)
 		}
-		a.flags[cid] |= flagQueued
-		need = append(need, cid)
-	}
-	for _, cid := range stale {
-		a.flags[cid] = 0
-	}
-	for _, cid := range need {
-		a.flags[cid] = 0
 	}
 	prices, err := a.priceChains(ctx, to, need, workers, memo)
 	if err != nil {
+		for _, cid := range need {
+			a.priced[cid] = false
+		}
 		return err
 	}
 
@@ -126,14 +107,8 @@ func (a *chainAgg) fold(ctx context.Context, to *crawler.Survey, list []string, 
 			}
 		}
 	}
-	for _, cid := range stale {
-		if a.names[cid] != 0 {
-			return errStaleChain
-		}
-		a.priced[cid] = false
-	}
 	for i, cid := range need {
-		a.price[cid], a.priced[cid] = prices[i], true
+		a.price[cid] = prices[i]
 	}
 	for i, name := range list {
 		if cid := cids[i]; cid >= 0 {
@@ -150,7 +125,6 @@ func (a *chainAgg) grow(n int) {
 		a.names = append(a.names, make([]int32, d)...)
 		a.priced = append(a.priced, make([]bool, d)...)
 		a.price = append(a.price, make([]chainPrice, d)...)
-		a.flags = append(a.flags, make([]uint8, d)...)
 	}
 }
 
@@ -203,7 +177,7 @@ func (a *chainAgg) priceChains(ctx context.Context, s *crawler.Survey, cids []in
 				prices[i] = prices[r]
 				continue
 			}
-			size, vuln := memo.vulnCount(s, cid)
+			size, vuln := vulnCount(s, cid)
 			p := chainPrice{size: int32(size), vuln: int32(vuln), direct: -1}
 			if chain := g.ChainZoneIDs(cid); len(chain) > 0 {
 				p.direct = int32(len(g.ZoneNSIDs(chain[len(chain)-1])))

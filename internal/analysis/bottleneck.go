@@ -62,11 +62,11 @@ const missRange = 64
 // (nil is allowed: dedup within the call only). Over the survey's own
 // name list the memo serves the whole-survey aggregate, folded forward
 // from the last generation it was asked of: a commit costs the names it
-// touched plus a max-flow per digraph class among the new or re-priced
-// chains (see ChainMemo). Over any other list the pass is the same fold
-// from an empty aggregate: chains whose min-cut is cached (from an
-// earlier pass, or an earlier generation that did not touch them) are
-// priced without running max-flow, the rest with a max-flow per digraph
+// touched plus a max-flow per digraph class among the new chains (see
+// ChainMemo). Over any other list the pass is the same fold from an
+// empty aggregate: chains whose min-cut is cached (from an earlier pass,
+// in this generation or another since the memo's last flush) are priced
+// without running max-flow, the rest with a max-flow per digraph
 // class, and every freshly priced chain is stored for the next pass.
 //
 // A cancelled pass returns ctx.Err() after its workers have stopped;

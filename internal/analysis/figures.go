@@ -112,38 +112,41 @@ func MacroAverage(avgs []TLDAverage) float64 {
 	return sum / float64(len(avgs))
 }
 
+// vulnCount returns the TCB size of a chain in s and how many of its
+// members are vulnerable.
+func vulnCount(s *crawler.Survey, cid int32) (size, vuln int) {
+	ids := s.Graph.ChainTCBIDs(cid)
+	for _, id := range ids {
+		if len(s.HostVulns(id)) > 0 {
+			vuln++
+		}
+	}
+	return len(ids), vuln
+}
+
 // chainVulnCounts computes, per interned chain, the TCB size and the
 // number of vulnerable TCB members — each chain's (shared) TCB slice is
 // scanned exactly once, and every name on the chain reuses the entry.
 // Entries are computed lazily: sizes[c] < 0 marks an untouched chain.
-// With a persistent memo attached, entries survive across calls and
-// generations: the per-call pass starts from the memo's counts and
-// writes fresh ones back.
 type chainVulnCounts struct {
 	s     *crawler.Survey
-	memo  *ChainMemo
 	sizes []int
 	vulns []int
 }
 
-func newChainVulnCounts(s *crawler.Survey, memo *ChainMemo) *chainVulnCounts {
+func newChainVulnCounts(s *crawler.Survey) *chainVulnCounts {
 	n := s.Graph.NumChains()
 	sizes := make([]int, n)
 	for i := range sizes {
 		sizes[i] = -1
 	}
-	return &chainVulnCounts{
-		s:     s,
-		memo:  memo,
-		sizes: sizes,
-		vulns: make([]int, n),
-	}
+	return &chainVulnCounts{s: s, sizes: sizes, vulns: make([]int, n)}
 }
 
 // of returns (TCB size, vulnerable count) for an interned chain.
 func (c *chainVulnCounts) of(cid int32) (size, vuln int) {
 	if c.sizes[cid] < 0 {
-		c.sizes[cid], c.vulns[cid] = c.memo.vulnCount(c.s, cid)
+		c.sizes[cid], c.vulns[cid] = vulnCount(c.s, cid)
 	}
 	return c.sizes[cid], c.vulns[cid]
 }
@@ -151,13 +154,7 @@ func (c *chainVulnCounts) of(cid int32) (size, vuln int) {
 // VulnInTCB returns, per name, the number of TCB members with known
 // exploits (Figure 5's raw data).
 func VulnInTCB(s *crawler.Survey, names []string) []int {
-	return VulnInTCBMemo(s, names, nil)
-}
-
-// VulnInTCBMemo is VulnInTCB through a persistent chain memo (nil is
-// allowed: dedup within the call only).
-func VulnInTCBMemo(s *crawler.Survey, names []string, memo *ChainMemo) []int {
-	counts := newChainVulnCounts(s, memo)
+	counts := newChainVulnCounts(s)
 	out := make([]int, 0, len(names))
 	for _, cid := range chainIDs(s.Graph, names) {
 		if cid < 0 {
@@ -173,12 +170,7 @@ func VulnInTCBMemo(s *crawler.Survey, names []string, memo *ChainMemo) []int {
 // known exploits (Figure 6's raw data). Names with empty TCBs are
 // reported 100% safe.
 func TCBSafety(s *crawler.Survey, names []string) []float64 {
-	return TCBSafetyMemo(s, names, nil)
-}
-
-// TCBSafetyMemo is TCBSafety through a persistent chain memo.
-func TCBSafetyMemo(s *crawler.Survey, names []string, memo *ChainMemo) []float64 {
-	counts := newChainVulnCounts(s, memo)
+	counts := newChainVulnCounts(s)
 	out := make([]float64, 0, len(names))
 	for _, cid := range chainIDs(s.Graph, names) {
 		if cid < 0 {

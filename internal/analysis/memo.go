@@ -1,13 +1,12 @@
 // Chain-keyed analysis memoization. Names sharing a delegation chain
 // share a TCB and a min-cut digraph, and a monitored survey's chains are
 // interned with stable ids across generations — so analysis results can
-// be cached per chain id and survive incremental Adds, invalidated only
-// for the chains an Add actually touched.
+// be cached per chain id and survive incremental Adds, dropped together
+// on the rare commit that can change a chain's price.
 package analysis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -17,13 +16,12 @@ import (
 	"dnstrust/internal/mincut"
 )
 
-// ChainMemo caches per-chain analysis results — min-cut bottlenecks and
-// TCB size/vulnerability counts — keyed by interned chain id, across the
-// generations of a monitored survey, and keeps the whole-survey Summary
-// and Bottlenecks as aggregates it folds forward commit by commit. It is
-// safe for concurrent use: readers of several generations may look up
-// and store results while a Monitor advances the memo past new
-// generations.
+// ChainMemo caches per-chain min-cut bottlenecks, keyed by interned
+// chain id, across the generations of a monitored survey, and keeps the
+// whole-survey Summary and Bottlenecks as aggregates it folds forward
+// commit by commit. It is safe for concurrent use: readers of several
+// generations may look up and store results while a Monitor advances
+// the memo past new generations.
 //
 // Correctness across generations rests on the builder's invariants: a
 // chain id means the same delegation chain forever, zone NS sets are
@@ -31,42 +29,40 @@ import (
 // TCB or digraph can change between generations is a host whose address
 // chain attached late (crawler.CrawlStats.LateAttachedHosts). The only
 // way its vulnerability counts and cut weights can change is a host
-// rescored by a later banner (crawler.CrawlStats.RescoredHosts). Advance
-// marks exactly the chains whose TCB intersects either set as touched;
-// every entry records the generation it was computed at, and a lookup
-// from a generation-g view hits only when the chain was last touched at
-// or before both g and the entry's generation.
+// rescored by a later banner (crawler.CrawlStats.RescoredHosts). Both
+// are rare — a crawl of a generated world reports neither — so a commit
+// that reports either flushes the memo: every cut is dropped, the commit
+// log is broken, and the floor moves to the new generation. A cut serves
+// and is stored from views at or after the floor only, so no cut crosses
+// a change; between flushes every chain's price is fixed.
 //
 // The aggregates. Once a view's Summary or Bottlenecks has been asked
 // through the memo, the memo holds that analysis as dense per-chain
 // columns (chainAgg): the number of names riding each chain, and the
-// values the chain was last priced at — TCB size, vulnerable members and
+// values the chain was priced at — TCB size, vulnerable members and
 // direct servers for Summary, cut size and safe servers for Bottlenecks.
 // From then on Advance logs, per commit, the names whose chain mapping
-// changed (the store's journal, read before the owner prunes it) plus
-// every name riding a chain it marked, and the marked chains themselves.
-// A later view's analysis folds the logs since the aggregate's
-// generation: each logged name steps off its old chain and onto its new
-// one, marked chains are re-priced, and min-cuts are solved only for
-// chains that are new or marked: a max-flow per digraph class among
-// them (core.Graph.DigraphClasses), its cut stored under every member's
-// id. Keys and invalidation stay per chain: members of a class share a
-// TCB, so a late-attached or rescored host marks all of them together.
+// changed (the store's journal, read before the owner prunes it). A
+// later view's analysis folds the logs since the aggregate's generation:
+// each logged name steps off its old chain and onto its new one, and
+// chains are priced, min-cuts solved, only for chains the aggregate has
+// not priced: a max-flow per digraph class among them
+// (core.Graph.DigraphClasses), its cut stored under every member's id.
 // The cost is O(names logged), not O(names surveyed). A view of a
 // foreign store, one older than the aggregate, or one the log does not
-// reach (a commit Advance did not see, or a log grown past the
+// reach (a flush, a commit Advance did not see, or a log grown past the
 // aggregate's name count, which empties it) takes the cold pass — the
 // same fold from an empty aggregate over every name — and only a
-// same-store view newer than the aggregate replaces it. A memo whose aggregates were never built (the verdict
-// cache's) logs nothing. The log has its own lock: Advance appends to
-// it without waiting for a fold in progress.
+// same-store view newer than the aggregate replaces it. A memo whose
+// aggregates were never built (the verdict cache's) logs nothing. The
+// log has its own lock: Advance appends to it without waiting for a fold
+// in progress.
 type ChainMemo struct {
 	mu sync.RWMutex
-	// lastTouch[cid] is the generation at which the chain's dependency
-	// structure last changed; absent means never since monitoring began.
-	lastTouch map[int32]int64
-	cuts      map[int32]memoCut
-	counts    map[int32]memoCount
+	// floor is the generation of the last flush: cuts holds results
+	// computed against views at or after it only.
+	floor int64
+	cuts  map[int32]*mincut.Result
 
 	// aggMu guards the aggregates and the work counters. A warm fold
 	// holds it throughout; a cold pass takes it only to install what it
@@ -96,80 +92,36 @@ type ChainMemo struct {
 type commitLog struct {
 	from, to int64 // generations
 	epoch    int64 // graph epoch of generation to
-	// names lists, sorted, the names whose chain mapping changed plus
-	// the names (in generation from) riding a stale chain.
+	// names lists, sorted, the names whose chain mapping changed.
 	names []string
-	// stale lists the chains Advance marked: their TCB holds a
-	// late-attached or rescored host, so their price may have changed.
-	stale []int32
-}
-
-type memoCut struct {
-	gen int64
-	res *mincut.Result
-}
-
-type memoCount struct {
-	gen        int64
-	size, vuln int
 }
 
 // NewChainMemo returns an empty memo.
 func NewChainMemo() *ChainMemo {
-	return &ChainMemo{
-		lastTouch: make(map[int32]int64),
-		cuts:      make(map[int32]memoCut),
-		counts:    make(map[int32]memoCount),
-	}
+	return &ChainMemo{cuts: make(map[int32]*mincut.Result)}
 }
 
-// Advance moves the memo from one committed generation to the next:
-// chains whose TCB (in the previous generation) contains a late-attached
-// or rescored host are marked touched at the new generation and their
-// entries dropped; every other entry stays valid. With neither — the
-// overwhelmingly common batch — invalidation is O(1). When the memo
-// holds an aggregate, Advance also logs the commit's changed names for
-// the next fold: O(names the commit touched). Call it before the
+// Advance moves the memo from one committed generation to the next. A
+// commit that reports a late-attached or rescored host flushes the
+// memo; any other — the overwhelmingly common batch — keeps every cut
+// and, when the memo holds an aggregate, logs the commit's changed names
+// for the next fold: O(names the commit touched). Call it before the
 // store's journal for prev's epoch is pruned.
 func (m *ChainMemo) Advance(prev, next *crawler.Survey) {
 	if m == nil || prev == nil || next == nil {
 		return
 	}
-	stale := m.invalidate(prev, next)
-	m.logCommit(prev, next, stale)
-}
-
-// invalidate marks and drops the chains whose TCB in prev holds a host
-// next reports late-attached or rescored, and returns them in id order.
-func (m *ChainMemo) invalidate(prev, next *crawler.Survey) []int32 {
-	late, rescored := next.Stats.LateAttachedHosts, next.Stats.RescoredHosts
-	if len(late)+len(rescored) == 0 {
-		return nil
+	if len(next.Stats.LateAttachedHosts)+len(next.Stats.RescoredHosts) == 0 {
+		m.logCommit(prev, next)
+		return
 	}
-	lateSet := make(map[int32]bool, len(late)+len(rescored))
-	for _, h := range late {
-		lateSet[h] = true
-	}
-	for _, h := range rescored {
-		lateSet[h] = true
-	}
-	gen := next.Stats.Generation
-	g := prev.Graph
-	var stale []int32
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for cid := int32(0); cid < int32(g.NumChains()); cid++ {
-		for _, h := range g.ChainTCBIDs(cid) {
-			if lateSet[h] {
-				m.lastTouch[cid] = gen
-				delete(m.cuts, cid)
-				delete(m.counts, cid)
-				stale = append(stale, cid)
-				break
-			}
-		}
-	}
-	return stale
+	m.floor = next.Stats.Generation
+	clear(m.cuts)
+	m.mu.Unlock()
+	m.logMu.Lock()
+	m.breakLogLocked()
+	m.logMu.Unlock()
 }
 
 // minLogNames is how many logged names the memo keeps before it weighs
@@ -180,7 +132,7 @@ const minLogNames = 1024
 // fold. A commit the journal cannot describe — another store, or a
 // pruned journal — or a log grown past what a cold pass costs breaks
 // the log: no fold crosses it, and the next whole-survey pass is cold.
-func (m *ChainMemo) logCommit(prev, next *crawler.Survey, stale []int32) {
+func (m *ChainMemo) logCommit(prev, next *crawler.Survey) {
 	m.logMu.Lock()
 	defer m.logMu.Unlock()
 	if !m.logging {
@@ -192,19 +144,11 @@ func (m *ChainMemo) logCommit(prev, next *crawler.Survey, stale []int32) {
 		return
 	}
 	names := ng.NamesTouchedSince(pg.Epoch())
-	if len(stale) > 0 {
-		for _, cid := range stale {
-			names = append(names, pg.NamesOnChain(cid)...)
-		}
-		slices.Sort(names)
-		names = slices.Compact(names)
-	}
 	m.log = append(m.log, commitLog{
 		from:  prev.Stats.Generation,
 		to:    next.Stats.Generation,
 		epoch: ng.Epoch(),
 		names: names,
-		stale: stale,
 	})
 	m.logNames += len(names)
 	// Folding more names than the aggregate holds costs more than the
@@ -227,10 +171,10 @@ func (m *ChainMemo) breakLogLocked() {
 // only the entries some aggregate has yet to fold. Logging restarted
 // after a break leaves a gap that every older aggregate detects.
 func (m *ChainMemo) syncLogLocked() {
-	floor, held := int64(math.MaxInt64), 0
+	oldest, held := int64(math.MaxInt64), 0
 	for _, a := range []*chainAgg{m.sum, m.bot} {
 		if a != nil {
-			floor = min(floor, a.survey.Stats.Generation)
+			oldest = min(oldest, a.survey.Stats.Generation)
 			held = max(held, a.survey.Graph.NumNames())
 		}
 	}
@@ -238,25 +182,25 @@ func (m *ChainMemo) syncLogLocked() {
 	defer m.logMu.Unlock()
 	m.logging, m.held = true, held
 	i := 0
-	for i < len(m.log) && m.log[i].to <= floor {
+	for i < len(m.log) && m.log[i].to <= oldest {
 		m.logNames -= len(m.log[i].names)
 		i++
 	}
 	m.log = slices.Delete(m.log, 0, i)
 }
 
-// changes collects what the log says changed between the aggregate's
-// generation and s's: the names to move and the chains to re-price. ok
-// is false when no fold reaches s — another store, an older or equal
-// generation held by another survey, or a gap in the log.
-func (m *ChainMemo) changes(a *chainAgg, s *crawler.Survey) (names []string, stale []int32, ok bool) {
+// changes collects the names the log says moved between the
+// aggregate's generation and s's. ok is false when no fold reaches s —
+// another store, an older or equal generation held by another survey,
+// or a gap in the log.
+func (m *ChainMemo) changes(a *chainAgg, s *crawler.Survey) (names []string, ok bool) {
 	if a.survey == s {
-		return nil, nil, true
+		return nil, true
 	}
 	ag, sg := a.survey.Graph, s.Graph
 	gen, want := a.survey.Stats.Generation, s.Stats.Generation
 	if !sg.SharesStore(ag) || ag.Epoch() > sg.Epoch() || want <= gen {
-		return nil, nil, false
+		return nil, false
 	}
 	epoch, logs := ag.Epoch(), 0
 	m.logMu.Lock()
@@ -268,7 +212,6 @@ func (m *ChainMemo) changes(a *chainAgg, s *crawler.Survey) (names []string, sta
 			break
 		}
 		names = append(names, l.names...)
-		stale = append(stale, l.stale...)
 		gen, epoch = l.to, l.epoch
 		logs++
 		if gen == want {
@@ -277,13 +220,13 @@ func (m *ChainMemo) changes(a *chainAgg, s *crawler.Survey) (names []string, sta
 	}
 	m.logMu.Unlock()
 	if gen != want || epoch != sg.Epoch() {
-		return nil, nil, false
+		return nil, false
 	}
 	if logs > 1 {
 		slices.Sort(names)
 		names = slices.Compact(names)
 	}
-	return names, stale, true
+	return names, true
 }
 
 // whole brings the memo's aggregate of one kind (cuts: Bottlenecks;
@@ -298,26 +241,21 @@ func (m *ChainMemo) whole(ctx context.Context, s *crawler.Survey, cuts bool, wor
 		slot = &m.bot
 	}
 	if a := *slot; a != nil {
-		if names, stale, ok := m.changes(a, s); ok {
-			err := a.fold(ctx, s, names, chainIDs(s.Graph, names), stale, workers, m)
+		if names, ok := m.changes(a, s); ok {
+			err := a.fold(ctx, s, names, chainIDs(s.Graph, names), workers, m)
 			m.steps, m.solves = m.steps+a.steps, m.solves+a.solves
 			if err == nil {
 				read(a)
 				m.syncLogLocked()
-				m.aggMu.Unlock()
-				return nil
 			}
-			if !errors.Is(err, errStaleChain) {
-				m.aggMu.Unlock()
-				return err
-			}
-			*slot = nil // the columns no longer describe any generation
+			m.aggMu.Unlock()
+			return err
 		}
 	}
 	m.aggMu.Unlock()
 
 	a := newChainAgg(cuts)
-	if err := a.fold(ctx, s, s.Names, chainIDs(s.Graph, s.Names), nil, workers, m); err != nil {
+	if err := a.fold(ctx, s, s.Names, chainIDs(s.Graph, s.Names), workers, m); err != nil {
 		return err
 	}
 	read(a)
@@ -331,14 +269,6 @@ func (m *ChainMemo) whole(ctx context.Context, s *crawler.Survey, cuts bool, wor
 	return nil
 }
 
-// validFor reports whether an entry computed at entryGen serves a view
-// of generation viewGen: the chain must not have been touched after
-// either. lastTouch is read under the lock by callers.
-func (m *ChainMemo) validFor(cid int32, entryGen, viewGen int64) bool {
-	t := m.lastTouch[cid]
-	return t <= entryGen && t <= viewGen
-}
-
 // cut returns the memoized min-cut of a chain for a view generation.
 func (m *ChainMemo) cut(cid int32, viewGen int64) (*mincut.Result, bool) {
 	if m == nil {
@@ -346,11 +276,11 @@ func (m *ChainMemo) cut(cid int32, viewGen int64) (*mincut.Result, bool) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	e, ok := m.cuts[cid]
-	if !ok || !m.validFor(cid, e.gen, viewGen) {
+	if viewGen < m.floor {
 		return nil, false
 	}
-	return e.res, true
+	res, ok := m.cuts[cid]
+	return res, ok
 }
 
 // storedCut is one freshly computed chain result on its way into the memo.
@@ -360,72 +290,26 @@ type storedCut struct {
 }
 
 // storeCuts records, under one lock, min-cuts computed against a view of
-// the given generation, preferring the newest computation when views of
-// different generations race.
+// the given generation. A view older than the last flush stores
+// nothing: its cuts may predate the change.
 func (m *ChainMemo) storeCuts(viewGen int64, batch []storedCut) {
 	if m == nil || len(batch) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if viewGen < m.floor {
+		return
+	}
 	for _, c := range batch {
-		if e, ok := m.cuts[c.cid]; ok && e.gen > viewGen {
-			continue
-		}
-		m.cuts[c.cid] = memoCut{gen: viewGen, res: c.res}
+		m.cuts[c.cid] = c.res
 	}
-}
-
-// count returns the memoized (TCB size, vulnerable members) of a chain
-// for a view generation.
-func (m *ChainMemo) count(cid int32, viewGen int64) (size, vuln int, ok bool) {
-	if m == nil {
-		return 0, 0, false
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.counts[cid]
-	if !ok || !m.validFor(cid, e.gen, viewGen) {
-		return 0, 0, false
-	}
-	return e.size, e.vuln, true
-}
-
-// storeCount records a chain's TCB counts computed against a view of the
-// given generation.
-func (m *ChainMemo) storeCount(cid int32, viewGen int64, size, vuln int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.counts[cid]; ok && e.gen > viewGen {
-		return
-	}
-	m.counts[cid] = memoCount{gen: viewGen, size: size, vuln: vuln}
-}
-
-// vulnCount returns the (TCB size, vulnerable members) of a chain in s,
-// served from and stored into the memo (which may be nil).
-func (m *ChainMemo) vulnCount(s *crawler.Survey, cid int32) (size, vuln int) {
-	gen := s.Stats.Generation
-	if size, vuln, ok := m.count(cid, gen); ok {
-		return size, vuln
-	}
-	ids := s.Graph.ChainTCBIDs(cid)
-	for _, id := range ids {
-		if len(s.HostVulns(id)) > 0 {
-			vuln++
-		}
-	}
-	m.storeCount(cid, gen, len(ids), vuln)
-	return len(ids), vuln
 }
 
 // BottleneckOfMemo runs the §3.2 min-cut analysis for one name through
 // the memo: the first query of a chain pays the max-flow, every later
-// query of any name on that chain — in this generation or any untouched
-// one — is a lookup. The returned result is caller-owned. memo may be
+// query of any name on that chain — in this generation or any other
+// since the last flush — is a lookup. The returned result is caller-owned. memo may be
 // nil.
 func BottleneckOfMemo(s *crawler.Survey, name string, memo *ChainMemo) (*mincut.Result, error) {
 	g := s.Graph

@@ -74,62 +74,86 @@ func TestChainMemoServesWarmPass(t *testing.T) {
 	}
 }
 
-// TestChainMemoAdvanceInvalidatesTouchedChains checks per-chain
-// invalidation: a late-attached host invalidates exactly the chains
-// whose TCB contains it — for every generation — while untouched chains
-// keep serving all generations.
-func TestChainMemoAdvanceInvalidatesTouchedChains(t *testing.T) {
+// TestChainMemoFlushesOnLateOrRescored checks the flush: a commit that
+// reports a late-attached or a rescored host drops every cut, for old
+// and new generations alike, and a view older than the flush neither
+// reads a cut stored after it nor stores one; a commit that reports
+// neither keeps every cut serving old and new views.
+func TestChainMemoFlushesOnLateOrRescored(t *testing.T) {
+	ctx := context.Background()
 	s1 := memoWorld(t, 1)
-	memo := NewChainMemo()
-	if _, err := BottlenecksMemo(context.Background(), s1, s1.Names, 1, memo); err != nil {
-		t.Fatal(err)
-	}
 	cidX, _ := s1.Graph.NameChainID("www.x.com")
 	cidY, _ := s1.Graph.NameChainID("www.y.com")
-
-	// Generation 2 late-attaches the chain of ns.x.com — a member of
-	// chain X's TCB but not of chain Y's.
+	// ns.x.com is a member of chain X's TCB but not of chain Y's.
 	hid, ok := s1.Graph.HostID("ns.x.com")
 	if !ok {
 		t.Fatal("ns.x.com not interned")
 	}
-	s2 := memoWorld(t, 2)
-	s2.Stats.LateAttachedHosts = []int32{hid}
-	memo.Advance(s1, s2)
-
-	if _, ok := memo.cut(cidX, 2); ok {
-		t.Error("touched chain still served at the new generation")
+	served := func(memo *ChainMemo, cid int32, gen int64) bool {
+		_, ok := memo.cut(cid, gen)
+		return ok
 	}
-	if _, ok := memo.cut(cidX, 1); ok {
-		t.Error("touched chain still served at the old generation (entry generation is unknowable now)")
-	}
-	if _, ok := memo.cut(cidY, 2); !ok {
-		t.Error("untouched chain dropped by Advance")
-	}
-	if _, ok := memo.cut(cidY, 1); !ok {
-		t.Error("untouched chain no longer serves the old generation")
+	warm := func(t *testing.T) *ChainMemo {
+		memo := NewChainMemo()
+		if _, err := BottlenecksMemo(ctx, s1, s1.Names, 1, memo); err != nil {
+			t.Fatal(err)
+		}
+		if !served(memo, cidX, 1) || !served(memo, cidY, 1) {
+			t.Fatal("cold pass did not populate the memo")
+		}
+		return memo
 	}
 
-	// Recomputing the touched chain against generation 2 re-populates
-	// it for generation 2 — but a generation-1 view must still miss,
-	// because the chain changed between the two.
-	if _, err := BottleneckOfMemo(s2, "www.x.com", memo); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := memo.cut(cidX, 2); !ok {
-		t.Error("recomputed chain not served at its own generation")
-	}
-	if _, ok := memo.cut(cidX, 1); ok {
-		t.Error("generation-1 view served a result computed after the chain changed")
+	for _, c := range []struct {
+		what string
+		mark func(*crawler.CrawlStats)
+	}{
+		{"late-attached", func(st *crawler.CrawlStats) { st.LateAttachedHosts = []int32{hid} }},
+		{"rescored", func(st *crawler.CrawlStats) { st.RescoredHosts = []int32{hid} }},
+	} {
+		t.Run(c.what, func(t *testing.T) {
+			memo := warm(t)
+			s2 := memoWorld(t, 2)
+			c.mark(&s2.Stats)
+			memo.Advance(s1, s2)
+			for _, gen := range []int64{1, 2} {
+				for _, cid := range []int32{cidX, cidY} {
+					if served(memo, cid, gen) {
+						t.Errorf("a %s host left chain %d's cut serving generation %d", c.what, cid, gen)
+					}
+				}
+			}
+
+			// A cut computed against generation 2 serves generation 2,
+			// never the generation-1 view.
+			if _, err := BottleneckOfMemo(s2, "www.x.com", memo); err != nil {
+				t.Fatal(err)
+			}
+			if !served(memo, cidX, 2) {
+				t.Error("cut computed after the flush not served at its own generation")
+			}
+			if served(memo, cidX, 1) {
+				t.Error("generation-1 view served a cut stored after the flush")
+			}
+			// A generation-1 view computes its cut and stores nothing.
+			if _, err := BottleneckOfMemo(s1, "www.y.com", memo); err != nil {
+				t.Fatal(err)
+			}
+			if served(memo, cidY, 1) || served(memo, cidY, 2) {
+				t.Error("a view older than the flush stored its cut")
+			}
+		})
 	}
 
-	// An Advance with no late attachments is a no-op.
-	s3 := memoWorld(t, 3)
-	memo.Advance(s2, s3)
-	if _, ok := memo.cut(cidX, 3); !ok {
-		t.Error("untouched advance dropped entries")
-	}
-	if _, ok := memo.cut(cidY, 3); !ok {
-		t.Error("untouched advance dropped entries")
-	}
+	t.Run("neither", func(t *testing.T) {
+		memo := warm(t)
+		memo.Advance(s1, memoWorld(t, 2))
+		for _, gen := range []int64{1, 2} {
+			for _, cid := range []int32{cidX, cidY} {
+				if !served(memo, cid, gen) {
+					t.Errorf("a commit with neither kind of host dropped chain %d's cut for generation %d", cid, gen)
+				}
+			}
+		}
+	})
 }

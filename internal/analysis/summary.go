@@ -43,8 +43,8 @@ func Summarize(s *crawler.Survey, names []string) *Summary {
 // whole-survey aggregate, folded forward from the last generation it
 // was asked of: a commit costs the names it touched (see ChainMemo).
 // Over any other list — the popular names, say — the pass is the same
-// fold from an empty aggregate, each distinct chain's vulnerability
-// scan served from (and fed into) the memo.
+// fold from an empty aggregate, with one vulnerability scan per digraph
+// class of the names' chains.
 //
 // The pass runs on interned ids: the names resolve to chain ids once
 // (the survey's own list through the graph's chain-id column, with no

@@ -78,8 +78,8 @@ type Builder struct {
 	// attached after the host had been published in a finalized Graph —
 	// the only way an already-finalized zone's dependency structure (and
 	// therefore any chain's TCB or min-cut digraph) can change between
-	// epochs. Consumers drain it with TakeLateAttached to invalidate
-	// per-chain analysis memos precisely.
+	// epochs. Consumers drain it with TakeLateAttached; a per-chain
+	// analysis memo flushes when it is not empty.
 	lateAttached map[int32]struct{}
 
 	// baseNames/baseCids are the store's base table in sorted name
@@ -570,8 +570,8 @@ func (b *Builder) PruneJournal(upTo int64) {
 // the previous FinishEpoch. These are the only hosts through which an
 // already-finalized epoch's dependency structure can differ from the next
 // epoch's: a delegation chain whose TCB avoids all of them has an
-// identical TCB and min-cut digraph in both epochs, so per-chain analysis
-// memos need only invalidate chains whose TCB intersects this set. Call
+// identical TCB and min-cut digraph in both epochs, so a per-chain
+// analysis memo keeps every entry across an epoch that reports none. Call
 // it between FinishEpoch and the next batch of events.
 func (b *Builder) TakeLateAttached() []int32 {
 	if len(b.lateAttached) == 0 {

@@ -61,7 +61,7 @@ func (b *Builder) InternChain(zoneIDs []int32) int32 {
 // AttachHostChain assigns host hid's address chain by interned chain
 // id. The first attachment wins, matching ObserveChain; attachments to
 // hosts already published in a finalized graph are tracked as late so
-// TakeLateAttached keeps memo invalidation precise.
+// TakeLateAttached reports them to per-chain analysis memos.
 func (b *Builder) AttachHostChain(hid, cid int32) {
 	if b.st.hostChainAt[hid] != 0 {
 		return

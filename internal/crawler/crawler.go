@@ -69,15 +69,17 @@ type CrawlStats struct {
 	Generation int64
 	// LateAttachedHosts lists host ids whose address chain attached
 	// after the host had already appeared in an earlier generation — the
-	// precise set through which earlier generations' analysis results
-	// can be invalidated (see core.Builder.TakeLateAttached). Nil for
-	// almost every batch.
+	// only way an earlier generation's TCBs and min-cut digraphs can
+	// change (see core.Builder.TakeLateAttached); a per-chain analysis
+	// memo flushes on a generation that lists any. Nil for almost every
+	// batch.
 	LateAttachedHosts []int32
-	// RescoredHosts lists, sorted, the host ids whose vulnerability
-	// changed at this generation: a merged fleet view learning a host's
-	// banner from a second shard. Like a late attach it moves the
-	// analysis results of every chain whose TCB holds the host. Nil for
-	// an engine's batches, which probe each host once.
+	// RescoredHosts lists, sorted, the ids of hosts the previous
+	// generation held whose vulnerability changed at this generation: a
+	// merged fleet view learning a host's banner from a second shard.
+	// Like a late attach it can move the analysis results of every chain
+	// whose TCB holds the host, and flushes a per-chain memo. Nil for an
+	// engine's batches, which probe each host once.
 	RescoredHosts []int32
 	// FailuresRetried counts the memoized failures evicted at this
 	// batch's generation boundary (resolver.Walker.ForgetFailures) — the

@@ -50,8 +50,8 @@ type Engine struct {
 	// pendingLate carries late-attached host ids drained from the
 	// builder by an Add that then failed before committing (e.g. probe
 	// cancellation): they must surface in the NEXT committed
-	// generation's stats or the analysis memo would never invalidate
-	// the chains they touched.
+	// generation's stats or the analysis memo would never flush the
+	// results they changed.
 	pendingLate []int32
 
 	// disc is the walker's discovery FIFO. The observer callbacks append
@@ -235,7 +235,7 @@ func (e *Engine) Add(ctx context.Context, names ...string) (*Survey, error) {
 	// batch, and publish the new generation. Late-attached ids drained
 	// here are folded into pendingLate first, so an abort below (probe
 	// cancellation) cannot lose them — the next committed generation
-	// reports them and the analysis memo invalidates correctly.
+	// reports them and the analysis memo flushes correctly.
 	buildStart := time.Now()
 	g := e.b.FinishEpoch()
 	e.pendingLate = mergeSorted(e.pendingLate, e.b.TakeLateAttached())

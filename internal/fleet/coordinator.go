@@ -361,6 +361,10 @@ func (c *Coordinator) Commit(ctx context.Context) (*view.View, error) {
 	}
 	g := c.b.FinishEpoch()
 	late := c.b.TakeLateAttached()
+	// A host the previous generation did not hold has no score to change.
+	rescored = slices.DeleteFunc(rescored, func(h int32) bool {
+		return prevGraph == nil || int(h) >= prevGraph.NumHosts()
+	})
 	slices.Sort(rescored)
 	c.gen++
 	gen := c.gen

@@ -534,6 +534,103 @@ func TestFleetBannerFirstNonEmptyWins(t *testing.T) {
 	}
 }
 
+// TestFleetRescoresOnlyHeldHosts: fleet rounds whose new names bring new
+// hosts report none of them rescored — a host the previous generation
+// did not hold has no score to change, and reporting it would flush the
+// fleet's chain memo every round — while a host the previous generation
+// held whose banner a round reveals is reported, alone.
+func TestFleetRescoresOnlyHeldHosts(t *testing.T) {
+	ctx := context.Background()
+	world := genWorld(t, 36, 180)
+	ring := fleet.NewRing([]string{"s0", "s1", "s2"}, 0)
+	parts := ring.Assign(world.Corpus)
+	engines := make([]*crawler.Engine, 3)
+	sources := make([]*countingSource, 3)
+	shards := make([]fleet.Shard, 3)
+	// Each shard surveys a third of its partition per round.
+	third := func(i, k int) []string {
+		n := len(parts[i])
+		return parts[i][k*n/3 : (k+1)*n/3]
+	}
+	for i, name := range ring.Shards() {
+		e, _ := newShardEngine(t, world, name)
+		if _, err := e.Add(ctx, third(i, 0)...); err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+		sources[i] = &countingSource{ep: epochOf(t, e)}
+		shards[i] = fleet.Shard{Name: name, Source: sources[i]}
+	}
+
+	// The hidden host: shard s0's first host whose banner scores
+	// vulnerable and that no other shard holds. Its banner stays hidden
+	// until s0's second-round epoch.
+	held := map[string]bool{}
+	for _, src := range sources[1:] {
+		for _, h := range src.ep.Hosts {
+			held[h] = true
+		}
+	}
+	ep0 := sources[0].ep
+	host := ""
+	db := vulndb.Default()
+	for i, b := range ep0.Banners {
+		if len(db.VulnsForBanner(b)) > 0 && !held[ep0.Hosts[i]] {
+			host = ep0.Hosts[i]
+			break
+		}
+	}
+	if host == "" {
+		t.Fatal("shard s0 holds no vulnerable host of its own; pick another seed")
+	}
+	sources[0].set(withBanner(t, ep0, ep0.Generation, host, ""))
+
+	c, err := fleet.New(shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := c.Commit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newHosts := 0
+	for k := 1; k < 3; k++ {
+		for i, e := range engines {
+			if _, err := e.Add(ctx, third(i, k)...); err != nil {
+				t.Fatal(err)
+			}
+			sources[i].set(epochOf(t, e))
+			fv, err := c.Commit(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, before := fv.Survey(), prev.Survey().Graph.NumHosts()
+			newHosts += s.Graph.NumHosts() - before
+			var want []int32
+			if k == 1 && i == 0 {
+				id, ok := s.Graph.HostID(host)
+				if !ok {
+					t.Fatalf("merged view lost %s", host)
+				}
+				want = []int32{id}
+			}
+			got := s.Stats.RescoredHosts
+			for _, h := range got {
+				if int(h) >= before {
+					t.Errorf("generation %d: rescored host %d is new: the previous generation held %d hosts", fv.Generation(), h, before)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("generation %d: rescored hosts %v, want %v", fv.Generation(), got, want)
+			}
+			prev = fv
+		}
+	}
+	if newHosts == 0 {
+		t.Fatal("no round brought a new host; pick another seed")
+	}
+}
+
 // TestFleetDeterminism: two coordinators fed the same shard snapshot
 // set (declared in different orders) converge on byte-identical merged
 // snapshots.

@@ -83,7 +83,7 @@ func Latency(model LatencyModel) Middleware {
 // WireFramed returns middleware that round-trips every message through
 // the full wire codec (pack + unpack on both directions), exercising the
 // identical byte path a network crawl would see without socket overhead.
-// Used by the transport ablation and Options.WireFramed.
+// Used by the transport ablation.
 func WireFramed() Middleware {
 	return func(next Source) Source {
 		return layer{inner: next, query: func(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type, class dnswire.Class) (*dnswire.Message, error) {

@@ -62,7 +62,8 @@ type Merge struct {
 // takes about 0.2 ms and a warm Bottlenecks 0.5–0.7 ms on a 2-vCPU
 // box (against 29–31 ms and 6.4–7.8 ms when each re-read every name).
 // A View the memo's log does not reach — older than the memo's
-// aggregate, or of another store — takes the cold pass.
+// aggregate, of another store, or past a commit that late-attached or
+// rescored a host, which flushes the memo — takes the cold pass.
 //
 //lint:immutable
 type View struct {
@@ -184,7 +185,7 @@ func (v *View) Summary() *analysis.Summary {
 
 // Bottleneck runs the §3.2 min-cut analysis for one name, served from
 // the chain memo when any name sharing the delegation chain was already
-// analyzed in this or an untouched earlier generation.
+// analyzed in this or another generation since the memo's last flush.
 func (v *View) Bottleneck(name string) (*mincut.Result, error) {
 	return analysis.BottleneckOfMemo(v.survey, name, v.memo)
 }

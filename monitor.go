@@ -41,10 +41,10 @@ type QueryLog = transport.Log
 // advances at a time); At is lock-free and may be called from any number
 // of goroutines, including while an Add is in flight — it returns the
 // last committed View, whose contents never change. Analysis results
-// (min-cuts, per-chain TCB scans) are cached in a chain-keyed memo
-// shared across generations and invalidated only for the chains a batch
-// actually touched, so repeated Summary/Bottleneck passes over a large
-// monitored survey are near-free.
+// (min-cuts, whole-survey aggregates) are cached in a chain-keyed memo
+// shared across generations and flushed only by the rare batch that can
+// change a chain's price (a late-attached host), so repeated
+// Summary/Bottleneck passes over a large monitored survey are near-free.
 type Monitor struct {
 	world *topology.World
 	eng   *crawler.Engine
@@ -96,8 +96,9 @@ func NewWorld(opts Options) (*topology.World, error) {
 // The transport the session queries is composed from the options:
 // the terminal is opts.Source (default: the world's in-memory direct
 // transport), replaced by a replay of opts.ReplayLog when set (strict,
-// or falling through to the terminal on misses); wire framing and query
-// recording layer over it as middleware. The session owns the composed
+// or falling through to the terminal on misses); query recording layers
+// over it as middleware (compose other middleware, such as
+// transport.WireFramed, into opts.Source). The session owns the composed
 // chain and closes it on Close.
 func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor, error) {
 	src := opts.Source
@@ -117,9 +118,6 @@ func OpenWorld(_ context.Context, world *topology.World, opts Options) (*Monitor
 				src = transport.Replay(opts.ReplayLog)
 			}
 		}
-	}
-	if opts.WireFramed {
-		src = transport.Chain(src, transport.WireFramed())
 	}
 	if opts.RecordLog != nil {
 		src = transport.Chain(src, transport.Record(opts.RecordLog))

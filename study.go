@@ -50,9 +50,6 @@ type Options struct {
 	// (recordings of hand-built worlds carry their own corpus). Ignored
 	// by Open/OpenWorld, which crawl nothing until Add.
 	Corpus []string
-	// WireFramed routes every query through the full DNS wire codec
-	// (pack + unpack both ways) instead of in-memory message passing.
-	WireFramed bool
 	// SnapshotFile, when non-empty, makes session state durable as a
 	// binary epoch-store snapshot: OpenWorld restores the last committed
 	// generation from the file when it exists (missing is a fresh start),

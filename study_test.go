@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dnstrust/internal/topology"
+	"dnstrust/internal/transport"
 )
 
 // surveyCorpus is the one-shot study: open a session over a generated
@@ -156,13 +159,25 @@ func TestStudyDeterminism(t *testing.T) {
 	}
 }
 
+// TestWireFramedStudyMatchesDirect surveys one world twice: over the
+// in-memory transport, and with every query round-tripped through the
+// DNS wire codec, composed through Options.Source.
 func TestWireFramedStudyMatchesDirect(t *testing.T) {
+	ctx := context.Background()
 	md, err := surveyCorpus(Options{Seed: 11, Names: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := surveyCorpus(Options{Seed: 11, Names: 200, WireFramed: true})
+	w, err := topology.Generate(topology.GenParams{Seed: 11, Names: 200})
 	if err != nil {
+		t.Fatal(err)
+	}
+	mw, err := OpenWorld(ctx, w, Options{Source: transport.Chain(w.Registry.Source(), transport.WireFramed())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mw.Add(ctx, w.Corpus...)
+	if err := errors.Join(err, mw.Close()); err != nil {
 		t.Fatal(err)
 	}
 	direct, wired := md.At().Survey(), mw.At().Survey()
