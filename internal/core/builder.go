@@ -97,6 +97,11 @@ type Builder struct {
 	verNames   []string
 	verTouched []string
 
+	// sets is the hash-consing pool of the closures and TCBs FinishEpoch
+	// builds (setPool); only FinishEpoch reads or writes it. It is nil
+	// until the first FinishEpoch, which seeds it from a restored graph.
+	sets setPool
+
 	// Scratch buffers reused across interning calls.
 	idBuf  []int32
 	keyBuf []byte
@@ -459,6 +464,7 @@ func (b *Builder) Finish() *Graph {
 	b.pending = nil
 	b.chainIDs = nil
 	b.failedChain = nil
+	b.sets = nil
 	return g
 }
 
@@ -490,7 +496,9 @@ func (b *Builder) Finish() *Graph {
 // those go through the closure pass and the TCB union; every other entry,
 // and every recomputed one that comes out equal, aliases the previous
 // epoch's slice, so N retained generations of a large survey share one
-// copy of almost everything. A zone with a late-attached NS host is dirty
+// copy of almost everything. A recomputed set that differs is interned by
+// content (setPool), so it too is stored once, however many zones, chains
+// and epochs hold it. A zone with a late-attached NS host is dirty
 // even when the attach adds no edge: chainStamp must still advance for
 // every chain whose TCB holds that host, because the attach reshapes the
 // chain's min-cut digraph. Beyond the dirty set an epoch clears O(zones)
@@ -518,7 +526,15 @@ func (b *Builder) FinishEpoch() *Graph {
 		zoneNS:   st.zoneNS[:len(st.zoneNS):len(st.zoneNS)],
 		numNames: b.numNames(),
 	}
-	g.computeTables(b.prev, st.hostChain, b.lateAttached)
+	prev := b.prev
+	if b.sets == nil {
+		b.sets = make(setPool)
+		if prev != nil && prev.st == st {
+			// The first epoch after a restore: pool the restored sets.
+			prev = b.sets.seed(prev)
+		}
+	}
+	g.computeTables(prev, st.hostChain, b.lateAttached, b.sets)
 	if b.verNames != nil {
 		b.verTouched = append(b.verTouched, b.touched...)
 		if len(b.verTouched) > len(st.names) {

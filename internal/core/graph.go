@@ -12,7 +12,9 @@
 // condensation DAG. Delegation chains are interned too: every distinct
 // chain appears once as a compact zone-id list, names reference chains by
 // id, and the TCB of each chain is unioned exactly once — a survey of half
-// a million names touches each zone closure and each chain once.
+// a million names touches each zone closure and each chain once. Trust
+// sets recur (a few providers serve most zones), so every distinct set,
+// closure or TCB, is stored once and shared by content.
 //
 // Graphs produced by one Builder share a copy-on-write epoch store:
 // holding many generations of a monitored survey live costs array
@@ -62,6 +64,8 @@ type Graph struct {
 	zoneAdj [][]int32
 	// chainTCB[c] is the sorted host-id union of the closures of every
 	// zone on chain c — the TCB shared by every name on that chain.
+	// Closures and TCBs are interned by content (setPool): every zone
+	// and chain with one set, in either table, shares one slice.
 	chainTCB [][]int32
 	// chainStamp[c] is the epoch at which chain c's dependency structure
 	// (its TCB, or the address chain of any TCB member) last changed.
@@ -504,6 +508,7 @@ func (g *Graph) Detach() *Graph {
 		}
 	}
 
+	tables := copyAliased(g.closure, g.zoneAdj, g.chainTCB)
 	return &Graph{
 		st:         st,
 		epoch:      g.epoch,
@@ -512,9 +517,9 @@ func (g *Graph) Detach() *Graph {
 		chains:     g.chains,
 		zoneNS:     g.zoneNS,
 		numNames:   g.numNames,
-		closure:    copyAliased(g.closure),
-		zoneAdj:    copyAliased(g.zoneAdj),
-		chainTCB:   copyAliased(g.chainTCB),
+		closure:    tables[0],
+		zoneAdj:    tables[1],
+		chainTCB:   tables[2],
 		chainStamp: append([]int64(nil), g.chainStamp...),
 	}
 }
@@ -523,7 +528,7 @@ func (g *Graph) Detach() *Graph {
 // has any content, backed by its own empty store.
 func emptyGraph(epoch int64) *Graph {
 	g := &Graph{st: newStore(0), epoch: epoch}
-	g.computeTables(nil, nil, nil)
+	g.computeTables(nil, nil, nil, nil) // no zones or chains: nothing to pool
 	return g
 }
 
@@ -531,8 +536,9 @@ func emptyGraph(epoch int64) *Graph {
 // chainTCB, chainStamp — from prev, the previous epoch of the same store
 // (nil: everything is new). hostChain is the builder's current chain
 // table (every attach is visible to the epoch being finalized) and
-// lateAttached its undrained late set.
-func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map[int32]struct{}) {
+// lateAttached its undrained late set. Every closure and TCB the pass
+// builds goes through sets, so equal sets share one backing array.
+func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map[int32]struct{}, sets setPool) {
 	if prev == nil {
 		prev = &Graph{}
 	}
@@ -543,7 +549,7 @@ func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map
 			late[h] = true
 		}
 	}
-	g.computeChainTCBs(prev, late, g.computeClosures(prev, hostChain, late))
+	g.computeChainTCBs(prev, late, g.computeClosures(prev, hostChain, late, sets), sets)
 }
 
 // computeClosures condenses the dirty part of the zone dependency digraph
@@ -553,8 +559,9 @@ func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map
 // already final, and no SCC straddles the boundary: a clean zone on a
 // cycle through a dirty one would reach what it reaches. It returns the
 // dirty bitmap when any zone of prev is dirty — chains of prev may then
-// need re-unioning — else nil.
-func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) []bool {
+// need re-unioning — else nil. A closure equal to prev's entry aliases
+// it; any other is interned in sets.
+func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool, sets setPool) []bool {
 	n, pz := len(g.zones), len(prev.zones)
 	dirty := make([]bool, n)
 	var work []int32
@@ -592,7 +599,7 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) [
 		v    int32
 		edge int
 	}
-	var stack []int32
+	var stack, set []int32
 	var callStack []frame
 	var next int32
 	for _, start := range work {
@@ -641,7 +648,7 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) [
 			}
 			comp[v] = v + 1
 			members := stack[top:]
-			var set []int32
+			set = set[:0]
 			for _, z := range members {
 				set = append(set, g.zoneNS[z]...)
 				for _, w := range adj[z] {
@@ -659,11 +666,14 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) [
 				}
 			}
 			sortUnique(&set)
+			var closure []int32
 			if int(v) < pz && int32sEqual(prev.closure[v], set) {
-				set = prev.closure[v]
+				closure = prev.closure[v]
+			} else {
+				closure = sets.intern(set)
 			}
 			for _, z := range members {
-				g.closure[z] = set
+				g.closure[z] = closure
 			}
 			stack = stack[:top]
 		}
@@ -721,14 +731,15 @@ func (g *Graph) zonesReachingLate(late []bool, dirty []bool) []int32 {
 
 // computeChainTCBs unions zone closures into one TCB per interned chain.
 // Every name on the chain shares the resulting slice, so the per-name
-// Figure 2/5/6 passes become O(1) lookups. Only new chains, and chains of
-// prev traversing a dirty zone, are unioned; the rest alias prev's TCB and
-// keep its stamp. A re-unioned TCB equal to prev's aliases it too, and
-// each chain's stamp records the epoch it last changed — unchanged
-// meaning both an identical TCB set and no TCB member whose address chain
-// attached late this epoch (a late attach reshapes the min-cut digraph
-// even when the TCB set is stable).
-func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool) {
+// Figure 2/5/6 passes become O(1) lookups, and chains with equal TCBs
+// share it too: a TCB is interned in sets, with the zone closures. Only
+// new chains, and chains of prev traversing a dirty zone, are unioned;
+// the rest alias prev's TCB and keep its stamp. A re-unioned TCB equal to
+// prev's aliases it too, and each chain's stamp records the epoch it last
+// changed — unchanged meaning both an identical TCB set and no TCB member
+// whose address chain attached late this epoch (a late attach reshapes
+// the min-cut digraph even when the TCB set is stable).
+func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool, sets setPool) {
 	nc, pc := len(g.chains), len(prev.chains)
 	g.chainTCB = extend(prev.chainTCB, nc, dirty != nil)
 	g.chainStamp = extend(prev.chainStamp, nc, dirty != nil)
@@ -736,12 +747,13 @@ func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool) {
 	if dirty != nil {
 		first = 0
 	}
+	var tcb []int32
 	for ci := first; ci < nc; ci++ {
 		chain := g.chains[ci]
 		if ci < pc && !anyMarked(chain, dirty) {
 			continue
 		}
-		var tcb []int32
+		tcb = tcb[:0]
 		for _, z := range chain {
 			tcb = append(tcb, g.closure[z]...)
 		}
@@ -752,7 +764,7 @@ func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool) {
 			}
 			continue
 		}
-		g.chainTCB[ci] = tcb
+		g.chainTCB[ci] = sets.intern(tcb)
 		g.chainStamp[ci] = g.epoch
 	}
 }

@@ -16,18 +16,18 @@ import (
 // This file persists a Builder — the epoch store plus the builder's own
 // resumable state — into the snapshot container, and loads it back. The
 // layout mirrors the in-memory design: append-only intern arrays become
-// flat sections of int32 ids, aliasing between id slices (SCC closure
-// sharing, chain/TCB copy-on-write) is preserved through a shared id
-// pool per table, and strings load zero-copy as views into the mapped
-// file. A load reads the name side off the file's sorted name tables:
-// the last graph's name list and chain-id column in one merge of
-// core/base and core/names, the per-chain name lists in one counting
-// pass into a single array, and the builder's sorted write orders as
-// copies. It rebuilds only the store's hash indexes (hostID, zoneID,
-// base, names) and copies the host chain columns — linear in table
-// size, no sort, no transport traffic, no replay. The builder's chain
-// dedup index (chainIDs) is built by the first chain intern, not by
-// the load.
+// flat sections of int32 ids, aliasing between id slices (closures and
+// TCBs interned by content, copy-on-write across epochs) is preserved
+// through a shared id pool per table, and strings load zero-copy as
+// views into the mapped file. A load reads the name side off the file's
+// sorted name tables: the last graph's name list and chain-id column in
+// one merge of core/base and core/names, the per-chain name lists in one
+// counting pass into a single array, and the builder's sorted write
+// orders as copies. It rebuilds only the store's hash indexes (hostID,
+// zoneID, base, names) and copies the host chain columns — linear in
+// table size, no sort, no transport traffic, no replay. The builder's
+// chain dedup index (chainIDs) is built by the first chain intern, not
+// by the load, nor is its set pool (setPool.seed).
 //
 // Sections (all inside the snapshot container, see package snapshot):
 //
@@ -122,9 +122,10 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	if err := snapshot.WriteStringTable(w, st.zones); err != nil {
 		return err
 	}
-	// The append-only intern tables and the copy-on-write zoneadj and
-	// chaintcb build every entry on its own backing array; only an SCC's
-	// members share one closure.
+	// The append-only intern tables and the copy-on-write zoneadj build
+	// every entry on its own backing array. Closures and chain TCBs are
+	// interned by content (setPool), so their tables are deduplicated by
+	// backing identity: each distinct set is written once per table.
 	w.Begin("core/chains")
 	snapshot.WriteDistinctIDTable(w, st.chains)
 	w.Begin("core/zonens")
@@ -141,7 +142,7 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	w.Begin("core/zoneadj")
 	snapshot.WriteDistinctIDTable(w, zoneAdj)
 	w.Begin("core/chaintcb")
-	snapshot.WriteDistinctIDTable(w, chainTCB)
+	snapshot.WriteIDTable(w, chainTCB)
 	w.Begin("core/chainstamp")
 	w.U64(uint64(len(chainStamp)))
 	w.I64s(chainStamp)

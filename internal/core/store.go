@@ -163,32 +163,141 @@ func int32sEqual(a, b []int32) bool {
 	return true
 }
 
-// copyAliased deep-copies a table of id slices, preserving the aliasing
-// structure: entries sharing one backing slice in src share one copy in
-// the result. Used by Detach to materialize a store-independent epoch
-// without flattening the per-SCC and per-chain sharing.
-func copyAliased(src [][]int32) [][]int32 {
+// setPool hash-conses the sorted host-id sets FinishEpoch builds: zone
+// closures and chain TCBs with equal content share one immutable,
+// capacity-clipped backing array, across zones, chains and epochs. Trust
+// concentrates on a few providers, so the same sets recur: far fewer
+// distinct sets exist than zones and chains. Only FinishEpoch touches the
+// pool (the builder is single-owner), so it takes no lock; no Graph reads
+// it, and nothing is keyed by a set. Sets are never evicted — one that a
+// late attach replaced stays pooled — so the pool holds every distinct
+// set the builder has built or restored.
+type setPool map[uint64][][]int32
+
+// intern returns the pooled set equal to s, pooling a copy of s when none
+// is. The empty set is nil. The caller may reuse s afterwards.
+func (p setPool) intern(s []int32) []int32 {
+	return p.internHashed(hashIDs(s), s)
+}
+
+// internHashed is intern given s's hash h. Sets sharing a hash are told
+// apart by content, so a collision never merges two sets.
+func (p setPool) internHashed(h uint64, s []int32) []int32 {
+	if len(s) == 0 {
+		return nil
+	}
+	if t := p.lookup(h, s); t != nil {
+		return t
+	}
+	c := make([]int32, len(s))
+	copy(c, s)
+	p[h] = append(p[h], c)
+	return c
+}
+
+// adopt is internHashed for an s that never changes: s itself is pooled
+// rather than a copy.
+func (p setPool) adopt(h uint64, s []int32) []int32 {
+	if t := p.lookup(h, s); t != nil {
+		return t
+	}
+	p[h] = append(p[h], s)
+	return s
+}
+
+// lookup returns the pooled set with hash h equal to the non-empty s, or
+// nil.
+func (p setPool) lookup(h uint64, s []int32) []int32 {
+	for _, t := range p[h] {
+		if int32sEqual(t, s) {
+			return t
+		}
+	}
+	return nil
+}
+
+// seed pools the closures and TCBs of prev, a graph restored from a
+// snapshot, and returns prev with each entry replaced by its pooled set,
+// for the next epoch to extend. The restored sets stay views into the
+// file, pooled as they are. The format keeps one id pool per table, so a
+// set in both tables was restored twice; seeding keeps one of the two,
+// and every set built from then on aliases the restored ones. The
+// restored graph itself is left as it was read.
+func (p setPool) seed(prev *Graph) *Graph {
+	// Entries aliasing one restored run are hashed once: entries with one
+	// first-element address and one length hold the same ids.
+	pooled := make(map[*int32][]int32)
+	canon := func(table [][]int32) [][]int32 {
+		out := make([][]int32, len(table))
+		for i, s := range table {
+			if len(s) == 0 {
+				out[i] = s
+				continue
+			}
+			c, ok := pooled[&s[0]]
+			if !ok || len(c) != len(s) {
+				c = p.adopt(hashIDs(s), s)
+				pooled[&s[0]] = c
+			}
+			out[i] = c
+		}
+		return out
+	}
+	return &Graph{
+		st:         prev.st,
+		epoch:      prev.epoch,
+		hosts:      prev.hosts,
+		zones:      prev.zones,
+		chains:     prev.chains,
+		zoneNS:     prev.zoneNS,
+		numNames:   prev.numNames,
+		closure:    canon(prev.closure),
+		zoneAdj:    prev.zoneAdj,
+		chainTCB:   canon(prev.chainTCB),
+		chainStamp: prev.chainStamp,
+	}
+}
+
+// hashIDs hashes an id slice FNV-1a style, one 32-bit id per step.
+func hashIDs(s []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range s {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
+	}
+	return h
+}
+
+// copyAliased deep-copies tables of id slices, preserving the aliasing
+// structure across all of them: entries sharing one backing slice in any
+// source table share one copy in the results. Used by Detach to
+// materialize a store-independent epoch without flattening the sharing of
+// equal closures and TCBs.
+func copyAliased(tables ...[][]int32) [][][]int32 {
 	type sliceKey struct {
 		p *int32
 		n int
 	}
 	seen := make(map[sliceKey][]int32)
-	out := make([][]int32, len(src))
-	for i, s := range src {
-		if s == nil {
-			continue
+	outs := make([][][]int32, len(tables))
+	for t, src := range tables {
+		out := make([][]int32, len(src))
+		for i, s := range src {
+			if s == nil {
+				continue
+			}
+			if len(s) == 0 {
+				out[i] = []int32{}
+				continue
+			}
+			k := sliceKey{&s[0], len(s)}
+			c, ok := seen[k]
+			if !ok {
+				c = append([]int32(nil), s...)
+				seen[k] = c
+			}
+			out[i] = c
 		}
-		if len(s) == 0 {
-			out[i] = []int32{}
-			continue
-		}
-		k := sliceKey{&s[0], len(s)}
-		c, ok := seen[k]
-		if !ok {
-			c = append([]int32(nil), s...)
-			seen[k] = c
-		}
-		out[i] = c
+		outs[t] = out
 	}
-	return out
+	return outs
 }

@@ -12,8 +12,9 @@ import (
 //
 // Layout: table count, pool length, then (offset, length) entry pairs
 // over one shared int32 pool. Entries that alias the same backing array
-// in memory share one pool run, so aliasing structure (SCC closure
-// sharing, per-chain TCB copy-on-write) survives the round trip.
+// in memory share one pool run, so aliasing structure (closures and TCBs
+// interned by content, each shared by every zone and chain that has it)
+// survives the round trip.
 
 const nilOff = math.MaxUint32
 
