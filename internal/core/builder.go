@@ -98,8 +98,7 @@ type Builder struct {
 	verTouched []string
 
 	// sets is the hash-consing pool of the closures and TCBs FinishEpoch
-	// builds (setPool); only FinishEpoch reads or writes it. It is nil
-	// until the first FinishEpoch, which seeds it from a restored graph.
+	// builds (setPool); only FinishEpoch reads or writes it.
 	sets setPool
 
 	// Scratch buffers reused across interning calls.
@@ -464,7 +463,7 @@ func (b *Builder) Finish() *Graph {
 	b.pending = nil
 	b.chainIDs = nil
 	b.failedChain = nil
-	b.sets = nil
+	b.sets = setPool{}
 	return g
 }
 
@@ -526,15 +525,7 @@ func (b *Builder) FinishEpoch() *Graph {
 		zoneNS:   st.zoneNS[:len(st.zoneNS):len(st.zoneNS)],
 		numNames: b.numNames(),
 	}
-	prev := b.prev
-	if b.sets == nil {
-		b.sets = make(setPool)
-		if prev != nil && prev.st == st {
-			// The first epoch after a restore: pool the restored sets.
-			prev = b.sets.seed(prev)
-		}
-	}
-	g.computeTables(prev, st.hostChain, b.lateAttached, b.sets)
+	g.computeTables(b.prev, st.hostChain, b.lateAttached, &b.sets)
 	if b.verNames != nil {
 		b.verTouched = append(b.verTouched, b.touched...)
 		if len(b.verTouched) > len(st.names) {

@@ -538,7 +538,7 @@ func emptyGraph(epoch int64) *Graph {
 // table (every attach is visible to the epoch being finalized) and
 // lateAttached its undrained late set. Every closure and TCB the pass
 // builds goes through sets, so equal sets share one backing array.
-func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map[int32]struct{}, sets setPool) {
+func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map[int32]struct{}, sets *setPool) {
 	if prev == nil {
 		prev = &Graph{}
 	}
@@ -561,7 +561,7 @@ func (g *Graph) computeTables(prev *Graph, hostChain [][]int32, lateAttached map
 // dirty bitmap when any zone of prev is dirty — chains of prev may then
 // need re-unioning — else nil. A closure equal to prev's entry aliases
 // it; any other is interned in sets.
-func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool, sets setPool) []bool {
+func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool, sets *setPool) []bool {
 	n, pz := len(g.zones), len(prev.zones)
 	dirty := make([]bool, n)
 	var work []int32
@@ -739,7 +739,7 @@ func (g *Graph) zonesReachingLate(late []bool, dirty []bool) []int32 {
 // changed — unchanged meaning both an identical TCB set and no TCB member
 // whose address chain attached late this epoch (a late attach reshapes
 // the min-cut digraph even when the TCB set is stable).
-func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool, sets setPool) {
+func (g *Graph) computeChainTCBs(prev *Graph, late []bool, dirty []bool, sets *setPool) {
 	nc, pc := len(g.chains), len(prev.chains)
 	g.chainTCB = extend(prev.chainTCB, nc, dirty != nil)
 	g.chainStamp = extend(prev.chainStamp, nc, dirty != nil)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -185,18 +186,9 @@ func checkNamesFrom(t testing.TB, g, prev *Graph) {
 }
 
 // largestSCC reports the size of the largest strongly connected set of
-// zones, read off the closure aliasing (members of one SCC share a slice).
+// zones (sccSizes).
 func largestSCC(g *Graph) int {
-	sizes := map[*int32]int{}
-	best := 0
-	for _, c := range g.closure {
-		if len(c) == 0 {
-			continue
-		}
-		sizes[&c[0]]++
-		best = max(best, sizes[&c[0]])
-	}
-	return best
+	return slices.Max(append(sccSizes(g), 0))
 }
 
 // propertySeed advances per invocation, so `go test -count=3` runs three

@@ -27,7 +27,9 @@ import (
 // zoneID, base, names) and copies the host chain columns — linear in
 // table size, no sort, no transport traffic, no replay. The builder's
 // chain dedup index (chainIDs) is built by the first chain intern, not
-// by the load, nor is its set pool (setPool.seed).
+// by the load. The restored closures and TCBs stay views and are not
+// pooled (setPool): a set built after the restore does not alias an
+// equal restored one.
 //
 // Sections (all inside the snapshot container, see package snapshot):
 //
@@ -125,7 +127,9 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 	// The append-only intern tables and the copy-on-write zoneadj build
 	// every entry on its own backing array. Closures and chain TCBs are
 	// interned by content (setPool), so their tables are deduplicated by
-	// backing identity: each distinct set is written once per table.
+	// backing identity: each distinct set is written once per table. A
+	// restored view is not pooled, so a set built since the restore that
+	// equals it is written a second time.
 	w.Begin("core/chains")
 	snapshot.WriteDistinctIDTable(w, st.chains)
 	w.Begin("core/zonens")

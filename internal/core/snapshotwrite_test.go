@@ -183,19 +183,64 @@ func TestSnapshotWriteMatchesReference(t *testing.T) {
 }
 
 // sccSizes reports, for every zone of g, the number of zones in its
-// strongly connected set (members of one SCC share one closure slice).
+// strongly connected component of the zone dependency digraph (zoneAdj),
+// by an iterative Tarjan pass. Closure aliasing cannot tell SCCs apart:
+// closures are interned by content, so zones of different SCCs with
+// equal closures share one slice.
 func sccSizes(g *Graph) []int {
-	count := map[*int32]int{}
-	for _, c := range g.closure {
-		if len(c) > 0 {
-			count[&c[0]]++
-		}
+	n := len(g.zoneAdj)
+	index := make([]int, n) // DFS order + 1; 0: not yet visited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	out := make([]int, n)
+	var stack []int32
+	type frame struct {
+		v    int32
+		edge int
 	}
-	out := make([]int, len(g.closure))
-	for z, c := range g.closure {
-		out[z] = 1
-		if len(c) > 0 {
-			out[z] = count[&c[0]]
+	var call []frame
+	next := 0
+	visit := func(v int32) {
+		next++
+		index[v], low[v] = next, next
+		stack = append(stack, v)
+		onStack[v] = true
+		call = append(call, frame{v: v})
+	}
+	for s := range n {
+		if index[s] != 0 {
+			continue
+		}
+		visit(int32(s))
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			v := f.v
+			if f.edge < len(g.zoneAdj[v]) {
+				w := g.zoneAdj[v][f.edge]
+				f.edge++
+				if index[w] == 0 {
+					visit(w)
+				} else if onStack[w] {
+					low[v] = min(low[v], index[w])
+				}
+				continue
+			}
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				u := call[len(call)-1].v
+				low[u] = min(low[u], low[v])
+			}
+			if low[v] == index[v] {
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
+				}
+				for _, z := range stack[top:] {
+					onStack[z] = false
+					out[z] = len(stack) - top
+				}
+				stack = stack[:top]
+			}
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+	"unsafe"
+	"weak"
 
 	"dnstrust/internal/snapshot"
 )
@@ -169,93 +171,95 @@ func int32sEqual(a, b []int32) bool {
 // concentrates on a few providers, so the same sets recur: far fewer
 // distinct sets exist than zones and chains. Only FinishEpoch touches the
 // pool (the builder is single-owner), so it takes no lock; no Graph reads
-// it, and nothing is keyed by a set. Sets are never evicted — one that a
-// late attach replaced stays pooled — so the pool holds every distinct
-// set the builder has built or restored.
-type setPool map[uint64][][]int32
+// it, and nothing is keyed by a set.
+//
+// The pool holds its sets weakly: a set no graph holds any more — one a
+// late attach replaced, once the generations holding it are dropped — is
+// collected, and its entry is swept out when the pool has doubled since
+// the last sweep. So the pool is bounded by the sets the live graphs hold
+// (the builder's newest among them), not by the builder's churn, and an
+// equal set built later shares with every live holder. Restored sets are
+// views into the snapshot file and are not pooled.
+type setPool struct {
+	sets    map[uint64][]pooledSet
+	n       int // entries, live or not yet swept
+	sweepAt int
+}
+
+// pooledSet is one pooled set: a weak pointer to its first id, and its
+// length.
+type pooledSet struct {
+	p weak.Pointer[int32]
+	n int
+}
+
+// minSweep is the pool size below which no sweep runs.
+const minSweep = 1024
 
 // intern returns the pooled set equal to s, pooling a copy of s when none
 // is. The empty set is nil. The caller may reuse s afterwards.
-func (p setPool) intern(s []int32) []int32 {
+func (p *setPool) intern(s []int32) []int32 {
 	return p.internHashed(hashIDs(s), s)
 }
 
 // internHashed is intern given s's hash h. Sets sharing a hash are told
 // apart by content, so a collision never merges two sets.
-func (p setPool) internHashed(h uint64, s []int32) []int32 {
+func (p *setPool) internHashed(h uint64, s []int32) []int32 {
 	if len(s) == 0 {
 		return nil
 	}
 	if t := p.lookup(h, s); t != nil {
 		return t
 	}
+	if p.n >= p.sweepAt {
+		p.sweep()
+	}
+	if p.sets == nil {
+		p.sets = make(map[uint64][]pooledSet)
+	}
 	c := make([]int32, len(s))
 	copy(c, s)
-	p[h] = append(p[h], c)
+	p.sets[h] = append(p.sets[h], pooledSet{weak.Make(&c[0]), len(c)})
+	p.n++
 	return c
 }
 
-// adopt is internHashed for an s that never changes: s itself is pooled
-// rather than a copy.
-func (p setPool) adopt(h uint64, s []int32) []int32 {
-	if t := p.lookup(h, s); t != nil {
-		return t
-	}
-	p[h] = append(p[h], s)
-	return s
-}
-
-// lookup returns the pooled set with hash h equal to the non-empty s, or
-// nil.
-func (p setPool) lookup(h uint64, s []int32) []int32 {
-	for _, t := range p[h] {
-		if int32sEqual(t, s) {
-			return t
+// lookup returns the live pooled set with hash h equal to the non-empty
+// s, or nil.
+func (p *setPool) lookup(h uint64, s []int32) []int32 {
+	for _, e := range p.sets[h] {
+		if e.n != len(s) {
+			continue
+		}
+		if v := e.p.Value(); v != nil {
+			if t := unsafe.Slice(v, e.n); int32sEqual(t, s) {
+				return t
+			}
 		}
 	}
 	return nil
 }
 
-// seed pools the closures and TCBs of prev, a graph restored from a
-// snapshot, and returns prev with each entry replaced by its pooled set,
-// for the next epoch to extend. The restored sets stay views into the
-// file, pooled as they are. The format keeps one id pool per table, so a
-// set in both tables was restored twice; seeding keeps one of the two,
-// and every set built from then on aliases the restored ones. The
-// restored graph itself is left as it was read.
-func (p setPool) seed(prev *Graph) *Graph {
-	// Entries aliasing one restored run are hashed once: entries with one
-	// first-element address and one length hold the same ids.
-	pooled := make(map[*int32][]int32)
-	canon := func(table [][]int32) [][]int32 {
-		out := make([][]int32, len(table))
-		for i, s := range table {
-			if len(s) == 0 {
-				out[i] = s
-				continue
+// sweep drops the entries of collected sets and sets the size of the next
+// sweep to twice what is left, so sweeping costs O(1) per pooled set.
+func (p *setPool) sweep() {
+	p.n = 0
+	for h, es := range p.sets {
+		live := es[:0]
+		for _, e := range es {
+			if e.p.Value() != nil {
+				live = append(live, e)
 			}
-			c, ok := pooled[&s[0]]
-			if !ok || len(c) != len(s) {
-				c = p.adopt(hashIDs(s), s)
-				pooled[&s[0]] = c
-			}
-			out[i] = c
 		}
-		return out
+		clear(es[len(live):])
+		if len(live) == 0 {
+			delete(p.sets, h)
+			continue
+		}
+		p.sets[h] = live
+		p.n += len(live)
 	}
-	return &Graph{
-		st:         prev.st,
-		epoch:      prev.epoch,
-		hosts:      prev.hosts,
-		zones:      prev.zones,
-		chains:     prev.chains,
-		zoneNS:     prev.zoneNS,
-		numNames:   prev.numNames,
-		closure:    canon(prev.closure),
-		zoneAdj:    prev.zoneAdj,
-		chainTCB:   canon(prev.chainTCB),
-		chainStamp: prev.chainStamp,
-	}
+	p.sweepAt = max(2*p.n, minSweep)
 }
 
 // hashIDs hashes an id slice FNV-1a style, one 32-bit id per step.
