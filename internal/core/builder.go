@@ -146,6 +146,7 @@ func (b *Builder) ObserveZone(apex string, nsHosts []string) {
 		return
 	}
 	st := b.st
+	st.index()
 	if _, known := st.zoneID[apex]; known {
 		return
 	}
@@ -185,6 +186,7 @@ func (b *Builder) ObserveZone(apex string, nsHosts []string) {
 // or are dropped when the key completes as a surveyed name.
 func (b *Builder) ObserveChain(key string, chain []string) {
 	st := b.st
+	st.index()
 	if hid, ok := st.hostID[key]; ok {
 		if st.hostChainAt[hid] == 0 {
 			b.lock()
@@ -225,6 +227,7 @@ func (b *Builder) Complete(name string, chain []string) {
 // shared and append to the touched buffer outside it.
 func (b *Builder) completeLocked(name string, cid int32) bool {
 	st := b.st
+	st.index()
 	if !b.shared {
 		// First live epoch: no reader exists and no history is needed —
 		// one compact map assignment, exactly the pre-timeline hot path.
@@ -266,6 +269,7 @@ func (b *Builder) completeLocked(name string, cid int32) bool {
 // an NS host of a later-observed zone.
 func (b *Builder) Fail(name string, err error) {
 	st := b.st
+	st.index()
 	if chain, ok := b.pending[name]; ok {
 		b.lock()
 		b.failedChain[name] = b.internChainIDLocked(chain)
@@ -325,7 +329,10 @@ func (b *Builder) writeVersionLocked(name string, vs nameVers, lv nameVer, nv na
 }
 
 // numNames reports the current live (present) name count.
-func (b *Builder) numNames() int { return len(b.st.base) + b.versionedPresent }
+func (b *Builder) numNames() int {
+	b.st.index()
+	return len(b.st.base) + b.versionedPresent
+}
 
 // Done reports how many names (successes plus failures) have been
 // absorbed so far. A name reported both complete and failed counts once.
@@ -334,7 +341,7 @@ func (b *Builder) Done() int { return b.numNames() + len(b.failed) }
 // Names returns the successfully walked names at the builder's current
 // (uncommitted) state, sorted.
 func (b *Builder) Names() []string {
-	out := make([]string, 0, b.numNames())
+	out := make([]string, 0, b.numNames()) // numNames indexes the store
 	for name := range b.st.base {
 		out = append(out, name)
 	}
@@ -355,6 +362,7 @@ func (b *Builder) Failed() map[string]error { return b.failed }
 // Callers hold st.mu.
 func (b *Builder) internHostLocked(host string) (int32, bool) {
 	st := b.st
+	st.index()
 	if id, ok := st.hostID[host]; ok {
 		return id, false
 	}
@@ -387,6 +395,7 @@ func (b *Builder) attachChainLocked(hid, cid int32) {
 // arrive first. Callers hold st.mu.
 func (b *Builder) internChainIDLocked(chain []string) int32 {
 	st := b.st
+	st.index()
 	ids := b.idBuf[:0]
 	for _, apex := range chain {
 		if apex == "" {
@@ -506,6 +515,7 @@ func (b *Builder) Finish() *Graph {
 // slice headers. The first epoch is the same pass with everything new.
 func (b *Builder) FinishEpoch() *Graph {
 	st := b.st
+	st.index()
 	b.epoch++
 
 	// An epoch of a still-empty store (the Monitor's pre-crawl

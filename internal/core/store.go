@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 	"weak"
 
@@ -21,7 +23,9 @@ import (
 //
 //   - the intern maps (hostID, zoneID) only grow, and an id is visible
 //     to an epoch only when it is below that epoch's pinned array
-//     length;
+//     length. A store restored from a snapshot builds them, and base,
+//     on first need (index): until then names are looked up in the
+//     file's sorted base table;
 //   - hostChain entries are assigned at most once (a pending chain
 //     attaching to an existing host), stamped with the attaching epoch;
 //   - name→chain mappings are versioned: Complete/Fail append a new
@@ -37,7 +41,8 @@ import (
 type store struct {
 	mu sync.RWMutex
 
-	// Interned nameserver hosts and zones (append-only).
+	// Interned nameserver hosts and zones (append-only), and their
+	// name → id indexes (nil on a restored store until index).
 	hosts  []string
 	hostID map[string]int32
 	zones  []string
@@ -68,7 +73,8 @@ type store struct {
 	// visible from; every published graph of this store has an epoch at
 	// or above it, so a base hit is visible to every reader. A name that
 	// later re-chains or fails moves to the versioned table (its base
-	// mapping becomes version 0 there) and is deleted here.
+	// mapping becomes version 0 there) and is deleted here. A restored
+	// store answers from sortedBase until index builds this map.
 	base      map[string]int32
 	baseEpoch int64
 	// names maps each surveyed name that has been touched after the
@@ -91,6 +97,17 @@ type store struct {
 	touched      map[int64][]string
 	journalFloor int64
 
+	// sortedBase/sortedBaseCids are a restored store's base table as
+	// the file holds it, sorted by name (views into the mapping).
+	// Lookups binary-search it until indexed is set; then base, hostID
+	// and zoneID are built and answer instead. index builds them once,
+	// under indexOnce, before setting indexed, so a reader that sees the
+	// flag set sees the maps. A fresh store is born indexed.
+	sortedBase     []string
+	sortedBaseCids []int32
+	indexOnce      sync.Once
+	indexed        atomic.Bool
+
 	// snap pins the snapshot file this store was loaded from, when it
 	// was. Hot arrays are views into the file's mapping, so the mapping
 	// must outlive every graph of this store — it is simply never
@@ -99,13 +116,54 @@ type store struct {
 }
 
 func newStore(sizeHint int) *store {
-	return &store{
+	st := &store{
 		hostID:  make(map[string]int32),
 		zoneID:  make(map[string]int32),
 		base:    make(map[string]int32, sizeHint),
 		names:   make(map[string]nameVers),
 		touched: make(map[int64][]string),
 	}
+	st.indexed.Store(true)
+	return st
+}
+
+// index builds a restored store's hash indexes (hostID, zoneID, base)
+// from its tables, once; on an indexed store it is one flag load. Every
+// read of those maps, and every builder write that reads or grows them
+// or the tables they index, calls it first. So the build takes no lock:
+// until the flag is set no reader touches the maps, and the builder
+// waits for the build like any reader.
+func (st *store) index() {
+	if st.indexed.Load() {
+		return
+	}
+	st.indexOnce.Do(func() {
+		st.hostID = make(map[string]int32, len(st.hosts))
+		for i, h := range st.hosts {
+			st.hostID[h] = int32(i)
+		}
+		st.zoneID = make(map[string]int32, len(st.zones))
+		for i, z := range st.zones {
+			st.zoneID[z] = int32(i)
+		}
+		st.base = make(map[string]int32, len(st.sortedBase))
+		for i, n := range st.sortedBase {
+			st.base[n] = st.sortedBaseCids[i]
+		}
+		st.indexed.Store(true)
+	})
+}
+
+// baseChain returns name's chain in the base table. Callers hold st.mu.
+func (st *store) baseChain(name string) (int32, bool) {
+	if st.indexed.Load() {
+		cid, ok := st.base[name]
+		return cid, ok
+	}
+	if i, ok := slices.BinarySearch(st.sortedBase, name); ok {
+		return st.sortedBaseCids[i], true
+	}
+	return 0, false
 }
 
 // nameVer is one version of a name's chain mapping: at epoch, the name

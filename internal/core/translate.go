@@ -33,6 +33,7 @@ func (b *Builder) InternZone(apex string, nsHosts []int32) int32 {
 		return -1
 	}
 	st := b.st
+	st.index()
 	b.lock()
 	defer b.unlock()
 	if zid, ok := st.zoneID[apex]; ok {
